@@ -13,12 +13,10 @@ from .evaluate import ContingencyTable, cluster_feature_frequencies, contingency
 from .model import (
     NEW_CLUSTER,
     UNASSIGNED,
-    BetaPosterior,
     BinaryMatrix,
     ClusterState,
     Hyperparams,
     assignment_distribution,
-    beta_posterior,
     crp_log_prior,
     default_hyperparams,
     joint_log_score,
@@ -38,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnealingSchedule",
-    "BetaPosterior",
     "BinaryMatrix",
     "ClusterState",
     "ContingencyTable",
@@ -49,7 +46,6 @@ __all__ = [
     "SyntheticSpec",
     "UNASSIGNED",
     "assignment_distribution",
-    "beta_posterior",
     "cluster_feature_frequencies",
     "contingency",
     "crp_log_prior",

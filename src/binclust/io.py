@@ -3,7 +3,14 @@
 Three text formats cover the data flow: dense CSV for binary matrices,
 a coordinate format for sparse ones ("N D" header, then one "row col" pair
 per 1-entry), and one integer per line for label vectors.  Run reports are
-JSON.  All save/load pairs round-trip losslessly.
+JSON.  All save/load pairs round-trip losslessly, one-row and one-column
+matrices included.
+
+Every CSV input (binary matrices, word counts, real-valued tables) goes
+through one table reader with one header rule: the first row is a header iff
+none of its cells is a number and some cell is not a missing token
+(empty, na, nan, null).  Otherwise it is data, and a bad cell in it is
+reported by row and column like any other.
 
 The preprocessing transforms turn raw observation tables into binary
 matrices: a document-frequency filter for word-count data and a per-column
@@ -25,51 +32,137 @@ class DataFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# dense CSV
+# CSV tables
+
+
+def save_csv_matrix(path, matrix):
+    """Write a numeric matrix as CSV, one row per line.
+
+    Integer matrices (binary data, contingency tables) are written as
+    integers; floats (frequency matrices) via repr, which round-trips
+    losslessly.
+    """
+    matrix = np.asarray(matrix)
+    if np.issubdtype(matrix.dtype, np.integer):
+        # Format each distinct value once, then look every row up in that table.
+        values = np.unique(matrix)
+        text = np.array([str(v) for v in values.tolist()], dtype=object)
+        rows = (text[np.searchsorted(values, row)].tolist() for row in matrix)
+    else:
+        rows = ([repr(float(v)) for v in row] for row in matrix)
+    with open(path, "w") as fh:
+        for fields in rows:
+            fh.write(",".join(fields))
+            fh.write("\n")
 
 
 def save_dense(path, data):
     """Write a binary matrix as dense CSV, one row per line, no header."""
-    with open(path, "w") as fh:
-        for row in data.values:
-            fh.write(",".join("1" if v else "0" for v in row))
-            fh.write("\n")
+    save_csv_matrix(path, data.values)
 
 
 def load_dense(path):
-    """Read a dense CSV binary matrix; a non-numeric first row is skipped as a header."""
+    """Read a dense CSV binary matrix (optional header row)."""
+    return BinaryMatrix(_read_table(path, _binary_cells))
+
+
+def load_count_csv(path):
+    """Read a CSV of non-negative integer counts (optional header row)."""
+    return _read_table(path, _count_cells)
+
+
+def load_real_csv(path):
+    """Read a CSV of reals (optional header row); empty fields and na/nan/null
+    tokens become NaN."""
+    return _read_table(path, _real_cells)
+
+
+def _read_table(path, cell_rule):
+    """Read a CSV table and convert its cells with ``cell_rule``.
+
+    Blank lines are skipped.  The first row is a header, and dropped, iff no
+    cell of it is a number and some cell is not a missing token; so a bad
+    first data row is reported, not dropped.  Every row must have as many
+    cells as the first data row.  ``cell_rule`` maps the 2-d array of
+    whitespace-stripped cells to values and names the first bad cell.
+    """
     with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip() != ""]
+        lines = [line for line in fh.read().split("\n") if line.strip()]
     if not lines:
         raise DataFormatError(f"{path}: empty file")
-    start = 1 if _is_header(lines[0]) else 0
-    rows = []
-    width = None
-    for r, line in enumerate(lines[start:]):
-        fields = line.split(",")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise DataFormatError(f"{path}: row {r} has {len(fields)} values, expected {width}")
-        row = []
-        for c, field in enumerate(fields):
-            value = field.strip()
-            if value not in ("0", "1"):
-                raise DataFormatError(f"{path}: non-binary value {value!r} at row {r}, column {c}")
-            row.append(int(value))
-        rows.append(row)
-    if not rows:
+    if _is_header(lines[0].split(",")):
+        del lines[0]
+    if not lines:
         raise DataFormatError(f"{path}: no data rows")
-    return BinaryMatrix(np.asarray(rows, dtype=np.uint8))
+    width = lines[0].count(",") + 1
+    for r, line in enumerate(lines):
+        if line.count(",") + 1 != width:
+            raise DataFormatError(f"{path}: row {r} has {line.count(',') + 1} values, expected {width}")
+    cells = np.char.strip(_split_cells(lines)).reshape(len(lines), width)
+    try:
+        return cell_rule(cells)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
-def _is_header(line):
-    for field in line.split(","):
-        try:
-            float(field.strip())
-        except ValueError:
-            return True
-    return False
+def _split_cells(lines):
+    # Splitting the joined text once, rather than each line, keeps the peak
+    # memory of a large file down; the list of fields is freed on return.
+    # Giving the width spares numpy a slow pass over the list to find it.
+    fields = ",".join(lines).split(",")
+    return np.array(fields, dtype=f"U{max(map(len, fields))}")
+
+
+def _is_header(fields):
+    tokens = [field.strip() for field in fields if field.strip().lower() not in _MISSING_TOKENS]
+    return bool(tokens) and not any(_parses(token, float) for token in tokens)
+
+
+def _parses(text, kind):
+    try:
+        kind(text)
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+def _binary_cells(cells):
+    ones = cells == "1"
+    _reject(~(ones | (cells == "0")), cells, "non-binary value {!r}")
+    return ones.astype(np.uint8)
+
+
+def _count_cells(cells):
+    counts = _cast(cells, np.int64, "non-integer count")
+    _reject(counts < 0, cells, "negative count")
+    return counts
+
+
+def _real_cells(cells):
+    missing = np.isin(np.char.lower(cells), sorted(_MISSING_TOKENS))
+    return _cast(np.where(missing, "nan", cells), np.float64, "non-numeric value {!r}")
+
+
+def _cast(cells, dtype, what):
+    """All cells converted to ``dtype`` at once; on failure, the first cell
+    that fails on its own is named."""
+    try:
+        return cells.astype(dtype)
+    except (ValueError, OverflowError):
+        for (r, c), text in np.ndenumerate(cells):
+            if not _parses(text, dtype):
+                raise _cell_error(what, cells, r, c) from None
+        raise
+
+
+def _reject(bad, cells, what):
+    """Raise for the first cell flagged in ``bad``, in row-major order."""
+    if bad.any():
+        raise _cell_error(what, cells, *divmod(int(bad.argmax()), cells.shape[1]))
+
+
+def _cell_error(what, cells, r, c):
+    return DataFormatError(f"{what.format(str(cells[r, c]))} at row {r}, column {c}")
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +210,13 @@ def load_sparse(path):
 
 
 def detect_format(path):
-    """Classify a matrix file: a comma in the first line means dense, a two-integer
-    header means sparse."""
+    """Classify a matrix file: a first line with a comma, or with a single field
+    (a one-column matrix), means dense; a two-integer header means sparse."""
     with open(path) as fh:
         first = fh.readline().strip()
-    if "," in first:
-        return "dense"
     fields = first.split()
+    if "," in first or len(fields) == 1:
+        return "dense"
     if len(fields) == 2:
         try:
             int(fields[0]), int(fields[1])
@@ -222,97 +315,6 @@ def load_report(path):
     if not isinstance(report, dict):
         raise DataFormatError(f"{path}: report must be a JSON object")
     return report
-
-
-# ---------------------------------------------------------------------------
-# generic numeric CSV (summaries and preprocessing inputs)
-
-
-def save_csv_matrix(path, matrix):
-    """Write a numeric matrix as CSV, one row per line.
-
-    Integer matrices (contingency tables) are written as integers; floats
-    (frequency matrices) via repr, which round-trips losslessly.
-    """
-    matrix = np.asarray(matrix)
-    as_int = np.issubdtype(matrix.dtype, np.integer)
-    with open(path, "w") as fh:
-        for row in matrix:
-            fh.write(",".join(str(int(v)) if as_int else repr(float(v)) for v in row))
-            fh.write("\n")
-
-
-def load_count_csv(path):
-    """Read a CSV of non-negative integer counts (optional header row skipped)."""
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip() != ""]
-    if not lines:
-        raise DataFormatError(f"{path}: empty file")
-    start = 1 if _is_header(lines[0]) else 0
-    rows = []
-    width = None
-    for r, line in enumerate(lines[start:]):
-        fields = line.split(",")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise DataFormatError(f"{path}: row {r} has {len(fields)} values, expected {width}")
-        row = []
-        for c, field in enumerate(fields):
-            try:
-                value = int(field.strip())
-            except ValueError:
-                raise DataFormatError(f"{path}: non-integer count at row {r}, column {c}") from None
-            if value < 0:
-                raise DataFormatError(f"{path}: negative count at row {r}, column {c}")
-            row.append(value)
-        rows.append(row)
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.int64)
-
-
-def load_real_csv(path):
-    """Read a CSV of reals; empty fields and na/nan/null tokens become NaN."""
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip() != ""]
-    if not lines:
-        raise DataFormatError(f"{path}: empty file")
-    start = 1 if _is_header_real(lines[0]) else 0
-    rows = []
-    width = None
-    for r, line in enumerate(lines[start:]):
-        fields = line.split(",")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise DataFormatError(f"{path}: row {r} has {len(fields)} values, expected {width}")
-        row = []
-        for c, field in enumerate(fields):
-            text = field.strip()
-            if text.lower() in _MISSING_TOKENS:
-                row.append(np.nan)
-                continue
-            try:
-                row.append(float(text))
-            except ValueError:
-                raise DataFormatError(f"{path}: non-numeric value {text!r} at row {r}, column {c}") from None
-        rows.append(row)
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
-
-
-def _is_header_real(line):
-    for field in line.split(","):
-        text = field.strip()
-        if text.lower() in _MISSING_TOKENS:
-            continue
-        try:
-            float(text)
-        except ValueError:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Pure numerical functions for clustering binary data: closed-form predictive
 likelihoods with the per-feature Bernoulli rates integrated out, Chinese
-restaurant process priors over cluster choices, conjugate Beta posterior
-updates, tempered assignment distributions, and a joint partition score.
+restaurant process priors over cluster choices, tempered assignment
+distributions, and a joint partition score.
 
 Everything in this module is a pure function of its inputs; nothing holds
 shared mutable state.
@@ -79,29 +79,17 @@ class Hyperparams:
             raise ValueError("a and b must be 1-d vectors of equal length")
         if not ((self.a > 0).all() and (self.b > 0).all()):
             raise ValueError("Beta shape parameters must be strictly positive")
+        if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()):
+            raise ValueError("Beta shape parameters must be finite")
         self.alpha = float(self.alpha)
         if not self.alpha > 0:
             raise ValueError("alpha must be strictly positive")
+        if not np.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
 
     @property
     def n_features(self):
         return self.a.shape[0]
-
-
-@dataclass(frozen=True)
-class BetaPosterior:
-    """Posterior Beta shapes for one (feature, cluster) pair."""
-
-    a_post: float
-    b_post: float
-
-    def __post_init__(self):
-        if not (self.a_post > 0 and self.b_post > 0):
-            raise ValueError("posterior shapes must be strictly positive")
-
-    @property
-    def mean(self):
-        return self.a_post / (self.a_post + self.b_post)
 
 
 class ClusterState:
@@ -275,18 +263,6 @@ def assignment_distribution(i, state, data, hyper, temperature):
     probs = np.exp(log_weights)
     probs /= probs.sum()
     return probs
-
-
-def beta_posterior(j, counts, hyper):
-    """Conjugate posterior shapes for feature ``j`` given one cluster's counts.
-
-    ``counts`` is the ``(size, feature_count)`` pair of that cluster; the
-    update only ever adds observed presences/absences to the prior shapes.
-    """
-    size, feature_count = counts
-    if not 0 <= feature_count <= size:
-        raise ValueError("feature count must lie in [0, cluster size]")
-    return BetaPosterior(float(hyper.a[j] + feature_count), float(hyper.b[j] + size - feature_count))
 
 
 def joint_log_score(state, data, hyper):

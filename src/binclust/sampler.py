@@ -45,6 +45,8 @@ class AnnealingSchedule:
             raise ValueError("block must be a positive integer")
         if self.n_sweeps < 1:
             raise ValueError("n_sweeps must be a positive integer")
+        if not self.t_init * self.lam ** (self.n_sweeps // self.block) > 0:
+            raise ValueError("the schedule cools to a temperature of 0: raise t_init or lam, or lower n_sweeps/block")
 
 
 @dataclass
@@ -147,6 +149,8 @@ def run(data, hyper=None, schedule=None, k_init=10, seed=0):
         hyper = default_hyperparams(data)
     if schedule is None:
         schedule = AnnealingSchedule()
+    if hyper.n_features != data.n_features:
+        raise ValueError(f"hyperparameters cover {hyper.n_features} features, the data has {data.n_features}")
     rng = np.random.default_rng(seed)
     state = init_state(data, k_init, rng)
     m = schedule.n_sweeps

@@ -104,6 +104,39 @@ class TestClusterEvaluatePipeline:
         order = np.argsort(np.asarray(report["assignments"]), kind="stable")
         assert np.array_equal(ordered.values, data.values[order])
 
+    def test_single_column_matrix_clusters(self, tmp_path, capsys):
+        data_path = tmp_path / "data.csv"
+        code, _, _ = _run(
+            capsys,
+            "generate", "--n", "20", "--d", "1", "--sd", "100", "--sn", "10",
+            "--k-true", "2", "--seed", "0", "--out", str(data_path), "--labels-out", str(tmp_path / "t.txt"),
+        )
+        assert code == 0
+        report_path = tmp_path / "report.json"
+        code, _, err = _run(
+            capsys, "cluster", "--in", str(data_path), "--sweeps", "10", "--seed", "0", "--report", str(report_path)
+        )
+        assert code == 0, err
+        assert len(load_report(report_path)["assignments"]) == 20
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--alpha", "inf"), "alpha must be finite"),
+            (("--t-init", "1", "--lambda", "0.01", "--block", "1", "--sweeps", "200"), "cools to a temperature of 0"),
+        ],
+    )
+    def test_invalid_run_settings_exit_2_before_sweeping(self, tmp_path, capsys, flags, message):
+        data_path = tmp_path / "data.csv"
+        data_path.write_text("0,1\n1,0\n1,1\n")
+        report_path = tmp_path / "report.json"
+        code, _, err = _run(
+            capsys, "cluster", "--in", str(data_path), "--k-init", "2", *flags, "--report", str(report_path)
+        )
+        assert code == 2
+        assert message in err
+        assert not report_path.exists()
+
     def test_sparse_input_autodetected(self, tmp_path, capsys):
         sparse_path = tmp_path / "data.sparse"
         sparse_path.write_text("4 3\n0 0\n1 1\n2 2\n3 0\n")

@@ -45,6 +45,12 @@ class TestDenseFormat:
         with pytest.raises(DataFormatError, match="row 1, column 1"):
             load_dense(path)
 
+    def test_bad_first_row_is_reported_not_dropped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1,x\n1,0,1\n")
+        with pytest.raises(DataFormatError, match="non-binary value 'x' at row 0, column 2"):
+            load_dense(path)
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,1\n0,1,1\n")
@@ -110,6 +116,14 @@ class TestFormatDetection:
         path.write_text("2 2\n0 0\n")
         assert detect_format(path) == "sparse"
         assert np.array_equal(load_matrix(path).values, [[1, 0], [0, 0]])
+
+    @pytest.mark.parametrize("shape", [(5, 1), (1, 5), (1, 1)])
+    def test_single_row_and_single_column_round_trip(self, tmp_path, shape):
+        path = tmp_path / "m"
+        data = BinaryMatrix((np.arange(np.prod(shape)).reshape(shape) % 2).astype(np.uint8))
+        save_dense(path, data)
+        assert detect_format(path) == "dense"
+        assert np.array_equal(load_matrix(path).values, data.values)
 
     def test_unrecognized_rejected(self, tmp_path):
         path = tmp_path / "m"
@@ -187,6 +201,19 @@ class TestNumericCsv:
         path.write_text("0,-3\n")
         with pytest.raises(DataFormatError):
             load_count_csv(path)
+
+    def test_count_csv_bad_first_row_is_reported_not_dropped(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("0,\n1,2\n3,4\n")
+        with pytest.raises(DataFormatError, match="non-integer count at row 0, column 1"):
+            load_count_csv(path)
+
+    def test_real_csv_header_with_blank_corner(self, tmp_path):
+        path = tmp_path / "vals.csv"
+        path.write_text(",gene1,gene2\n,1.5,na\n")
+        values = load_real_csv(path)
+        assert values.shape == (1, 3)
+        assert np.isnan(values[0, 0]) and values[0, 1] == 1.5 and np.isnan(values[0, 2])
 
     def test_real_csv_missing_tokens(self, tmp_path):
         path = tmp_path / "vals.csv"

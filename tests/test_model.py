@@ -1,4 +1,4 @@
-"""Core model: predictive likelihoods, priors, posteriors, partition score."""
+"""Core model: predictive likelihoods, priors, assignment distributions, partition score."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,10 @@ import pytest
 from binclust.model import (
     NEW_CLUSTER,
     UNASSIGNED,
-    BetaPosterior,
     BinaryMatrix,
     ClusterState,
     Hyperparams,
     assignment_distribution,
-    beta_posterior,
     crp_log_prior,
     default_hyperparams,
     joint_log_score,
@@ -66,6 +64,14 @@ class TestHyperparams:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             Hyperparams(a=np.ones(2), b=np.ones(3), alpha=1.0)
+
+    def test_rejects_infinite_alpha(self):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            Hyperparams(a=np.ones(2), b=np.ones(2), alpha=np.inf)
+
+    def test_rejects_infinite_shapes(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            Hyperparams(a=np.array([1.0, np.inf]), b=np.ones(2), alpha=1.0)
 
 
 class TestDefaultHyperparams:
@@ -284,35 +290,6 @@ class TestAssignmentDistribution:
         state = ClusterState.from_assignments(data, [0, 0])
         with pytest.raises(ValueError):
             assignment_distribution(0, state, data, _uniform_hyper(1), temperature=1.0)
-
-
-class TestBetaPosterior:
-    def test_no_data_returns_prior(self):
-        hyper = Hyperparams(a=np.array([1.5]), b=np.array([2.5]), alpha=1.0)
-        post = beta_posterior(0, (0, 0), hyper)
-        assert post == BetaPosterior(1.5, 2.5)
-
-    def test_conjugate_update(self):
-        hyper = Hyperparams(a=np.array([1.0]), b=np.array([3.0]), alpha=1.0)
-        assert beta_posterior(0, (4, 2), hyper) == BetaPosterior(3.0, 5.0)
-
-    def test_feature_always_present(self):
-        hyper = Hyperparams(a=np.array([1.0]), b=np.array([3.0]), alpha=1.0)
-        post = beta_posterior(0, (6, 6), hyper)
-        assert post == BetaPosterior(7.0, 3.0)
-
-    def test_counts_only_add(self):
-        hyper = Hyperparams(a=np.array([0.5]), b=np.array([0.5]), alpha=1.0)
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            size = int(rng.integers(0, 20))
-            fcount = int(rng.integers(0, size + 1))
-            post = beta_posterior(0, (size, fcount), hyper)
-            assert post.a_post >= 0.5 and post.b_post >= 0.5
-
-    def test_rejects_inconsistent_counts(self):
-        with pytest.raises(ValueError):
-            beta_posterior(0, (2, 3), _uniform_hyper(1))
 
 
 class TestJointLogScore:

@@ -45,6 +45,8 @@ class TestAnnealingSchedule:
             {"t_init": 0.0},
             {"block": 0},
             {"n_sweeps": 0},
+            # cools to t_init * lam**200 == 0.0 before the last sweep
+            {"t_init": 1.0, "lam": 0.01, "block": 1, "n_sweeps": 200},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -255,3 +257,9 @@ class TestRun:
         data10 = _two_block_data(block=6, d=10)
         report = run(data10, hyper=custom, k_init=2, seed=0, schedule=AnnealingSchedule(n_sweeps=5))
         assert report.config_echo["a_policy"] == "custom"
+
+    def test_rejects_hyperparams_of_another_width(self):
+        data = _two_block_data(d=8)
+        hyper = Hyperparams(a=np.ones(9), b=np.ones(9), alpha=1.0)
+        with pytest.raises(ValueError, match="hyperparameters cover 9 features, the data has 8"):
+            run(data, hyper=hyper, k_init=2, seed=0, schedule=AnnealingSchedule(n_sweeps=5))
