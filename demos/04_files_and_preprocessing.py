@@ -27,7 +27,7 @@ io.save_dense(dense_path, matrix)
 io.save_sparse(sparse_path, matrix)
 assert np.array_equal(io.load_dense(dense_path).values, matrix.values)
 assert np.array_equal(io.load_sparse(sparse_path).values, matrix.values)
-# auto-detection keys off the first line: commas mean dense, "N D" means sparse
+# auto-detection keys off the first non-blank line: commas mean dense, "N D" means sparse
 assert io.detect_format(dense_path) == "dense"
 assert io.detect_format(sparse_path) == "sparse"
 print("dense and sparse round-trips: OK (auto-detection agrees)")

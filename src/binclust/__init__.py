@@ -9,7 +9,7 @@ a k-means + gap-statistic baseline, file formats, and a CLI.
 
 from .baselines import GapResult, gap_statistic, kmeans_binary
 from .datagen import SyntheticSpec, generate
-from .evaluate import ContingencyTable, cluster_feature_frequencies, contingency, matched_accuracy
+from .evaluate import cluster_feature_frequencies, contingency, matched_accuracy
 from .model import (
     NEW_CLUSTER,
     UNASSIGNED,
@@ -38,7 +38,6 @@ __all__ = [
     "AnnealingSchedule",
     "BinaryMatrix",
     "ClusterState",
-    "ContingencyTable",
     "GapResult",
     "Hyperparams",
     "NEW_CLUSTER",

@@ -12,6 +12,10 @@ import numpy as np
 
 from .model import BinaryMatrix
 
+# Seeded Lloyd runs per k-means fit, and the iteration cap of each run.
+_N_RESTARTS = 5
+_MAX_ITERS = 100
+
 
 @dataclass
 class GapResult:
@@ -82,8 +86,8 @@ def _lloyd(points, k, max_iters, rng):
     return labels, centroids, np.asarray(objective_trace)
 
 
-def kmeans_binary(data, k, n_restarts=5, max_iters=100, rng=None):
-    """Lloyd's algorithm on {0,1} rows; best of ``n_restarts`` by WCSS.
+def kmeans_binary(data, k, rng=None):
+    """Lloyd's algorithm on {0,1} rows; best of five seeded runs by WCSS.
 
     Centroids are real-valued cluster means.  Returns ``(labels, centroids)``.
     """
@@ -92,16 +96,16 @@ def kmeans_binary(data, k, n_restarts=5, max_iters=100, rng=None):
     rng = np.random.default_rng(rng)
     points = data.values.astype(np.float64)
     best = None
-    for _ in range(n_restarts):
-        labels, centroids, trace = _lloyd(points, k, max_iters, rng)
+    for _ in range(_N_RESTARTS):
+        labels, centroids, trace = _lloyd(points, k, _MAX_ITERS, rng)
         if best is None or trace[-1] < best[2]:
             best = (labels, centroids, trace[-1])
     return best[0], best[1]
 
 
-def _log_dispersion(data_matrix, k, n_restarts, max_iters, rng):
+def _log_dispersion(data_matrix, k, rng):
     """log of the within-cluster sum of squares at the best k-means fit."""
-    labels, centroids = kmeans_binary(data_matrix, k, n_restarts, max_iters, rng)
+    labels, centroids = kmeans_binary(data_matrix, k, rng)
     points = data_matrix.values.astype(np.float64)
     wcss = float(((points - centroids[labels]) ** 2).sum())
     if wcss == 0.0:
@@ -109,7 +113,7 @@ def _log_dispersion(data_matrix, k, n_restarts, max_iters, rng):
     return float(np.log(wcss))
 
 
-def gap_statistic(data, k_max=15, n_refs=10, rng=None, n_restarts=5, max_iters=100):
+def gap_statistic(data, k_max=15, n_refs=10, rng=None):
     """Gap curves for k = 1..k_max and the smallest k passing the gap rule.
 
     ``Gap(k)`` compares the data's log dispersion against the mean log
@@ -129,12 +133,12 @@ def gap_statistic(data, k_max=15, n_refs=10, rng=None, n_restarts=5, max_iters=1
     n, d = data.n_objects, data.n_features
     k_values = range(1, k_max + 1)
 
-    data_logs = np.array([_log_dispersion(data, k, n_restarts, max_iters, rng) for k in k_values])
+    data_logs = np.array([_log_dispersion(data, k, rng) for k in k_values])
     col_means = data.values.mean(axis=0)
     ref_logs = np.empty((n_refs, k_max), dtype=np.float64)
     for b in range(n_refs):
         ref = BinaryMatrix((rng.random((n, d)) < col_means).astype(np.uint8))
-        ref_logs[b] = [_log_dispersion(ref, k, n_restarts, max_iters, rng) for k in k_values]
+        ref_logs[b] = [_log_dispersion(ref, k, rng) for k in k_values]
 
     with np.errstate(invalid="ignore"):
         gap_curve = ref_logs.mean(axis=0) - data_logs

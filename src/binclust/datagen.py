@@ -40,7 +40,7 @@ class SyntheticSpec:
             raise ValueError("k_true must lie in [1, n_objects]")
 
 
-def generate(spec, rng=None):
+def generate(spec):
     """Draw one instance; returns ``(BinaryMatrix, true_labels)``.
 
     Rows get uniform random labels (partitions with an empty cluster are
@@ -48,10 +48,9 @@ def generate(spec, rng=None):
     signal columns to one for all of its rows, and finally exactly
     ``floor(noise_pct * N * D / 100)`` cells, chosen without replacement
     over the whole matrix, are flipped.  Reproducible bit for bit from
-    ``spec.seed`` when no generator is passed.
+    ``spec.seed``.
     """
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     n, d = spec.n_objects, spec.n_features
     while True:
         labels = rng.integers(0, spec.k_true, size=n)

@@ -5,33 +5,10 @@ their true cluster under the best one-to-one cluster matching, so it is
 invariant to how either side happens to number its clusters.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .model import ClusterState
-
-
-@dataclass
-class ContingencyTable:
-    """Co-occurrence counts between predicted (rows) and true (columns) clusters."""
-
-    counts: np.ndarray
-
-    @property
-    def n_total(self):
-        return int(self.counts.sum())
-
-    @property
-    def row_marginals(self):
-        """Predicted cluster sizes."""
-        return self.counts.sum(axis=1)
-
-    @property
-    def col_marginals(self):
-        """True cluster sizes."""
-        return self.counts.sum(axis=0)
 
 
 def _compact(labels, name):
@@ -43,14 +20,14 @@ def _compact(labels, name):
 
 
 def contingency(pred, truth):
-    """Count label co-occurrences; entry (p, t) is ``|{i : pred_i=p and truth_i=t}|``."""
+    """Count label co-occurrences; array entry (p, t) is ``|{i : pred_i=p and truth_i=t}|``."""
     pred = _compact(pred, "predicted")
     truth = _compact(truth, "true")
     if pred.shape != truth.shape:
         raise ValueError(f"label vectors differ in length: {pred.shape[0]} vs {truth.shape[0]}")
     counts = np.zeros((pred.max() + 1, truth.max() + 1), dtype=np.int64)
     np.add.at(counts, (pred, truth), 1)
-    return ContingencyTable(counts)
+    return counts
 
 
 def matched_accuracy(pred, truth):
@@ -60,7 +37,7 @@ def matched_accuracy(pred, truth):
     co-occurrence counts (Hungarian assignment on the contingency table);
     surplus clusters on either side stay unmatched and contribute nothing.
     """
-    table = contingency(pred, truth).counts
+    table = contingency(pred, truth)
     rows, cols = linear_sum_assignment(-table)
     matched = int(table[rows, cols].sum())
     return 100.0 * matched / table.sum()

@@ -4,7 +4,9 @@ Three text formats cover the data flow: dense CSV for binary matrices,
 a coordinate format for sparse ones ("N D" header, then one "row col" pair
 per 1-entry), and one integer per line for label vectors.  Run reports are
 JSON.  All save/load pairs round-trip losslessly, one-row and one-column
-matrices included.
+matrices included.  Every reader skips blank lines, and a matrix file's
+format is told from its first non-blank line: a comma or a single field
+means dense, two integers mean sparse.
 
 Every CSV input (binary matrices, word counts, real-valued tables) goes
 through one table reader with one header rule: the first row is a header iff
@@ -210,10 +212,11 @@ def load_sparse(path):
 
 
 def detect_format(path):
-    """Classify a matrix file: a first line with a comma, or with a single field
-    (a one-column matrix), means dense; a two-integer header means sparse."""
+    """Classify a matrix file by its first non-blank line: one with a comma, or
+    with a single field (a one-column matrix), means dense; a two-integer
+    header means sparse."""
     with open(path) as fh:
-        first = fh.readline().strip()
+        first = next((line.strip() for line in fh if line.strip()), "")
     fields = first.split()
     if "," in first or len(fields) == 1:
         return "dense"
@@ -223,7 +226,7 @@ def detect_format(path):
             return "sparse"
         except ValueError:
             pass
-    raise DataFormatError(f"{path}: cannot detect matrix format from first line {first!r}")
+    raise DataFormatError(f"{path}: cannot detect matrix format from first non-blank line {first!r}")
 
 
 def load_matrix(path):
@@ -269,28 +272,15 @@ def load_labels(path):
 
 def report_to_dict(report, data):
     """Flatten a RunReport plus its per-cluster feature frequencies into plain JSON types."""
-    frequencies = cluster_feature_frequencies(report.assignments, data)
-    echo = report.config_echo
     return {
-        "assignments": [int(v) for v in report.assignments],
-        "n_clusters": int(report.n_clusters),
-        "seed": int(report.seed),
-        "hyperparams": {
-            "alpha": float(echo["alpha"]),
-            "a_policy": echo["a_policy"],
-            "b_policy": echo["b_policy"],
-        },
-        "schedule": {
-            "t_init": float(echo["schedule"]["t_init"]),
-            "lambda": float(echo["schedule"]["lambda"]),
-            "block": int(echo["schedule"]["block"]),
-            "n_sweeps": int(echo["schedule"]["n_sweeps"]),
-        },
-        "k_init": int(echo["k_init"]),
-        "score_trace": [float(v) for v in report.score_trace],
-        "k_trace": [int(v) for v in report.k_trace],
-        "temp_trace": [float(v) for v in report.temp_trace],
-        "feature_frequencies": [[float(v) for v in row] for row in frequencies],
+        **report.config_echo,
+        "assignments": report.assignments.tolist(),
+        "n_clusters": report.n_clusters,
+        "seed": report.seed,
+        "score_trace": report.score_trace.tolist(),
+        "k_trace": report.k_trace.tolist(),
+        "temp_trace": report.temp_trace.tolist(),
+        "feature_frequencies": cluster_feature_frequencies(report.assignments, data).tolist(),
     }
 
 

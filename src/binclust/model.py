@@ -172,6 +172,18 @@ def default_hyperparams(data, alpha=1.0):
     return Hyperparams(a=a, b=b, alpha=alpha)
 
 
+def _log_predictives(x, sizes, counts, hyper):
+    """Collapsed predictive log-likelihood of row ``x`` under each of K clusters,
+    given their sizes (K,) and feature counts (K, D); a zero row is a new cluster."""
+    numer = np.where(x == 1, hyper.a + counts, hyper.b + (sizes[:, None] - counts))
+    return np.log(numer).sum(axis=1) - np.log(hyper.a + hyper.b + sizes[:, None]).sum(axis=1)
+
+
+def _log_seating_weights(sizes, alpha):
+    """Unnormalized log seating weights: each cluster's size, then ``alpha`` for a new one."""
+    return np.log(np.append(sizes, alpha))
+
+
 def log_predictive(x, counts, hyper):
     """Log probability of one binary row under a cluster's posterior predictive.
 
@@ -193,8 +205,7 @@ def log_predictive(x, counts, hyper):
         fcounts = np.asarray(fcounts)
         if (fcounts < 0).any() or (fcounts > size).any():
             raise ValueError("inconsistent counts: feature counts must lie in [0, cluster size]")
-    numer = np.where(x == 1, hyper.a + fcounts, hyper.b + (size - fcounts))
-    return float(np.log(numer).sum() - np.log(hyper.a + hyper.b + size).sum())
+    return float(_log_predictives(x, np.array([size]), fcounts[None, :], hyper)[0])
 
 
 def crp_log_prior(option, leave_one_out_sizes, n_total, alpha):
@@ -215,17 +226,17 @@ def crp_log_prior(option, leave_one_out_sizes, n_total, alpha):
     sizes = np.asarray(leave_one_out_sizes, dtype=np.int64)
     if sizes.sum() != n_total - 1:
         raise ValueError("leave-one-out sizes must sum to n_total - 1")
-    denom = n_total - 1 + alpha
     if isinstance(option, str):
         if option != NEW_CLUSTER:
             raise ValueError(f"unknown option {option!r}")
-        return float(np.log(alpha / denom))
-    k = int(option)
-    if not 0 <= k < sizes.shape[0]:
-        raise ValueError(f"cluster index {k} out of range")
-    if sizes[k] == 0:
-        raise ValueError("an empty cluster must not be offered as an existing option")
-    return float(np.log(sizes[k] / denom))
+        k = sizes.shape[0]
+    else:
+        k = int(option)
+        if not 0 <= k < sizes.shape[0]:
+            raise ValueError(f"cluster index {k} out of range")
+        if sizes[k] == 0:
+            raise ValueError("an empty cluster must not be offered as an existing option")
+    return float(_log_seating_weights(sizes, alpha)[k] - np.log(n_total - 1 + alpha))
 
 
 def assignment_distribution(i, state, data, hyper, temperature):
@@ -238,7 +249,9 @@ def assignment_distribution(i, state, data, hyper, temperature):
     ``alpha * exp(loglik_new / T)``; the seat-count prior stays untempered
     while the data likelihood is raised to 1/T.  At T = 1 this is exactly
     the collapsed posterior; as T -> 0 it concentrates on the option with
-    the highest predictive likelihood.  Weights are normalized after a
+    the highest predictive likelihood.  The likelihoods are shifted by
+    their maximum before the division by T, so the best option stays
+    finite at any T > 0, and the weights are normalized after a second
     max-shift so the result always sums to one.
     """
     if not temperature > 0:
@@ -247,18 +260,18 @@ def assignment_distribution(i, state, data, hyper, temperature):
         raise ValueError(f"object {i} must be detached from the state first")
     if state.sizes.sum() != data.n_objects - 1:
         raise ValueError("state statistics must cover exactly the other n - 1 objects")
-    x = data.values[i]
-    a, b = hyper.a, hyper.b
     # Stack a zero-count pseudo-cluster so the new-cluster option shares the
     # vectorized path with the existing ones.
     sizes_ext = np.append(state.sizes, 0)
     counts_ext = np.concatenate(
         [state.feature_counts, np.zeros((1, data.n_features), dtype=np.int64)], axis=0
     )
-    numer = np.where(x == 1, a + counts_ext, b + (sizes_ext[:, None] - counts_ext))
-    loglik = np.log(numer).sum(axis=1) - np.log(a + b + sizes_ext[:, None]).sum(axis=1)
-    prior = np.append(state.sizes, hyper.alpha).astype(np.float64)
-    log_weights = np.log(prior) + loglik / temperature
+    loglik = _log_predictives(data.values[i], sizes_ext, counts_ext, hyper)
+    loglik -= loglik.max()
+    # At a cold T a worse option's shifted likelihood overflows to -inf,
+    # which is its exact weight of zero.
+    with np.errstate(over="ignore"):
+        log_weights = _log_seating_weights(state.sizes, hyper.alpha) + loglik / temperature
     log_weights -= log_weights.max()
     probs = np.exp(log_weights)
     probs /= probs.sum()

@@ -8,7 +8,7 @@ cooling factor after every ``block`` sweeps, so the chain starts as an exact
 Gibbs sampler and ends close to greedy ascent on the partition score.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class RunReport:
     k_trace: np.ndarray
     temp_trace: np.ndarray
     seed: int
-    config_echo: dict = field(default_factory=dict)
+    config_echo: dict
 
 
 def init_state(data, k_init, rng):
@@ -165,10 +165,13 @@ def run(data, hyper=None, schedule=None, k_init=10, seed=0):
         score_trace[sweep - 1] = joint_log_score(state, data, hyper)
         k_trace[sweep - 1] = state.n_clusters
         temp_trace[sweep - 1] = temperature
+    # The report JSON's run record, in its exact shape.
     config_echo = {
-        "alpha": hyper.alpha,
-        "a_policy": _shape_policy(hyper.a, np.ones(data.n_features), "constant:1"),
-        "b_policy": _shape_policy(hyper.b, default_hyperparams(data, hyper.alpha).b, "empirical:n/colsum"),
+        "hyperparams": {
+            "alpha": hyper.alpha,
+            "a_policy": _shape_policy(hyper.a, np.ones(data.n_features), "constant:1"),
+            "b_policy": _shape_policy(hyper.b, default_hyperparams(data, hyper.alpha).b, "empirical:n/colsum"),
+        },
         "k_init": int(k_init),
         "schedule": {
             "t_init": schedule.t_init,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from binclust.cli import cli_main
+from binclust.evaluate import matched_accuracy
 from binclust.io import load_dense, load_labels, load_report
 
 
@@ -148,6 +149,36 @@ class TestClusterEvaluatePipeline:
         )
         assert code == 0
         assert len(load_report(report_path)["assignments"]) == 4
+
+    def test_leading_blank_line_autodetected(self, tmp_path, capsys):
+        data_path = tmp_path / "data.csv"
+        data_path.write_text("\n0,1\n1,0\n")
+        report_path = tmp_path / "report.json"
+        code, _, err = _run(
+            capsys, "cluster", "--in", str(data_path), "--sweeps", "5", "--k-init", "2", "--report", str(report_path)
+        )
+        assert code == 0, err
+        assert len(load_report(report_path)["assignments"]) == 2
+
+    def test_very_cold_start_clusters(self, tmp_path, capsys):
+        data_path = tmp_path / "data.csv"
+        truth_path = tmp_path / "truth.txt"
+        report_path = tmp_path / "report.json"
+        code, _, _ = _run(
+            capsys,
+            "generate", "--n", "40", "--d", "300", "--sd", "20", "--sn", "5",
+            "--k-true", "3", "--seed", "1", "--out", str(data_path), "--labels-out", str(truth_path),
+        )
+        assert code == 0
+        code, _, err = _run(
+            capsys,
+            "cluster", "--in", str(data_path), "--t-init", "1e-310", "--sweeps", "20",
+            "--seed", "0", "--report", str(report_path),
+        )
+        assert code == 0, err
+        report = load_report(report_path)
+        assert report["n_clusters"] == 3
+        assert matched_accuracy(report["assignments"], load_labels(truth_path)) == 100.0
 
     def test_mismatched_label_lengths_exit_2(self, tmp_path, capsys):
         pred = tmp_path / "pred.txt"

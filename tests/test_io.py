@@ -117,6 +117,21 @@ class TestFormatDetection:
         assert detect_format(path) == "sparse"
         assert np.array_equal(load_matrix(path).values, [[1, 0], [0, 0]])
 
+    @pytest.mark.parametrize(
+        "text, fmt, values",
+        [
+            ("\n0,1\n1,0\n", "dense", [[0, 1], [1, 0]]),
+            (" \n\t\n0,1\n1,0\n", "dense", [[0, 1], [1, 0]]),
+            ("\n2 2\n0 1\n", "sparse", [[0, 1], [0, 0]]),
+            ("  \n2 2\n0 1\n", "sparse", [[0, 1], [0, 0]]),
+        ],
+    )
+    def test_detected_from_first_non_blank_line(self, tmp_path, text, fmt, values):
+        path = tmp_path / "m"
+        path.write_text(text)
+        assert detect_format(path) == fmt
+        assert np.array_equal(load_matrix(path).values, values)
+
     @pytest.mark.parametrize("shape", [(5, 1), (1, 5), (1, 1)])
     def test_single_row_and_single_column_round_trip(self, tmp_path, shape):
         path = tmp_path / "m"

@@ -1,7 +1,12 @@
 """Core model: predictive likelihoods, priors, assignment distributions, partition score."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binclust.model import (
     NEW_CLUSTER,
@@ -15,6 +20,7 @@ from binclust.model import (
     joint_log_score,
     log_predictive,
 )
+from binclust.sampler import remove_object
 
 from _oracles import (
     log_ratio_by_betaln,
@@ -278,6 +284,26 @@ class TestAssignmentDistribution:
         gap = np.sort(logliks)[-1] - np.sort(logliks)[-2]
         assert gap > 0.01
         assert probs[best] > 1.0 - 1e-6
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_finite_distribution_at_any_temperature(self, example):
+        n = example.draw(st.integers(1, 12))
+        d = example.draw(st.integers(1, 6))
+        # Small value sets make constant columns and duplicate rows common.
+        values = example.draw(st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d), min_size=n, max_size=n))
+        labels = example.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        i = example.draw(st.integers(0, n - 1))
+        alpha = example.draw(st.floats(1e-3, 10.0))
+        temperature = max(math.exp(example.draw(st.floats(math.log(5e-324), math.log(1e3)))), 5e-324)
+        data = BinaryMatrix(values)
+        state = ClusterState.from_assignments(data, labels)
+        remove_object(state, i, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            probs = assignment_distribution(i, state, data, default_hyperparams(data, alpha), temperature)
+        assert np.isfinite(probs).all()
+        assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_rejects_nonpositive_temperature(self):
         data = BinaryMatrix([[1], [0]])

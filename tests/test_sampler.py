@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from binclust.datagen import SyntheticSpec, generate
+from binclust.evaluate import matched_accuracy
 from binclust.model import (
     NEW_CLUSTER,
     UNASSIGNED,
@@ -251,12 +253,20 @@ class TestRun:
     def test_config_echo_policies(self):
         data = _two_block_data()
         report = run(data, k_init=2, seed=0, schedule=AnnealingSchedule(n_sweeps=5))
-        assert report.config_echo["a_policy"] == "constant:1"
-        assert report.config_echo["b_policy"] == "empirical:n/colsum"
+        assert report.config_echo["hyperparams"]["a_policy"] == "constant:1"
+        assert report.config_echo["hyperparams"]["b_policy"] == "empirical:n/colsum"
         custom = Hyperparams(a=np.full(10, 2.0), b=np.ones(10), alpha=1.0)
         data10 = _two_block_data(block=6, d=10)
         report = run(data10, hyper=custom, k_init=2, seed=0, schedule=AnnealingSchedule(n_sweeps=5))
-        assert report.config_echo["a_policy"] == "custom"
+        assert report.config_echo["hyperparams"]["a_policy"] == "custom"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t_init", [1e-306, 1e-310, 5e-324])
+    def test_very_cold_start_still_recovers_the_clusters(self, t_init):
+        data, truth = generate(SyntheticSpec(40, 300, 20, 5, k_true=3, seed=1))
+        report = run(data, schedule=AnnealingSchedule(t_init=t_init, n_sweeps=20), seed=0)
+        assert report.n_clusters == 3
+        assert matched_accuracy(report.assignments, truth) == 100.0
 
     def test_rejects_hyperparams_of_another_width(self):
         data = _two_block_data(d=8)
