@@ -6,6 +6,8 @@ machinery as a library to show the round-trip guarantees and the exact
 boundary rules of the transforms.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import binclust as bc
 from binclust import io
 
 workdir = Path(tempfile.mkdtemp(prefix="binclust_demo_"))
+atexit.register(shutil.rmtree, workdir)  # removed again when the demo exits
 print(f"writing into {workdir}")
 
 # --- dense and sparse matrix formats round-trip exactly -------------------

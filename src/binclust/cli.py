@@ -132,19 +132,9 @@ def _cmd_baseline(args):
     rng = np.random.default_rng(args.seed)
     result = baselines.gap_statistic(data, k_max=args.k_max, n_refs=args.n_refs, rng=rng)
     labels, _ = baselines.kmeans_binary(data, result.chosen_k, rng=rng)
-    io.save_report_dict(
-        args.report,
-        {
-            "chosen_k": int(result.chosen_k),
-            "gap_curve": [float(v) for v in result.gap_curve],
-            "sk_curve": [float(v) for v in result.sk_curve],
-            "dispersion_curve": [float(v) for v in result.dispersion_curve],
-            "labels": [int(v) for v in labels],
-            "seed": int(args.seed),
-            "k_max": int(args.k_max),
-            "n_refs": int(args.n_refs),
-        },
-    )
+    report = {name: np.asarray(value).tolist() for name, value in vars(result).items()}
+    report.update(labels=labels.tolist(), seed=args.seed, k_max=args.k_max, n_refs=args.n_refs)
+    io.save_report_dict(args.report, report)
     return 0
 
 

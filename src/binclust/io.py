@@ -8,11 +8,14 @@ matrices included.  Every reader skips blank lines, and a matrix file's
 format is told from its first non-blank line: a comma or a single field
 means dense, two integers mean sparse.
 
-Every CSV input (binary matrices, word counts, real-valued tables) goes
-through one table reader with one header rule: the first row is a header iff
-none of its cells is a number and some cell is not a missing token
-(empty, na, nan, null).  Otherwise it is data, and a bad cell in it is
-reported by row and column like any other.
+Every reader parses its file with numpy's ``loadtxt`` through one table
+reader.  CSV inputs (binary matrices, word counts, real-valued tables) share
+one header rule: the first row is a header iff none of its cells is a number
+and some cell is not a missing token (empty, na, nan, null).  Otherwise it is
+data, and a bad cell in it is reported like any other: a cell that is not a
+number with numpy's message, which counts the row from 0 among the data rows
+and the column from 1; a number out of range (non-binary, negative) by row
+and column, both from 0.
 
 The preprocessing transforms turn raw observation tables into binary
 matrices: a document-frequency filter for word-count data and a per-column
@@ -20,6 +23,7 @@ percentile threshold for real-valued response data.
 """
 
 import json
+import warnings
 
 import numpy as np
 
@@ -65,106 +69,82 @@ def save_dense(path, data):
 
 def load_dense(path):
     """Read a dense CSV binary matrix (optional header row)."""
-    return BinaryMatrix(_read_table(path, _binary_cells))
+    table = _read_table(path, np.uint8)
+    _refuse_cells(path, table, table > 1, "non-binary value")
+    return BinaryMatrix(table)
 
 
 def load_count_csv(path):
     """Read a CSV of non-negative integer counts (optional header row)."""
-    return _read_table(path, _count_cells)
+    table = _read_table(path, np.int64)
+    _refuse_cells(path, table, table < 0, "negative count")
+    return table
 
 
 def load_real_csv(path):
     """Read a CSV of reals (optional header row); empty fields and na/nan/null
     tokens become NaN."""
-    return _read_table(path, _real_cells)
+    return _read_table(path, np.float64, converters=_real_or_missing)
 
 
-def _read_table(path, cell_rule):
-    """Read a CSV table and convert its cells with ``cell_rule``.
+def _real_or_missing(text):
+    return np.nan if text.strip().lower() in _MISSING_TOKENS else float(text)
 
-    Blank lines are skipped.  The first row is a header, and dropped, iff no
-    cell of it is a number and some cell is not a missing token; so a bad
-    first data row is reported, not dropped.  Every row must have as many
-    cells as the first data row.  ``cell_rule`` maps the 2-d array of
-    whitespace-stripped cells to values and names the first bad cell.
+
+def _read_table(path, dtype, delimiter=",", converters=None):
+    """Parse a text table into a 2-d ``dtype`` array with numpy's ``loadtxt``.
+
+    Blank lines are skipped.  ``delimiter=None`` splits on whitespace.  In a
+    CSV the first row is a header, and dropped, iff no cell of it is a number
+    and some cell is not a missing token; so a bad first data row is
+    reported, not dropped.  Every row must have as many fields as the first;
+    a ragged row is reported ahead of a bad cell.  ``#`` starts no comment: a
+    cell holding it is a bad cell.
     """
     with open(path) as fh:
         lines = [line for line in fh.read().split("\n") if line.strip()]
     if not lines:
         raise DataFormatError(f"{path}: empty file")
-    if _is_header(lines[0].split(",")):
+    if delimiter == "," and _is_header(lines[0].split(",")):
         del lines[0]
     if not lines:
         raise DataFormatError(f"{path}: no data rows")
-    width = lines[0].count(",") + 1
-    for r, line in enumerate(lines):
-        if line.count(",") + 1 != width:
-            raise DataFormatError(f"{path}: row {r} has {line.count(',') + 1} values, expected {width}")
-    cells = np.char.strip(_split_cells(lines)).reshape(len(lines), width)
+    # Before numpy 2, loadtxt passed converters bytes unless given an encoding,
+    # and truncated an integer field that parses only as a float (1.5, 2**63)
+    # with just a DeprecationWarning; as an error it becomes loadtxt's ValueError.
     try:
-        return cell_rule(cells)
-    except DataFormatError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(
+                lines, dtype=dtype, delimiter=delimiter, converters=converters, comments=None, ndmin=2, encoding=None
+            )
+    except ValueError as exc:
+        # loadtxt refuses ragged rows too, but counts them from 1.  Splitting
+        # every line only once the parse has failed keeps it off a good file.
+        width = len(lines[0].split(delimiter))
+        for r, line in enumerate(lines):
+            n_fields = len(line.split(delimiter))
+            if n_fields != width:
+                raise DataFormatError(f"{path}: row {r} has {n_fields} values, expected {width}") from None
         raise DataFormatError(f"{path}: {exc}") from None
-
-
-def _split_cells(lines):
-    # Splitting the joined text once, rather than each line, keeps the peak
-    # memory of a large file down; the list of fields is freed on return.
-    # Giving the width spares numpy a slow pass over the list to find it.
-    fields = ",".join(lines).split(",")
-    return np.array(fields, dtype=f"U{max(map(len, fields))}")
 
 
 def _is_header(fields):
     tokens = [field.strip() for field in fields if field.strip().lower() not in _MISSING_TOKENS]
-    return bool(tokens) and not any(_parses(token, float) for token in tokens)
+    for token in tokens:
+        try:
+            float(token)
+            return False
+        except ValueError:
+            pass
+    return bool(tokens)
 
 
-def _parses(text, kind):
-    try:
-        kind(text)
-    except (ValueError, OverflowError):
-        return False
-    return True
-
-
-def _binary_cells(cells):
-    ones = cells == "1"
-    _reject(~(ones | (cells == "0")), cells, "non-binary value {!r}")
-    return ones.astype(np.uint8)
-
-
-def _count_cells(cells):
-    counts = _cast(cells, np.int64, "non-integer count")
-    _reject(counts < 0, cells, "negative count")
-    return counts
-
-
-def _real_cells(cells):
-    missing = np.isin(np.char.lower(cells), sorted(_MISSING_TOKENS))
-    return _cast(np.where(missing, "nan", cells), np.float64, "non-numeric value {!r}")
-
-
-def _cast(cells, dtype, what):
-    """All cells converted to ``dtype`` at once; on failure, the first cell
-    that fails on its own is named."""
-    try:
-        return cells.astype(dtype)
-    except (ValueError, OverflowError):
-        for (r, c), text in np.ndenumerate(cells):
-            if not _parses(text, dtype):
-                raise _cell_error(what, cells, r, c) from None
-        raise
-
-
-def _reject(bad, cells, what):
+def _refuse_cells(path, table, bad, what):
     """Raise for the first cell flagged in ``bad``, in row-major order."""
     if bad.any():
-        raise _cell_error(what, cells, *divmod(int(bad.argmax()), cells.shape[1]))
-
-
-def _cell_error(what, cells, r, c):
-    return DataFormatError(f"{what.format(str(cells[r, c]))} at row {r}, column {c}")
+        r, c = divmod(int(bad.argmax()), bad.shape[1])
+        raise DataFormatError(f"{path}: {what} {table[r, c]} at row {r}, column {c}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,34 +160,30 @@ def save_sparse(path, data):
 
 
 def load_sparse(path):
-    """Read the sparse coordinate format back into a dense-equivalent matrix."""
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip() != ""]
-    if not lines:
-        raise DataFormatError(f"{path}: empty file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise DataFormatError(f"{path}: header must be 'N D', got {lines[0]!r}")
-    try:
-        n, d = int(header[0]), int(header[1])
-    except ValueError:
-        raise DataFormatError(f"{path}: header must be two integers, got {lines[0]!r}") from None
+    """Read the sparse coordinate format back into a dense-equivalent matrix.
+
+    Positions in error messages count the header as row 0.
+    """
+    table = _read_table(path, np.int64, delimiter=None)
+    if table.shape[1] != 2:
+        raise DataFormatError(f"{path}: header must be 'N D', got {table.shape[1]} values")
+    (n, d), pairs = table[0], table[1:]
     if n < 1 or d < 1:
         raise DataFormatError(f"{path}: dimensions must be positive, got {n} x {d}")
-    values = np.zeros((n, d), dtype=np.uint8)
-    for lineno, line in enumerate(lines[1:], start=2):
-        pair = line.split()
-        if len(pair) != 2:
-            raise DataFormatError(f"{path}: line {lineno}: expected 'row col', got {line!r}")
-        try:
-            i, j = int(pair[0]), int(pair[1])
-        except ValueError:
-            raise DataFormatError(f"{path}: line {lineno}: indices must be integers") from None
-        if not (0 <= i < n and 0 <= j < d):
-            raise DataFormatError(f"{path}: line {lineno}: index ({i}, {j}) out of range for {n} x {d}")
-        if values[i, j]:
-            raise DataFormatError(f"{path}: line {lineno}: duplicate entry ({i}, {j})")
-        values[i, j] = 1
+    try:
+        values = np.zeros((n, d), dtype=np.uint8)
+    except (MemoryError, ValueError):  # ValueError: n * d overflows the address space
+        raise DataFormatError(f"{path}: a {n} x {d} matrix does not fit in memory") from None
+    outside = ((pairs < 0) | (pairs >= (n, d))).any(axis=1)
+    if outside.any():
+        r = int(outside.argmax())
+        raise DataFormatError(f"{path}: row {r + 1}: index {tuple(pairs[r].tolist())} out of range for {n} x {d}")
+    # n * d fits in memory, so these flat indices cannot overflow.
+    _, first = np.unique(pairs[:, 0] * d + pairs[:, 1], return_index=True)
+    if first.size < len(pairs):
+        r = int(np.setdiff1d(np.arange(len(pairs)), first)[0])
+        raise DataFormatError(f"{path}: row {r + 1}: duplicate entry {tuple(pairs[r].tolist())}")
+    values[pairs[:, 0], pairs[:, 1]] = 1
     return BinaryMatrix(values)
 
 
@@ -248,22 +224,11 @@ def save_labels(path, labels):
 
 def load_labels(path):
     """Read one non-negative integer label per line."""
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if text == "":
-                continue
-            try:
-                value = int(text)
-            except ValueError:
-                raise DataFormatError(f"{path}: line {lineno}: not an integer label: {text!r}") from None
-            if value < 0:
-                raise DataFormatError(f"{path}: line {lineno}: negative label {value}")
-            out.append(value)
-    if not out:
-        raise DataFormatError(f"{path}: no labels")
-    return np.asarray(out, dtype=np.int64)
+    table = _read_table(path, np.int64, delimiter=None)
+    if table.shape[1] != 1:
+        raise DataFormatError(f"{path}: row 0 has {table.shape[1]} values, expected 1")
+    _refuse_cells(path, table, table < 0, "negative label")
+    return table[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +314,11 @@ def percentile_binarize(values, pct, direction="below"):
         raise ValueError("pct must lie strictly between 0 and 100")
     if direction not in ("below", "above"):
         raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")
-    n, d = values.shape
-    binary = np.zeros((n, d), dtype=np.uint8)
-    for j in range(d):
-        column = values[:, j]
-        present = ~np.isnan(column)
-        if present.sum() < 2:
-            raise ValueError(f"column {j} has fewer than 2 non-missing values")
-        threshold = np.percentile(column[present], pct)
-        if direction == "below":
-            hits = column < threshold
-        else:
-            hits = column > threshold
-        binary[:, j] = np.where(present, hits, False)
-    rows_with_missing = np.isnan(values).any(axis=1)
-    return BinaryMatrix(binary), rows_with_missing
+    present = ~np.isnan(values)
+    too_few = present.sum(axis=0) < 2
+    if too_few.any():
+        raise ValueError(f"column {int(too_few.argmax())} has fewer than 2 non-missing values")
+    threshold = np.nanpercentile(values, pct, axis=0)
+    # A NaN cell compares False either way, so it binarizes to 0.
+    hits = values < threshold if direction == "below" else values > threshold
+    return BinaryMatrix(hits.astype(np.uint8)), ~present.all(axis=1)

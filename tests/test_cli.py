@@ -189,6 +189,13 @@ class TestClusterEvaluatePipeline:
         assert code == 2
         assert "length" in err
 
+    def test_impossible_sparse_header_exit_2(self, tmp_path, capsys):
+        in_path = tmp_path / "data.sparse"
+        in_path.write_text("100000000 100000000\n0 1\n")
+        code, _, err = _run(capsys, "cluster", "--in", str(in_path), "--report", str(tmp_path / "r.json"))
+        assert code == 2
+        assert "does not fit in memory" in err
+
     def test_missing_input_file_exit_2(self, tmp_path, capsys):
         code, _, err = _run(
             capsys,

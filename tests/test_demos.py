@@ -20,3 +20,4 @@ def test_demo_exits_zero(tmp_path, name):
     )
     assert done.returncode == 0, done.stderr
     assert "False" not in done.stdout
+    assert not list(tmp_path.glob("binclust_demo_*")), "the demo left its temporary directory behind"

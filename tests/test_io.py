@@ -1,5 +1,7 @@
 """File formats, round-trips, and the preprocessing transforms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,7 @@ class TestDenseFormat:
     def test_bad_first_row_is_reported_not_dropped(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,1,x\n1,0,1\n")
-        with pytest.raises(DataFormatError, match="non-binary value 'x' at row 0, column 2"):
+        with pytest.raises(DataFormatError, match="'x'.*row 0, column 3"):
             load_dense(path)
 
     def test_ragged_rows_rejected(self, tmp_path):
@@ -91,6 +93,14 @@ class TestSparseFormat:
         path = tmp_path / "m.txt"
         path.write_text("2 2\n0 1\n0 1\n")
         with pytest.raises(DataFormatError, match="duplicate"):
+            load_sparse(path)
+
+    @pytest.mark.parametrize("header", ["100000000 100000000", "9223372036854775807 9223372036854775807"])
+    def test_impossible_dimensions_rejected(self, tmp_path, header):
+        # The allocation fails at once, without touching memory.
+        path = tmp_path / "m.txt"
+        path.write_text(f"{header}\n0 1\n")
+        with pytest.raises(DataFormatError, match=r"a (\d+) x \1 matrix does not fit in memory"):
             load_sparse(path)
 
     def test_round_trip_random_matrices(self, tmp_path):
@@ -220,7 +230,7 @@ class TestNumericCsv:
     def test_count_csv_bad_first_row_is_reported_not_dropped(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("0,\n1,2\n3,4\n")
-        with pytest.raises(DataFormatError, match="non-integer count at row 0, column 1"):
+        with pytest.raises(DataFormatError, match="''.*row 0, column 2"):
             load_count_csv(path)
 
     def test_real_csv_header_with_blank_corner(self, tmp_path):
@@ -237,6 +247,106 @@ class TestNumericCsv:
         assert values.shape == (2, 3)
         assert np.isnan(values[0, 1]) and np.isnan(values[1, 1]) and np.isnan(values[1, 2])
         assert values[0, 0] == 1.5
+
+
+# Per reader: a good file as lines, and the array it loads to.
+READERS = {
+    "dense": (lambda path: load_dense(path).values, ["0,1", "1,0"], [[0, 1], [1, 0]]),
+    "counts": (load_count_csv, ["0,3", "2,0"], [[0, 3], [2, 0]]),
+    "reals": (load_real_csv, ["0.5,3", "2,-1e3"], [[0.5, 3.0], [2.0, -1e3]]),
+    "sparse": (lambda path: load_sparse(path).values, ["2 2", "0 1", "1 0"], [[0, 1], [1, 0]]),
+    "labels": (load_labels, ["0", "2"], [0, 2]),
+}
+
+
+class TestReaderContract:
+    """What every reader does with blank lines, line endings, comments and
+    numbers outside int64."""
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_blank_and_whitespace_only_lines_are_skipped(self, tmp_path, name):
+        reader, lines, expected = READERS[name]
+        path = tmp_path / "f"
+        path.write_text("\n \t\n" + "\n  \n\n".join(lines) + "\n\n \n")
+        assert np.array_equal(reader(path), expected)
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_crlf_line_endings_load(self, tmp_path, name):
+        reader, lines, expected = READERS[name]
+        path = tmp_path / "f"
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        assert np.array_equal(reader(path), expected)
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_hash_line_is_refused_not_skipped_as_a_comment(self, tmp_path, name):
+        reader, lines, _ = READERS[name]
+        path = tmp_path / "f"
+        path.write_text("\n".join(lines[:-1] + ["#" + lines[-1]]) + "\n")
+        with pytest.raises(DataFormatError, match="'#"):
+            reader(path)
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_blank_only_file_is_empty(self, tmp_path, name):
+        path = tmp_path / "f"
+        path.write_text("\n \n\t\n")
+        with pytest.raises(DataFormatError, match="empty file"):
+            READERS[name][0](path)
+
+    @pytest.mark.parametrize("name", ["dense", "counts", "sparse", "labels"])
+    def test_count_above_int64_is_refused(self, tmp_path, name):
+        reader, lines, _ = READERS[name]
+        path = tmp_path / "f"
+        path.write_text("\n".join(lines[:-1] + [lines[-1][:-1] + str(2**63)]) + "\n")
+        with pytest.raises(DataFormatError, match=f"'{2**63}'"):
+            reader(path)
+
+    @pytest.mark.parametrize("name", ["dense", "counts", "sparse", "labels"])
+    def test_non_integer_is_refused(self, tmp_path, name):
+        reader, lines, _ = READERS[name]
+        path = tmp_path / "f"
+        path.write_text("\n".join(lines[:-1] + [lines[-1][:-1] + "1.0"]) + "\n")
+        with pytest.raises(DataFormatError, match="'1.0'"):
+            reader(path)
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_numpy_1_loadtxt_defaults(self, tmp_path, monkeypatch, name):
+        """numpy 1.23-1.26 pass converters bytes unless an encoding is given,
+        and read an integer field that only parses as a float by truncating
+        it, with only a DeprecationWarning.  A stand-in for that loadtxt must
+        still load missing tokens and refuse 1.5."""
+        real_loadtxt = np.loadtxt
+
+        def loadtxt_numpy_1(lines, **kwargs):
+            kwargs.setdefault("encoding", "bytes")
+            try:
+                return real_loadtxt(lines, **kwargs)
+            except ValueError:
+                if not np.issubdtype(kwargs["dtype"], np.integer):
+                    raise
+                try:
+                    warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+                except DeprecationWarning as exc:  # numpy turns it into its parse error
+                    raise ValueError("could not convert string") from exc
+                return real_loadtxt(lines, **{**kwargs, "dtype": np.float64}).astype(kwargs["dtype"])
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt_numpy_1)
+        reader, lines, expected = READERS[name]
+        path = tmp_path / "f"
+        path.write_text("\n".join(lines) + "\n")
+        assert np.array_equal(reader(path), expected)
+        if name == "reals":
+            path.write_text("1.5,,na\nNaN,null,2\n")
+            assert np.array_equal(reader(path), [[1.5, np.nan, np.nan], [np.nan, np.nan, 2.0]], equal_nan=True)
+        else:
+            path.write_text("\n".join(lines[:-1] + [lines[-1][:-1] + "1.5"]) + "\n")
+            with pytest.raises(DataFormatError):
+                reader(path)
+
+    def test_label_file_with_two_numbers_per_line_is_refused(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("0 1\n2 3\n")
+        with pytest.raises(DataFormatError, match="2 values, expected 1"):
+            load_labels(path)
 
 
 class TestTermFilter:
@@ -316,6 +426,23 @@ class TestPercentileBinarize:
             percentile_binarize(values, 0.0, "below")
         with pytest.raises(ValueError):
             percentile_binarize(values, 20.0, "sideways")
+
+    def test_matches_a_per_column_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n, d = rng.integers(2, 12, size=2)
+            values = np.round(rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 7), int(rng.integers(0, 3)))
+            values[rng.random((n, d)) < 0.2] = np.nan
+            values[:2] = np.where(np.isnan(values[:2]), 0.5, values[:2])  # at least 2 present per column
+            pct = float(rng.uniform(1, 99))
+            direction = str(rng.choice(["below", "above"]))
+            data, missing = percentile_binarize(values, pct, direction)
+            for j in range(d):
+                column = values[:, j]
+                threshold = np.percentile(column[~np.isnan(column)], pct)
+                hits = column < threshold if direction == "below" else column > threshold
+                assert np.array_equal(data.values[:, j], hits)
+            assert np.array_equal(missing, np.isnan(values).any(axis=1))
 
     def test_thresholds_are_per_column(self):
         values = np.column_stack([np.arange(1.0, 11.0), np.arange(101.0, 111.0)])
