@@ -43,7 +43,7 @@ def _plusplus_seeds(points, k, rng):
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
     centroids[0] = points[rng.integers(n)]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    d2 = _squared_distances(points, centroids[0:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -51,16 +51,20 @@ def _plusplus_seeds(points, k, rng):
         else:
             idx = rng.integers(n)
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _squared_distances(points, centroids[j : j + 1])[:, 0])
     return centroids
 
 
+def _wcss(points, labels, centroids):
+    """Within-cluster sum of squares: each point's squared distance to its centroid, summed."""
+    return float(((points - centroids[labels]) ** 2).sum())
+
+
 def _lloyd(points, k, max_iters, rng):
-    """One seeded Lloyd run; returns (labels, centroids, per-iteration WCSS)."""
+    """One seeded Lloyd run; returns (labels, centroids, WCSS)."""
     n = points.shape[0]
     centroids = _plusplus_seeds(points, k, rng)
     labels = np.full(n, -1, dtype=np.int64)
-    objective_trace = []
     for _ in range(max_iters):
         d2 = _squared_distances(points, centroids)
         new_labels = d2.argmin(axis=1)
@@ -78,12 +82,10 @@ def _lloyd(points, k, max_iters, rng):
             d2[worst, :] = 0.0  # its new centroid will be the point itself
         for j in range(k):
             centroids[j] = points[new_labels == j].mean(axis=0)
-        objective = float(((points - centroids[new_labels]) ** 2).sum())
-        objective_trace.append(objective)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    return labels, centroids, np.asarray(objective_trace)
+    return labels, centroids, _wcss(points, labels, centroids)
 
 
 def kmeans_binary(data, k, rng=None):
@@ -97,17 +99,16 @@ def kmeans_binary(data, k, rng=None):
     points = data.values.astype(np.float64)
     best = None
     for _ in range(_N_RESTARTS):
-        labels, centroids, trace = _lloyd(points, k, _MAX_ITERS, rng)
-        if best is None or trace[-1] < best[2]:
-            best = (labels, centroids, trace[-1])
+        labels, centroids, wcss = _lloyd(points, k, _MAX_ITERS, rng)
+        if best is None or wcss < best[2]:
+            best = (labels, centroids, wcss)
     return best[0], best[1]
 
 
 def _log_dispersion(data_matrix, k, rng):
     """log of the within-cluster sum of squares at the best k-means fit."""
     labels, centroids = kmeans_binary(data_matrix, k, rng)
-    points = data_matrix.values.astype(np.float64)
-    wcss = float(((points - centroids[labels]) ** 2).sum())
+    wcss = _wcss(data_matrix.values.astype(np.float64), labels, centroids)
     if wcss == 0.0:
         return -np.inf
     return float(np.log(wcss))

@@ -8,26 +8,20 @@ invariant to how either side happens to number its clusters.
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import ClusterState
-
-
-def _compact(labels, name):
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError(f"{name} labels must be a 1-d vector")
-    _, compact = np.unique(labels, return_inverse=True)
-    return compact.astype(np.int64)
+from .model import ClusterState, _count_table
 
 
 def contingency(pred, truth):
     """Count label co-occurrences; array entry (p, t) is ``|{i : pred_i=p and truth_i=t}|``."""
-    pred = _compact(pred, "predicted")
-    truth = _compact(truth, "true")
+    pred, truth = np.asarray(pred), np.asarray(truth)
+    if pred.ndim != 1 or truth.ndim != 1:
+        raise ValueError(f"labels must be 1-d vectors, got ndim {pred.ndim} (predicted) and {truth.ndim} (true)")
     if pred.shape != truth.shape:
         raise ValueError(f"label vectors differ in length: {pred.shape[0]} vs {truth.shape[0]}")
-    counts = np.zeros((pred.max() + 1, truth.max() + 1), dtype=np.int64)
-    np.add.at(counts, (pred, truth), 1)
-    return counts
+    if pred.size == 0:
+        raise ValueError("label vectors are empty")
+    # Per predicted cluster, the count table of the one-hot rows of the true labels.
+    return _count_table(pred, (truth[:, None] == np.unique(truth)).view(np.uint8))[2]
 
 
 def matched_accuracy(pred, truth):

@@ -36,10 +36,9 @@ class BinaryMatrix:
             raise ValueError(f"expected a 2-d array, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"matrix must have at least one row and one column, got shape {arr.shape}")
-        mask = (arr == 0) | (arr == 1)
-        if not mask.all():
-            i, j = np.argwhere(~mask)[0]
-            raise ValueError(f"non-binary entry {arr[i, j]!r} at row {i}, column {j}")
+        if np.count_nonzero(arr == 0) + np.count_nonzero(arr == 1) != arr.size:  # one N x D temporary at a time
+            i, j = np.argwhere((arr != 0) & (arr != 1))[0]
+            raise ValueError(f"non-binary entry {arr[i, j]} at row {i}, column {j}")
         self.values = np.ascontiguousarray(arr, dtype=np.uint8)
         self.values.setflags(write=False)
 
@@ -123,13 +122,7 @@ class ClusterState:
             raise ValueError(f"expected {data.n_objects} labels, got shape {labels.shape}")
         if (labels < 0).any():
             raise ValueError("all objects must be assigned (labels >= 0)")
-        _, compact = np.unique(labels, return_inverse=True)
-        compact = compact.astype(np.int64)
-        k = int(compact.max()) + 1
-        sizes = np.bincount(compact, minlength=k).astype(np.int64)
-        counts = np.zeros((k, data.n_features), dtype=np.int64)
-        np.add.at(counts, compact, data.values.astype(np.int64))
-        return cls(compact, sizes, counts)
+        return cls(*_count_table(labels, data.values))
 
     def copy(self):
         return ClusterState(self.assignments.copy(), self.sizes.copy(), self.feature_counts.copy())
@@ -146,15 +139,27 @@ class ClusterState:
             raise ValueError("cluster sizes do not sum to the number of assigned objects")
         if (self.sizes < 1).any():
             raise ValueError("empty cluster present; labels must be compact")
-        sizes = np.bincount(self.assignments[assigned], minlength=self.n_clusters)
+        _, sizes, counts = _count_table(self.assignments[assigned], data.values[assigned])
         if not np.array_equal(sizes, self.sizes):
             raise ValueError("sizes disagree with a recount over assignments")
-        counts = np.zeros((self.n_clusters, data.n_features), dtype=np.int64)
-        np.add.at(counts, self.assignments[assigned], data.values[assigned].astype(np.int64))
         if not np.array_equal(counts, self.feature_counts):
             raise ValueError("feature counts disagree with a recount over assignments")
         if (self.feature_counts < 0).any() or (self.feature_counts > self.sizes[:, None]).any():
             raise ValueError("feature counts outside [0, cluster size]")
+
+
+def _count_table(labels, rows):
+    """Compact labels, sizes (K,) and K x D int64 count table of the {0,1} ``rows``.
+
+    Labels are renumbered 0..K-1 in the sorted order of their distinct values.
+    Each cluster's ``uint8`` rows are summed in int64: no int64 copy of ``rows``.
+    """
+    _, compact, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    members = np.split(np.argsort(compact, kind="stable"), np.cumsum(sizes)[:-1])
+    counts = np.empty((sizes.shape[0], rows.shape[1]), dtype=np.int64)
+    for k, rows_k in enumerate(members):
+        counts[k] = rows[rows_k].sum(axis=0, dtype=np.int64)
+    return compact, sizes, counts
 
 
 def default_hyperparams(data, alpha=1.0):

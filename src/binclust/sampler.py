@@ -83,9 +83,8 @@ def remove_object(state, i, data):
     k = int(state.assignments[i])
     if k == UNASSIGNED:
         raise ValueError(f"object {i} is already detached")
-    row = data.values[i].astype(np.int64)
     state.sizes[k] -= 1
-    state.feature_counts[k] -= row
+    state.feature_counts[k] -= data.values[i]
     state.assignments[i] = UNASSIGNED
     if state.sizes[k] == 0:
         state.sizes = np.delete(state.sizes, k)
@@ -102,19 +101,18 @@ def insert_object(state, i, option, data):
     """
     if state.assignments[i] != UNASSIGNED:
         raise ValueError(f"object {i} is already assigned")
-    row = data.values[i].astype(np.int64)
     if isinstance(option, str):
         if option != NEW_CLUSTER:
             raise ValueError(f"unknown option {option!r}")
         k = state.n_clusters
         state.sizes = np.append(state.sizes, 1)
-        state.feature_counts = np.concatenate([state.feature_counts, row[None, :]], axis=0)
+        state.feature_counts = np.concatenate([state.feature_counts, data.values[i][None, :]], axis=0)
     else:
         k = int(option)
         if not 0 <= k < state.n_clusters:
             raise ValueError(f"cluster index {k} out of range")
         state.sizes[k] += 1
-        state.feature_counts[k] += row
+        state.feature_counts[k] += data.values[i]
     state.assignments[i] = k
     return state
 
@@ -145,8 +143,8 @@ def run(data, hyper=None, schedule=None, k_init=10, seed=0):
     deterministic given ``(data, hyper, schedule, k_init, seed)``.  Traces
     are recorded once per sweep, after the post-sweep cooling step.
     """
-    if hyper is None:
-        hyper = default_hyperparams(data)
+    reference = default_hyperparams(data)
+    hyper = reference if hyper is None else hyper
     if schedule is None:
         schedule = AnnealingSchedule()
     if hyper.n_features != data.n_features:
@@ -169,8 +167,8 @@ def run(data, hyper=None, schedule=None, k_init=10, seed=0):
     config_echo = {
         "hyperparams": {
             "alpha": hyper.alpha,
-            "a_policy": _shape_policy(hyper.a, np.ones(data.n_features), "constant:1"),
-            "b_policy": _shape_policy(hyper.b, default_hyperparams(data, hyper.alpha).b, "empirical:n/colsum"),
+            "a_policy": _shape_policy(hyper.a, reference.a, "constant:1"),
+            "b_policy": _shape_policy(hyper.b, reference.b, "empirical:n/colsum"),
         },
         "k_init": int(k_init),
         "schedule": {

@@ -1,9 +1,11 @@
 """K-means on binary rows and the gap statistic."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from binclust.baselines import _lloyd, gap_statistic, kmeans_binary
+from binclust.baselines import _lloyd, _plusplus_seeds, _squared_distances, gap_statistic, kmeans_binary
 from binclust.datagen import SyntheticSpec, generate
 from binclust.evaluate import matched_accuracy
 from binclust.model import BinaryMatrix
@@ -16,6 +18,18 @@ def _blocks(sizes, d, patterns):
         block[:, pattern] = 1
         rows.append(block)
     return BinaryMatrix(np.vstack(rows))
+
+
+def _plusplus_by_direct_distances(points, k, rng):
+    """k-means++ seeding with each squared distance written out as a difference."""
+    centroids = [points[rng.integers(points.shape[0])]]
+    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        idx = rng.choice(points.shape[0], p=d2 / total) if total > 0 else rng.integers(points.shape[0])
+        centroids.append(points[idx])
+        d2 = np.minimum(d2, ((points - centroids[-1]) ** 2).sum(axis=1))
+    return np.array(centroids)
 
 
 class TestKmeansBinary:
@@ -33,14 +47,32 @@ class TestKmeansBinary:
         assert matched_accuracy(labels, truth) == 100.0
 
     def test_objective_non_increasing(self):
+        # A run capped at m iterations draws the same seeds as an uncapped one
+        # and returns the WCSS after iteration m (or after convergence, if
+        # sooner), so the caps 1..50 trace the objective iteration by iteration.
         rng = np.random.default_rng(7)
         for _ in range(30):
             n = int(rng.integers(6, 40))
             d = int(rng.integers(2, 12))
             data = rng.integers(0, 2, size=(n, d)).astype(np.float64)
             k = int(rng.integers(2, min(6, n)))
-            _, _, trace = _lloyd(data, k, max_iters=50, rng=rng)
+            trace = []
+            for max_iters in range(1, 51):
+                run_rng = copy.deepcopy(rng)
+                trace.append(_lloyd(data, k, max_iters=max_iters, rng=run_rng)[2])
+            rng = run_rng
             assert (np.diff(trace) <= 1e-9).all()
+
+    def test_seeding_distances_equal_the_direct_formula(self):
+        rng = np.random.default_rng(11)
+        points = rng.integers(0, 2, size=(40, 9)).astype(np.float64)
+        for c in points:
+            direct = ((points - c) ** 2).sum(axis=1)
+            assert np.array_equal(_squared_distances(points, c[None, :])[:, 0], direct)
+        for seed in range(10):
+            k = 1 + seed % 6
+            seeds = _plusplus_seeds(points, k, np.random.default_rng(seed))
+            assert np.array_equal(seeds, _plusplus_by_direct_distances(points, k, np.random.default_rng(seed)))
 
     def test_centroids_stay_in_unit_box(self):
         rng = np.random.default_rng(3)

@@ -74,6 +74,23 @@ class TestContingency:
         assert table.shape == (1, 3)
         assert np.array_equal(table[0], [1, 2, 3])
 
+    @pytest.mark.parametrize("n, n_pred, n_true", [(1, 1, 1), (25, 4, 6), (25, 25, 3), (40, 7, 40)])
+    def test_matches_brute_force_table(self, n, n_pred, n_true):
+        rng = np.random.default_rng(n * 1000 + n_pred * 10 + n_true)
+        pred = rng.choice(rng.choice(100, n_pred, replace=False) - 50, size=n)
+        truth = rng.choice(rng.choice(100, n_true, replace=False) * 3, size=n)
+        pred_values, true_values = sorted(set(pred.tolist())), sorted(set(truth.tolist()))
+        want = np.zeros((len(pred_values), len(true_values)), dtype=np.int64)
+        for p, t in zip(pred.tolist(), truth.tolist()):
+            want[pred_values.index(p), true_values.index(t)] += 1
+        table = contingency(pred, truth)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, want)
+
+    def test_rejects_empty_labels(self):
+        with pytest.raises(ValueError, match="empty"):
+            contingency([], [])
+
 
 class TestClusterFeatureFrequencies:
     def test_identical_rows_reproduce_the_row(self):

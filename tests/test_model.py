@@ -1,6 +1,7 @@
 """Core model: predictive likelihoods, priors, assignment distributions, partition score."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from binclust.model import (
     BinaryMatrix,
     ClusterState,
     Hyperparams,
+    _count_table,
     assignment_distribution,
     crp_log_prior,
     default_hyperparams,
@@ -41,8 +43,19 @@ class TestBinaryMatrix:
         assert np.array_equal(m.column_sums(), [1, 1])
 
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError, match="row 1, column 0"):
-            BinaryMatrix([[0, 1], [2, 0]])
+        for dtype, shown in [(np.uint8, "2"), (np.int64, "2"), (np.float64, "2.0")]:
+            with pytest.raises(ValueError, match=rf"^non-binary entry {shown} at row 1, column 0$"):
+                BinaryMatrix(np.array([[0, 1], [2, 0]], dtype=dtype))
+
+    def test_validation_holds_one_boolean_temporary(self):
+        values = (np.random.default_rng(0).random((1000, 1000)) < 0.3).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            BinaryMatrix(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * values.size
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -376,3 +389,48 @@ class TestClusterState:
         state.feature_counts[0, 0] += 1
         with pytest.raises(ValueError):
             state.check_consistency(data)
+
+    def test_from_assignments_makes_no_int64_copy_of_the_matrix(self):
+        rng = np.random.default_rng(2)
+        data = BinaryMatrix((rng.random((1000, 1000)) < 0.3).astype(np.uint8))
+        labels = rng.integers(0, 10, size=1000)
+        tracemalloc.start()
+        try:
+            ClusterState.from_assignments(data, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * data.values.size
+
+
+def _count_table_by_loop(labels, rows):
+    """Compact labels, sizes and feature counts, one cluster and one row at a time."""
+    distinct = sorted(set(labels.tolist()))
+    compact = [distinct.index(v) for v in labels.tolist()]
+    sizes = [compact.count(k) for k in range(len(distinct))]
+    counts = np.zeros((len(distinct), rows.shape[1]), dtype=np.int64)
+    for i, k in enumerate(compact):
+        for j in range(rows.shape[1]):
+            counts[k, j] += int(rows[i, j])
+    return compact, sizes, counts
+
+
+class TestCountTable:
+    @pytest.mark.parametrize(
+        "shape, n_labels",
+        [((1, 7), 1), ((9, 1), 3), ((9, 1), 9), ((12, 6), 1), ((12, 6), 4), ((12, 6), 12), ((30, 11), 7)],
+    )
+    def test_matches_per_cluster_loop(self, shape, n_labels):
+        rng = np.random.default_rng(shape[0] * 100 + n_labels)
+        rows = rng.integers(0, 2, size=shape).astype(np.uint8)
+        rows[:, 0] = 0  # constant columns
+        rows[:, -1] = 1
+        # Sparse, unsorted label values, each used at least once.
+        values = rng.choice(1000, size=n_labels, replace=False) - 500
+        labels = rng.permutation(np.concatenate([values, rng.choice(values, shape[0] - n_labels)]))
+        compact, sizes, counts = _count_table(labels, rows)
+        want_compact, want_sizes, want_counts = _count_table_by_loop(labels, rows)
+        assert compact.tolist() == want_compact
+        assert sizes.tolist() == want_sizes
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, want_counts)
