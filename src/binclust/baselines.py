@@ -27,10 +27,10 @@ class GapResult:
     dispersion_curve: np.ndarray
 
 
-def _squared_distances(points, centroids):
-    """All pairwise squared Euclidean distances, shape (n, k)."""
+def _squared_distances(points, norms, centroids):
+    """All pairwise squared Euclidean distances, shape (n, k); ``norms`` are the rows' squared norms."""
     d2 = (
-        (points * points).sum(axis=1)[:, None]
+        norms[:, None]
         - 2.0 * points @ centroids.T
         + (centroids * centroids).sum(axis=1)[None, :]
     )
@@ -38,12 +38,12 @@ def _squared_distances(points, centroids):
     return d2
 
 
-def _plusplus_seeds(points, k, rng):
+def _plusplus_seeds(points, norms, k, rng):
     """Greedy k-means++ seeding: spread the initial centroids apart."""
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
     centroids[0] = points[rng.integers(n)]
-    d2 = _squared_distances(points, centroids[0:1])[:, 0]
+    d2 = _squared_distances(points, norms, centroids[0:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -51,7 +51,7 @@ def _plusplus_seeds(points, k, rng):
         else:
             idx = rng.integers(n)
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, _squared_distances(points, centroids[j : j + 1])[:, 0])
+        d2 = np.minimum(d2, _squared_distances(points, norms, centroids[j : j + 1])[:, 0])
     return centroids
 
 
@@ -60,13 +60,13 @@ def _wcss(points, labels, centroids):
     return float(((points - centroids[labels]) ** 2).sum())
 
 
-def _lloyd(points, k, max_iters, rng):
+def _lloyd(points, norms, k, max_iters, rng):
     """One seeded Lloyd run; returns (labels, centroids, WCSS)."""
     n = points.shape[0]
-    centroids = _plusplus_seeds(points, k, rng)
+    centroids = _plusplus_seeds(points, norms, k, rng)
     labels = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iters):
-        d2 = _squared_distances(points, centroids)
+        d2 = _squared_distances(points, norms, centroids)
         new_labels = d2.argmin(axis=1)
         # Revive empty clusters with the worst-fit point (farthest from its
         # own centroid); repeat until every cluster has a member.
@@ -88,6 +88,20 @@ def _lloyd(points, k, max_iters, rng):
     return labels, centroids, _wcss(points, labels, centroids)
 
 
+def _best_fits(data, ks, rng):
+    """Best of ``_N_RESTARTS`` seeded Lloyd runs for each k, as ``(labels, centroids, wcss)``.
+
+    The {0,1} rows are converted to float64, and their squared norms taken,
+    once for all k.  On a WCSS tie the earlier run is kept.
+    """
+    points = data.values.astype(np.float64)
+    norms = (points * points).sum(axis=1)
+    return [
+        min((_lloyd(points, norms, k, _MAX_ITERS, rng) for _ in range(_N_RESTARTS)), key=lambda fit: fit[2])
+        for k in ks
+    ]
+
+
 def kmeans_binary(data, k, rng=None):
     """Lloyd's algorithm on {0,1} rows; best of five seeded runs by WCSS.
 
@@ -95,27 +109,12 @@ def kmeans_binary(data, k, rng=None):
     """
     if not 1 <= k <= data.n_objects:
         raise ValueError(f"k must lie in [1, {data.n_objects}], got {k}")
-    rng = np.random.default_rng(rng)
-    points = data.values.astype(np.float64)
-    best = None
-    for _ in range(_N_RESTARTS):
-        labels, centroids, wcss = _lloyd(points, k, _MAX_ITERS, rng)
-        if best is None or wcss < best[2]:
-            best = (labels, centroids, wcss)
-    return best[0], best[1]
-
-
-def _log_dispersion(data_matrix, k, rng):
-    """log of the within-cluster sum of squares at the best k-means fit."""
-    labels, centroids = kmeans_binary(data_matrix, k, rng)
-    wcss = _wcss(data_matrix.values.astype(np.float64), labels, centroids)
-    if wcss == 0.0:
-        return -np.inf
-    return float(np.log(wcss))
+    labels, centroids, _ = _best_fits(data, [k], np.random.default_rng(rng))[0]
+    return labels, centroids
 
 
 def gap_statistic(data, k_max=15, n_refs=10, rng=None):
-    """Gap curves for k = 1..k_max and the smallest k passing the gap rule.
+    """Gap curves for k = 1..k_max, k_max in [1, N], and the smallest k passing the gap rule.
 
     ``Gap(k)`` compares the data's log dispersion against the mean log
     dispersion of ``n_refs`` column-marginal Bernoulli reference draws;
@@ -126,20 +125,22 @@ def gap_statistic(data, k_max=15, n_refs=10, rng=None):
     such k is a perfect separation and is returned directly (k = 1 when
     all rows are identical).
     """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    if not 1 <= k_max <= data.n_objects:
+        raise ValueError(f"k_max must lie in [1, {data.n_objects}], got {k_max}")
     if n_refs < 1:
         raise ValueError("n_refs must be at least 1")
     rng = np.random.default_rng(rng)
-    n, d = data.n_objects, data.n_features
     k_values = range(1, k_max + 1)
 
-    data_logs = np.array([_log_dispersion(data, k, rng) for k in k_values])
+    def log_wcss(matrix):
+        with np.errstate(divide="ignore"):  # a zero WCSS logs to -inf
+            return np.log([wcss for _, _, wcss in _best_fits(matrix, k_values, rng)])
+
+    data_logs = log_wcss(data)
     col_means = data.values.mean(axis=0)
-    ref_logs = np.empty((n_refs, k_max), dtype=np.float64)
-    for b in range(n_refs):
-        ref = BinaryMatrix((rng.random((n, d)) < col_means).astype(np.uint8))
-        ref_logs[b] = [_log_dispersion(ref, k, rng) for k in k_values]
+    ref_logs = np.array([
+        log_wcss(BinaryMatrix((rng.random(data.values.shape) < col_means).astype(np.uint8))) for _ in range(n_refs)
+    ])
 
     with np.errstate(invalid="ignore"):
         gap_curve = ref_logs.mean(axis=0) - data_logs
@@ -147,9 +148,6 @@ def gap_statistic(data, k_max=15, n_refs=10, rng=None):
 
     degenerate = np.isneginf(data_logs)
     if degenerate.any():
-        # Zero dispersion means k clusters of exact duplicates: a perfect
-        # separation.  Gap arithmetic is undefined there, so the smallest
-        # such k is the answer (k = 1 when every row is identical).
         chosen_k = int(np.flatnonzero(degenerate)[0]) + 1
     else:
         chosen_k = k_max

@@ -140,9 +140,13 @@ def _cmd_baseline(args):
 
 def _cmd_summarize(args):
     report = io.load_report(args.report)
-    if "feature_frequencies" not in report:
-        raise io.DataFormatError(f"{args.report}: report lacks feature_frequencies")
-    io.save_csv_matrix(args.out, np.asarray(report["feature_frequencies"], dtype=np.float64))
+    try:
+        table = np.asarray(report.get("feature_frequencies"))
+    except ValueError:  # a ragged table
+        table = np.empty(0)
+    if table.ndim != 2 or table.size == 0 or table.dtype.kind not in "iuf":
+        raise io.DataFormatError(f"{args.report}: feature_frequencies must be a non-empty 2-d numeric table")
+    io.save_csv_matrix(args.out, table.astype(np.float64))
     return 0
 
 

@@ -124,9 +124,6 @@ class ClusterState:
             raise ValueError("all objects must be assigned (labels >= 0)")
         return cls(*_count_table(labels, data.values))
 
-    def copy(self):
-        return ClusterState(self.assignments.copy(), self.sizes.copy(), self.feature_counts.copy())
-
     def check_consistency(self, data):
         """Verify every invariant against a from-scratch recount; raise on mismatch.
 

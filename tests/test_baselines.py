@@ -5,7 +5,8 @@ import copy
 import numpy as np
 import pytest
 
-from binclust.baselines import _lloyd, _plusplus_seeds, _squared_distances, gap_statistic, kmeans_binary
+from binclust import baselines
+from binclust.baselines import _lloyd, _plusplus_seeds, _squared_distances, _wcss, gap_statistic, kmeans_binary
 from binclust.datagen import SyntheticSpec, generate
 from binclust.evaluate import matched_accuracy
 from binclust.model import BinaryMatrix
@@ -32,6 +33,33 @@ def _plusplus_by_direct_distances(points, k, rng):
     return np.array(centroids)
 
 
+def _gap_by_per_k_fits(data, k_max, n_refs, rng):
+    """The gap statistic through ``kmeans_binary``, then ``_wcss``, then a scalar log with 0 mapped to -inf."""
+
+    def log_dispersion(matrix, k):
+        labels, centroids = kmeans_binary(matrix, k, rng)
+        wcss = _wcss(matrix.values.astype(np.float64), labels, centroids)
+        return -np.inf if wcss == 0.0 else float(np.log(wcss))
+
+    k_values = range(1, k_max + 1)
+    data_logs = np.array([log_dispersion(data, k) for k in k_values])
+    col_means = data.values.mean(axis=0)
+    ref_logs = np.empty((n_refs, k_max))
+    for b in range(n_refs):
+        ref = BinaryMatrix((rng.random(data.values.shape) < col_means).astype(np.uint8))
+        ref_logs[b] = [log_dispersion(ref, k) for k in k_values]
+    with np.errstate(invalid="ignore"):
+        gap_curve = ref_logs.mean(axis=0) - data_logs
+        sk_curve = ref_logs.std(axis=0) * np.sqrt(1.0 + 1.0 / n_refs)
+    degenerate = np.flatnonzero(np.isneginf(data_logs))
+    passing = [
+        k for k in range(1, k_max)
+        if np.isfinite(gap_curve[k - 1 : k + 1]).all() and gap_curve[k - 1] >= gap_curve[k] - sk_curve[k]
+    ]
+    chosen_k = degenerate[0] + 1 if degenerate.size else (passing + [k_max])[0]
+    return chosen_k, gap_curve, sk_curve, data_logs
+
+
 class TestKmeansBinary:
     def test_k1_centroid_is_column_means(self):
         rng = np.random.default_rng(0)
@@ -55,23 +83,25 @@ class TestKmeansBinary:
             n = int(rng.integers(6, 40))
             d = int(rng.integers(2, 12))
             data = rng.integers(0, 2, size=(n, d)).astype(np.float64)
+            norms = (data * data).sum(axis=1)
             k = int(rng.integers(2, min(6, n)))
             trace = []
             for max_iters in range(1, 51):
                 run_rng = copy.deepcopy(rng)
-                trace.append(_lloyd(data, k, max_iters=max_iters, rng=run_rng)[2])
+                trace.append(_lloyd(data, norms, k, max_iters=max_iters, rng=run_rng)[2])
             rng = run_rng
             assert (np.diff(trace) <= 1e-9).all()
 
     def test_seeding_distances_equal_the_direct_formula(self):
         rng = np.random.default_rng(11)
         points = rng.integers(0, 2, size=(40, 9)).astype(np.float64)
+        norms = (points * points).sum(axis=1)
         for c in points:
             direct = ((points - c) ** 2).sum(axis=1)
-            assert np.array_equal(_squared_distances(points, c[None, :])[:, 0], direct)
+            assert np.array_equal(_squared_distances(points, norms, c[None, :])[:, 0], direct)
         for seed in range(10):
             k = 1 + seed % 6
-            seeds = _plusplus_seeds(points, k, np.random.default_rng(seed))
+            seeds = _plusplus_seeds(points, norms, k, np.random.default_rng(seed))
             assert np.array_equal(seeds, _plusplus_by_direct_distances(points, k, np.random.default_rng(seed)))
 
     def test_centroids_stay_in_unit_box(self):
@@ -132,9 +162,30 @@ class TestGapStatistic:
         assert np.array_equal(first.gap_curve, second.gap_curve)
         assert np.array_equal(first.sk_curve, second.sk_curve)
 
-    def test_rejects_bad_arguments(self):
+    def test_rejects_bad_arguments(self, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("fitted before the arguments were checked")
+
+        monkeypatch.setattr(baselines, "_lloyd", no_fit)
         data = BinaryMatrix([[0, 1], [1, 0]])
         with pytest.raises(ValueError):
             gap_statistic(data, k_max=0)
         with pytest.raises(ValueError):
             gap_statistic(data, k_max=2, n_refs=0)
+        with pytest.raises(ValueError, match="k_max"):
+            gap_statistic(data, k_max=3)
+
+    def test_equals_the_per_k_fits(self):
+        # Identical rows (zero WCSS at every k) and three distinct rows, each
+        # repeated (zero WCSS from k = 3), then random instances.
+        rng = np.random.default_rng(21)
+        instances = [np.tile([1, 0, 1, 1], (6, 1)), np.repeat(np.eye(3, 5, dtype=np.uint8), 3, axis=0)]
+        instances += [rng.integers(0, 2, size=(rng.integers(3, 16), rng.integers(2, 10))) for _ in range(8)]
+        for i, values in enumerate(instances):
+            data = BinaryMatrix(values.astype(np.uint8))
+            k_max, n_refs = min(data.n_objects, 2 + i % 5), 1 + i % 4
+            result = gap_statistic(data, k_max=k_max, n_refs=n_refs, rng=np.random.default_rng(i))
+            chosen_k, *curves = _gap_by_per_k_fits(data, k_max, n_refs, np.random.default_rng(i))
+            assert result.chosen_k == chosen_k
+            for got, want in zip((result.gap_curve, result.sk_curve, result.dispersion_curve), curves):
+                assert np.array_equal(got, want, equal_nan=True)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from binclust import baselines
 from binclust.cli import cli_main
 from binclust.evaluate import matched_accuracy
 from binclust.io import load_dense, load_labels, load_report
@@ -245,6 +246,24 @@ class TestBaselineCommand:
         assert len(report["gap_curve"]) == 6
         assert len(report["labels"]) == 40
 
+    def test_k_max_above_n_exit_2_before_fitting(self, tmp_path, capsys, monkeypatch):
+        data_path = tmp_path / "data.csv"
+        _run(
+            capsys,
+            "generate", "--n", "12", "--d", "30", "--sd", "25", "--sn", "5",
+            "--k-true", "3", "--seed", "5", "--out", str(data_path), "--labels-out", str(tmp_path / "t.txt"),
+        )
+
+        def no_fit(*args):
+            raise AssertionError("fitted before k_max was checked")
+
+        monkeypatch.setattr(baselines, "_lloyd", no_fit)
+        report_path = tmp_path / "gap.json"
+        code, _, err = _run(capsys, "baseline", "--in", str(data_path), "--k-max", "13", "--report", str(report_path))
+        assert code == 2
+        assert "k_max must lie in [1, 12], got 13" in err
+        assert not report_path.exists()
+
 
 class TestSummarizeCommand:
     def test_frequencies_to_csv(self, tmp_path, capsys):
@@ -267,6 +286,16 @@ class TestSummarizeCommand:
         report = load_report(report_path)
         got = np.asarray(rows, dtype=np.float64)
         np.testing.assert_array_equal(got, np.asarray(report["feature_frequencies"]))
+
+    @pytest.mark.parametrize("frequencies", [5, [0.1, 0.2], [[0.1], [0.2, 0.3]], [[]], None, [["a"]]])
+    def test_malformed_frequencies_exit_2_without_output(self, tmp_path, capsys, frequencies):
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps({"feature_frequencies": frequencies}))
+        out_path = tmp_path / "freq.csv"
+        code, _, err = _run(capsys, "summarize", "--report", str(report_path), "--out", str(out_path))
+        assert code == 2
+        assert "feature_frequencies must be a non-empty 2-d numeric table" in err
+        assert not out_path.exists()
 
 
 class TestPreprocessCommands:

@@ -1,5 +1,7 @@
 """Annealed Gibbs sampler: state bookkeeping, sweeps, cooling, determinism."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -102,7 +104,7 @@ class TestRemoveInsert:
     def test_remove_then_reinsert_is_identity(self):
         data = BinaryMatrix([[1, 0], [0, 1], [1, 1], [1, 0]])
         state = ClusterState.from_assignments(data, [0, 1, 1, 0])
-        before = state.copy()
+        before = copy.deepcopy(state)
         k = remove_object(state, 2, data)
         insert_object(state, 2, k, data)
         assert np.array_equal(state.assignments, before.assignments)
