@@ -38,12 +38,22 @@ def _squared_distances(points, norms, centroids):
     return d2
 
 
+def _distances_to_row(points, norms, idx):
+    """Squared distances of every row to row ``idx``, from the rows' squared norms.
+
+    On {0,1} rows every term is an exact integer, so this equals the direct
+    ``((points - points[idx]) ** 2).sum(axis=1)`` bit for bit.
+    """
+    return norms - 2.0 * (points @ points[idx]) + norms[idx]
+
+
 def _plusplus_seeds(points, norms, k, rng):
     """Greedy k-means++ seeding: spread the initial centroids apart."""
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
-    centroids[0] = points[rng.integers(n)]
-    d2 = _squared_distances(points, norms, centroids[0:1])[:, 0]
+    idx = rng.integers(n)
+    centroids[0] = points[idx]
+    d2 = _distances_to_row(points, norms, idx)
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -51,7 +61,7 @@ def _plusplus_seeds(points, norms, k, rng):
         else:
             idx = rng.integers(n)
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, _squared_distances(points, norms, centroids[j : j + 1])[:, 0])
+        np.minimum(d2, _distances_to_row(points, norms, idx), out=d2)
     return centroids
 
 

@@ -5,8 +5,8 @@ likelihoods with the per-feature Bernoulli rates integrated out, Chinese
 restaurant process priors over cluster choices, tempered assignment
 distributions, and a joint partition score.
 
-Everything in this module is a pure function of its inputs; nothing holds
-shared mutable state.
+Everything in this module is a pure function of its inputs, apart from the
+mutable :class:`ClusterState` a sampler run owns.
 """
 
 from dataclasses import dataclass
@@ -58,13 +58,16 @@ class BinaryMatrix:
         return f"BinaryMatrix(n_objects={self.n_objects}, n_features={self.n_features})"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Hyperparams:
     """Per-feature Beta shapes, shared across clusters, plus DP concentration.
 
     ``a[j]`` and ``b[j]`` are the presence/absence pseudo-counts of feature j.
     They apply to every cluster, including one that does not exist yet, which
     is what makes the new-cluster predictive well defined.
+
+    Immutable, down to read-only copies of ``a`` and ``b``, and equal only
+    to itself: a :class:`ClusterState` caches log terms per object.
     """
 
     a: np.ndarray
@@ -72,19 +75,24 @@ class Hyperparams:
     alpha: float
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.a.ndim != 1 or self.b.ndim != 1 or self.a.shape != self.b.shape:
+        a = np.array(self.a, dtype=np.float64)
+        b = np.array(self.b, dtype=np.float64)
+        alpha = float(self.alpha)
+        if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
             raise ValueError("a and b must be 1-d vectors of equal length")
-        if not ((self.a > 0).all() and (self.b > 0).all()):
+        if not ((a > 0).all() and (b > 0).all()):
             raise ValueError("Beta shape parameters must be strictly positive")
-        if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()):
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("Beta shape parameters must be finite")
-        self.alpha = float(self.alpha)
-        if not self.alpha > 0:
+        if not alpha > 0:
             raise ValueError("alpha must be strictly positive")
-        if not np.isfinite(self.alpha):
+        if not np.isfinite(alpha):
             raise ValueError("alpha must be finite")
+        a.setflags(write=False)
+        b.setflags(write=False)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def n_features(self):
@@ -99,16 +107,50 @@ class ClusterState:
     cluster cardinality, and ``feature_counts[k, j]`` the number of members
     of cluster k with feature j present.  Labels stay compact: every value
     in {0, ..., n_clusters - 1} owns at least one object.
+
+    ``sizes`` and ``feature_counts`` are views of the first K rows of row
+    buffers with spare capacity; row K is always all-zero, the statistics of
+    a brand-new cluster.  Next to each row the state caches the log terms
+    :func:`assignment_distribution` scores it with, for the ``Hyperparams``
+    they were last computed under.  Change the statistics only through
+    :func:`~binclust.sampler.remove_object` and
+    :func:`~binclust.sampler.insert_object`: they mark the rows they touch
+    for recomputation, and an edit made any other way leaves a stale cache
+    behind (which :meth:`check_consistency` reports).
     """
 
     def __init__(self, assignments, sizes, feature_counts):
         self.assignments = np.asarray(assignments, dtype=np.int64)
-        self.sizes = np.asarray(sizes, dtype=np.int64)
-        self.feature_counts = np.asarray(feature_counts, dtype=np.int64)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        counts = np.asarray(feature_counts, dtype=np.int64)
+        if sizes.ndim != 1 or counts.ndim != 2 or counts.shape[0] != sizes.shape[0]:
+            raise ValueError(f"expected sizes (K,) and feature counts (K, D), got {sizes.shape} and {counts.shape}")
+        k, d = counts.shape
+        self._k = k
+        self._sizes = np.zeros(k + 2, dtype=np.int64)
+        self._counts = np.zeros((k + 2, d), dtype=np.int64)
+        self._sizes[:k] = sizes
+        self._counts[:k] = counts
+        # Log-term cache, one row per buffer row: log(a + c_k), log(b + n_k - c_k)
+        # and sum_j log(a_j + b_j + n_k) under ``_hyper``; ``_stale`` rows are
+        # recomputed before they are read.
+        self._hyper = None
+        self._log_present = np.zeros((k + 2, d), dtype=np.float64)
+        self._log_absent = np.zeros((k + 2, d), dtype=np.float64)
+        self._log_denom = np.zeros(k + 2, dtype=np.float64)
+        self._stale = np.ones(k + 2, dtype=bool)
+
+    @property
+    def sizes(self):
+        return self._sizes[: self._k]
+
+    @property
+    def feature_counts(self):
+        return self._counts[: self._k]
 
     @property
     def n_clusters(self):
-        return int(self.sizes.shape[0])
+        return self._k
 
     @classmethod
     def from_assignments(cls, data, assignments):
@@ -123,6 +165,69 @@ class ClusterState:
         if (labels < 0).any():
             raise ValueError("all objects must be assigned (labels >= 0)")
         return cls(*_count_table(labels, data.values))
+
+    def _row_buffers(self):
+        return (self._sizes, self._counts, self._log_present, self._log_absent, self._log_denom, self._stale)
+
+    def _detach(self, i, row):
+        """Take object ``i`` with feature row ``row`` out of its cluster; return the old label.
+
+        A cluster left empty is deleted: rows above it, the zero row
+        included, shift down one place with their cached log terms, and
+        labels above it drop by one.
+        """
+        k = int(self.assignments[i])
+        self._sizes[k] -= 1
+        self._counts[k] -= row
+        self.assignments[i] = UNASSIGNED
+        self._stale[k] = True
+        if self._sizes[k] == 0:
+            top = self._k
+            for buf in self._row_buffers():
+                buf[k:top] = buf[k + 1 : top + 1]
+            self._k = top - 1
+            self.assignments[self.assignments > k] -= 1
+        return k
+
+    def _attach(self, i, k, row):
+        """Put detached object ``i`` with feature row ``row`` into cluster ``k``;
+        ``k == n_clusters`` fills the zero row, opening a new cluster."""
+        if k == self._k:
+            if k + 2 > self._sizes.shape[0]:
+                self._grow()
+            self._k = k + 1
+        self._sizes[k] += 1
+        self._counts[k] += row
+        self.assignments[i] = k
+        self._stale[k] = True
+
+    def _grow(self):
+        """Double the row capacity; the new rows are zero and their cache stale."""
+        old = self._sizes.shape[0]
+        grown = []
+        for buf in self._row_buffers():
+            new = np.zeros((2 * old,) + buf.shape[1:], dtype=buf.dtype)
+            new[:old] = buf
+            grown.append(new)
+        self._sizes, self._counts, self._log_present, self._log_absent, self._log_denom, self._stale = grown
+        self._stale[old:] = True
+
+    def _log_terms(self, hyper, data):
+        """Cached log terms of rows 0..K under ``hyper``, stale rows recomputed first."""
+        if hyper is not self._hyper:
+            _check_width(hyper, data)
+            self._hyper = hyper
+            self._stale[:] = True
+        top = self._k + 1
+        stale = np.flatnonzero(self._stale[:top])
+        if stale.size:
+            (
+                self._log_present[stale],
+                self._log_absent[stale],
+                self._log_denom[stale],
+            ) = _cluster_log_terms(self._sizes[stale], self._counts[stale], hyper)
+            self._stale[:top] = False
+        return self._log_present[:top], self._log_absent[:top], self._log_denom[:top]
 
     def check_consistency(self, data):
         """Verify every invariant against a from-scratch recount; raise on mismatch.
@@ -143,6 +248,14 @@ class ClusterState:
             raise ValueError("feature counts disagree with a recount over assignments")
         if (self.feature_counts < 0).any() or (self.feature_counts > self.sizes[:, None]).any():
             raise ValueError("feature counts outside [0, cluster size]")
+        if self._sizes[self._k :].any() or self._counts[self._k :].any():
+            raise ValueError("statistics rows from n_clusters up must be zero")
+        if self._hyper is not None:
+            fresh = np.flatnonzero(~self._stale)
+            expected = _cluster_log_terms(self._sizes[fresh], self._counts[fresh], self._hyper)
+            cached = (self._log_present[fresh], self._log_absent[fresh], self._log_denom[fresh])
+            if not all(np.array_equal(c, e) for c, e in zip(cached, expected)):
+                raise ValueError("cached log terms disagree with a recomputation from the statistics")
 
 
 def _count_table(labels, rows):
@@ -152,7 +265,8 @@ def _count_table(labels, rows):
     Each cluster's ``uint8`` rows are summed in int64: no int64 copy of ``rows``.
     """
     _, compact, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-    members = np.split(np.argsort(compact, kind="stable"), np.cumsum(sizes)[:-1])
+    # Split after every cluster and drop the empty tail, so no labels give no clusters.
+    members = np.split(np.argsort(compact, kind="stable"), np.cumsum(sizes))[:-1]
     counts = np.empty((sizes.shape[0], rows.shape[1]), dtype=np.int64)
     for k, rows_k in enumerate(members):
         counts[k] = rows[rows_k].sum(axis=0, dtype=np.int64)
@@ -181,9 +295,31 @@ def _log_predictives(x, sizes, counts, hyper):
     return np.log(numer).sum(axis=1) - np.log(hyper.a + hyper.b + sizes[:, None]).sum(axis=1)
 
 
+def _cluster_log_terms(sizes, counts, hyper):
+    """The terms :func:`_log_predictives` takes logs of, per cluster: ``log(a + c_k)``
+    and ``log(b + n_k - c_k)`` (K, D), and ``sum_j log(a_j + b_j + n_k)`` (K,).
+
+    Each element is the same number :func:`_log_predictives` computes, so a row
+    scored from these terms is bit-identical to one scored by it.
+    """
+    return (
+        np.log(hyper.a + counts),
+        np.log(hyper.b + (sizes[:, None] - counts)),
+        np.log(hyper.a + hyper.b + sizes[:, None]).sum(axis=1),
+    )
+
+
+def _check_width(hyper, data):
+    if hyper.n_features != data.n_features:
+        raise ValueError(f"hyperparameters cover {hyper.n_features} features, the data has {data.n_features}")
+
+
 def _log_seating_weights(sizes, alpha):
     """Unnormalized log seating weights: each cluster's size, then ``alpha`` for a new one."""
-    return np.log(np.append(sizes, alpha))
+    weights = np.empty(sizes.shape[0] + 1, dtype=np.float64)
+    weights[:-1] = sizes
+    weights[-1] = alpha
+    return np.log(weights)
 
 
 def log_predictive(x, counts, hyper):
@@ -262,13 +398,10 @@ def assignment_distribution(i, state, data, hyper, temperature):
         raise ValueError(f"object {i} must be detached from the state first")
     if state.sizes.sum() != data.n_objects - 1:
         raise ValueError("state statistics must cover exactly the other n - 1 objects")
-    # Stack a zero-count pseudo-cluster so the new-cluster option shares the
-    # vectorized path with the existing ones.
-    sizes_ext = np.append(state.sizes, 0)
-    counts_ext = np.concatenate(
-        [state.feature_counts, np.zeros((1, data.n_features), dtype=np.int64)], axis=0
-    )
-    loglik = _log_predictives(data.values[i], sizes_ext, counts_ext, hyper)
+    # Rows 0..K-1 are the existing clusters and row K, all-zero, the new one;
+    # the same sum as ``_log_predictives``, with the logs taken from the cache.
+    present, absent, denom = state._log_terms(hyper, data)
+    loglik = np.where(data.values[i] == 1, present, absent).sum(axis=1) - denom
     loglik -= loglik.max()
     # At a cold T a worse option's shifted likelihood overflows to -inf,
     # which is its exact weight of zero.
@@ -293,6 +426,7 @@ def joint_log_score(state, data, hyper):
     """
     if state.sizes.sum() != data.n_objects:
         raise ValueError("state must cover every object")
+    _check_width(hyper, data)
     sizes = state.sizes
     k = state.n_clusters
     alpha = hyper.alpha

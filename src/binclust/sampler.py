@@ -16,6 +16,7 @@ from .model import (
     NEW_CLUSTER,
     UNASSIGNED,
     ClusterState,
+    _check_width,
     assignment_distribution,
     default_hyperparams,
     joint_log_score,
@@ -80,17 +81,9 @@ def remove_object(state, i, data):
     If the source cluster becomes empty it is deleted and the labels above
     it shift down by one, keeping the label set compact.
     """
-    k = int(state.assignments[i])
-    if k == UNASSIGNED:
+    if state.assignments[i] == UNASSIGNED:
         raise ValueError(f"object {i} is already detached")
-    state.sizes[k] -= 1
-    state.feature_counts[k] -= data.values[i]
-    state.assignments[i] = UNASSIGNED
-    if state.sizes[k] == 0:
-        state.sizes = np.delete(state.sizes, k)
-        state.feature_counts = np.delete(state.feature_counts, k, axis=0)
-        state.assignments[state.assignments > k] -= 1
-    return k
+    return state._detach(i, data.values[i])
 
 
 def insert_object(state, i, option, data):
@@ -105,15 +98,11 @@ def insert_object(state, i, option, data):
         if option != NEW_CLUSTER:
             raise ValueError(f"unknown option {option!r}")
         k = state.n_clusters
-        state.sizes = np.append(state.sizes, 1)
-        state.feature_counts = np.concatenate([state.feature_counts, data.values[i][None, :]], axis=0)
     else:
         k = int(option)
         if not 0 <= k < state.n_clusters:
             raise ValueError(f"cluster index {k} out of range")
-        state.sizes[k] += 1
-        state.feature_counts[k] += data.values[i]
-    state.assignments[i] = k
+    state._attach(i, k, data.values[i])
     return state
 
 
@@ -126,6 +115,7 @@ def _categorical(probs, rng):
 
 def gibbs_sweep(state, data, hyper, temperature, rng):
     """One full pass over all objects at a fixed temperature, in place."""
+    _check_width(hyper, data)
     for i in range(data.n_objects):
         remove_object(state, i, data)
         probs = assignment_distribution(i, state, data, hyper, temperature)
@@ -147,8 +137,6 @@ def run(data, hyper=None, schedule=None, k_init=10, seed=0):
     hyper = reference if hyper is None else hyper
     if schedule is None:
         schedule = AnnealingSchedule()
-    if hyper.n_features != data.n_features:
-        raise ValueError(f"hyperparameters cover {hyper.n_features} features, the data has {data.n_features}")
     rng = np.random.default_rng(seed)
     state = init_state(data, k_init, rng)
     m = schedule.n_sweeps

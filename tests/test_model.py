@@ -1,5 +1,6 @@
 """Core model: predictive likelihoods, priors, assignment distributions, partition score."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -16,13 +17,14 @@ from binclust.model import (
     ClusterState,
     Hyperparams,
     _count_table,
+    _log_predictives,
     assignment_distribution,
     crp_log_prior,
     default_hyperparams,
     joint_log_score,
     log_predictive,
 )
-from binclust.sampler import remove_object
+from binclust.sampler import insert_object, remove_object
 
 from _oracles import (
     log_ratio_by_betaln,
@@ -87,6 +89,18 @@ class TestHyperparams:
     def test_rejects_infinite_alpha(self):
         with pytest.raises(ValueError, match="alpha must be finite"):
             Hyperparams(a=np.ones(2), b=np.ones(2), alpha=np.inf)
+
+    def test_is_immutable_and_leaves_the_callers_arrays_writable(self):
+        a = np.ones(3)
+        hyper = Hyperparams(a=a, b=np.ones(3), alpha=1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            hyper.a[0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hyper.b = np.full(3, 2.0)
+        a[0] = 2.0
+        assert hyper.a[0] == 1.0
+        assert hyper == hyper
+        assert hyper != Hyperparams(a=np.ones(3), b=np.ones(3), alpha=1.0)
 
     def test_rejects_infinite_shapes(self):
         with pytest.raises(ValueError, match="must be finite"):
@@ -330,6 +344,13 @@ class TestAssignmentDistribution:
         with pytest.raises(ValueError):
             assignment_distribution(0, state, data, _uniform_hyper(1), temperature=1.0)
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_rejects_hyperparams_of_another_width(self, width):
+        data = BinaryMatrix([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]])
+        state = _detached_state(data, [0, 1, 1], 2)
+        with pytest.raises(ValueError, match=f"hyperparameters cover {width} features, the data has 4"):
+            assignment_distribution(2, state, data, _uniform_hyper(width), temperature=1.0)
+
 
 class TestJointLogScore:
     def test_single_object(self):
@@ -367,6 +388,13 @@ class TestJointLogScore:
         with pytest.raises(ValueError):
             joint_log_score(state, data, _uniform_hyper(1))
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_rejects_hyperparams_of_another_width(self, width):
+        data = BinaryMatrix([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]])
+        state = ClusterState.from_assignments(data, [0, 1, 1])
+        with pytest.raises(ValueError, match=f"hyperparameters cover {width} features, the data has 4"):
+            joint_log_score(state, data, _uniform_hyper(width))
+
 
 class TestClusterState:
     def test_from_assignments_compacts_labels(self):
@@ -388,6 +416,24 @@ class TestClusterState:
         state = ClusterState.from_assignments(data, [0, 1])
         state.feature_counts[0, 0] += 1
         with pytest.raises(ValueError):
+            state.check_consistency(data)
+
+    def test_check_consistency_detects_a_corrupted_log_term_cache(self):
+        data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
+        state = ClusterState.from_assignments(data, [0, 1, 0])
+        remove_object(state, 2, data)
+        assignment_distribution(2, state, data, _uniform_hyper(2), temperature=1.0)
+        insert_object(state, 2, 0, data)
+        state.check_consistency(data)
+        state._log_present[1, 0] += 1e-9
+        with pytest.raises(ValueError, match="cached log terms"):
+            state.check_consistency(data)
+
+    def test_check_consistency_detects_counts_beyond_the_last_cluster(self):
+        data = BinaryMatrix([[1, 0], [0, 1]])
+        state = ClusterState.from_assignments(data, [0, 1])
+        state._counts[state.n_clusters, 0] = 1
+        with pytest.raises(ValueError, match="must be zero"):
             state.check_consistency(data)
 
     def test_from_assignments_makes_no_int64_copy_of_the_matrix(self):
@@ -434,3 +480,68 @@ class TestCountTable:
         assert sizes.tolist() == want_sizes
         assert counts.dtype == np.int64
         assert np.array_equal(counts, want_counts)
+
+
+def _distribution_by_plain_formula(i, state, data, hyper, temperature):
+    """The assignment distribution with every log taken afresh: a zero row
+    stacked under the count table for the new cluster, then the same shifts."""
+    sizes_ext = np.append(state.sizes, 0)
+    counts_ext = np.concatenate([state.feature_counts, np.zeros((1, data.n_features), dtype=np.int64)], axis=0)
+    loglik = _log_predictives(data.values[i], sizes_ext, counts_ext, hyper)
+    loglik -= loglik.max()
+    with np.errstate(over="ignore"):
+        log_weights = np.log(np.append(state.sizes, hyper.alpha)) + loglik / temperature
+    log_weights -= log_weights.max()
+    probs = np.exp(log_weights)
+    probs /= probs.sum()
+    return probs
+
+
+class TestLogTermCache:
+    @pytest.mark.parametrize(
+        "shape, n_labels, built_by, n_steps",
+        [
+            ((14, 5), 3, "from_assignments", 60),
+            ((14, 5), 2, "constructor", 60),
+            ((9, 1), 3, "from_assignments", 40),
+            ((1, 6), 1, "constructor", 40),
+        ],
+    )
+    def test_cached_distribution_equals_the_plain_formula(self, shape, n_labels, built_by, n_steps):
+        rng = np.random.default_rng([*shape, n_labels])
+        data = BinaryMatrix(rng.integers(0, 2, size=shape).astype(np.uint8))
+        labels = rng.integers(0, n_labels, size=shape[0])
+        if built_by == "constructor":
+            counted = ClusterState.from_assignments(data, labels)
+            state = ClusterState(counted.assignments.copy(), counted.sizes.copy(), counted.feature_counts.copy())
+        else:
+            state = ClusterState.from_assignments(data, labels)
+        # Two objects of one width, switched every few steps on the same state.
+        hypers = (
+            default_hyperparams(data, alpha=0.7),
+            Hyperparams(a=rng.random(shape[1]) + 0.1, b=np.full(shape[1], 2.5), alpha=3.0),
+        )
+        capacity = state._sizes.shape[0]
+        births = deaths = 0
+        for step in range(n_steps):
+            hyper = hypers[(step // 4) % 2]
+            i = int(rng.integers(shape[0]))
+            k_before = state.n_clusters
+            remove_object(state, i, data)
+            deaths += state.n_clusters < k_before
+            for temperature in (1.0, 0.3, 1e-300):
+                fast = assignment_distribution(i, state, data, hyper, temperature)
+                plain = _distribution_by_plain_formula(i, state, data, hyper, temperature)
+                assert np.array_equal(fast, plain)
+            state.check_consistency(data)
+            # Births often enough to outgrow the initial capacity.
+            if state.n_clusters == 0 or rng.random() < 0.35:
+                insert_object(state, i, NEW_CLUSTER, data)
+                births += 1
+            else:
+                insert_object(state, i, int(rng.integers(state.n_clusters)), data)
+            state.check_consistency(data)
+        assert births > 0
+        assert deaths > 0
+        if shape[0] > 1:  # one object never needs a second cluster
+            assert state._sizes.shape[0] > capacity

@@ -190,6 +190,15 @@ class TestGibbsSweep:
         assert state.n_clusters == 1
         assert state.sizes[0] == 1
 
+    @pytest.mark.parametrize("width", [1, 7])
+    def test_rejects_hyperparams_of_another_width_before_moving_anything(self, width):
+        data = _two_block_data(d=8)
+        state = ClusterState.from_assignments(data, [0, 1] * 6)
+        hyper = Hyperparams(a=np.ones(width), b=np.ones(width), alpha=1.0)
+        with pytest.raises(ValueError, match=f"hyperparameters cover {width} features, the data has 8"):
+            gibbs_sweep(state, data, hyper, 1.0, np.random.default_rng(0))
+        assert np.array_equal(state.assignments, [0, 1] * 6)
+
     def test_preserves_invariants_on_random_data(self):
         rng = np.random.default_rng(13)
         data = BinaryMatrix(rng.integers(0, 2, size=(20, 6)).astype(np.uint8))
