@@ -13,6 +13,11 @@ import numpy as np
 
 from .model import BinaryMatrix
 
+# Label draws before generate seats one row per cluster instead: 100 take
+# about 0.1 s at N = 100000, and a labeling with a fair chance of covering
+# every cluster is all but sure to come up among them.
+_MAX_LABEL_DRAWS = 100
+
 
 @dataclass
 class SyntheticSpec:
@@ -30,6 +35,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_objects", "n_features", "k_true"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_objects < 1 or self.n_features < 1:
             raise ValueError("n_objects and n_features must be positive")
         if not 0 <= self.info_pct <= 100:
@@ -43,19 +52,25 @@ class SyntheticSpec:
 def generate(spec):
     """Draw one instance; returns ``(BinaryMatrix, true_labels)``.
 
-    Rows get uniform random labels (partitions with an empty cluster are
-    rejected and redrawn), each cluster sets ``ceil(info_pct * D / 100)``
-    signal columns to one for all of its rows, and finally exactly
-    ``floor(noise_pct * N * D / 100)`` cells, chosen without replacement
-    over the whole matrix, are flipped.  Reproducible bit for bit from
-    ``spec.seed``.
+    Rows get uniform random labels; a labeling that leaves a cluster empty
+    is rejected and redrawn, up to ``_MAX_LABEL_DRAWS`` draws in all.  If
+    every draw leaves a cluster empty (likely only with ``k_true`` close to
+    ``n_objects``), a random permutation of the rows seats one row in each
+    cluster and the other rows keep their labels from the last draw; at
+    ``k_true == n_objects`` that is a uniform random permutation.  Then each
+    cluster sets ``ceil(info_pct * D / 100)`` signal columns to one for all
+    of its rows, and finally exactly ``floor(noise_pct * N * D / 100)``
+    cells, chosen without replacement over the whole matrix, are flipped.
+    Reproducible bit for bit from ``spec.seed``.
     """
     rng = np.random.default_rng(spec.seed)
     n, d = spec.n_objects, spec.n_features
-    while True:
+    for _ in range(_MAX_LABEL_DRAWS):
         labels = rng.integers(0, spec.k_true, size=n)
-        if np.unique(labels).size == spec.k_true:
+        if np.bincount(labels, minlength=spec.k_true).all():
             break
+    else:
+        labels[rng.permutation(n)[: spec.k_true]] = np.arange(spec.k_true)
     x = np.zeros((n, d), dtype=np.uint8)
     n_signal = math.ceil(spec.info_pct * d / 100.0)
     for k in range(spec.k_true):

@@ -6,7 +6,6 @@ invariant to how either side happens to number its clusters.
 """
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import ClusterState, _count_table
 
@@ -31,6 +30,10 @@ def matched_accuracy(pred, truth):
     co-occurrence counts (Hungarian assignment on the contingency table);
     surplus clusters on either side stay unmatched and contribute nothing.
     """
+    # Imported here, not at module level: this is the only user of scipy.optimize,
+    # and importing it costs every process a third of a second.
+    from scipy.optimize import linear_sum_assignment
+
     table = contingency(pred, truth)
     rows, cols = linear_sum_assignment(-table)
     matched = int(table[rows, cols].sum())

@@ -42,29 +42,23 @@ class DataFormatError(ValueError):
 
 
 def save_csv_matrix(path, matrix):
-    """Write a numeric matrix as CSV, one row per line.
-
-    Integer matrices (binary data, contingency tables) are written as
-    integers; floats (frequency matrices) via repr, which round-trips
-    losslessly.
-    """
-    matrix = np.asarray(matrix)
-    if np.issubdtype(matrix.dtype, np.integer):
-        # Format each distinct value once, then look every row up in that table.
-        values = np.unique(matrix)
-        text = np.array([str(v) for v in values.tolist()], dtype=object)
-        rows = (text[np.searchsorted(values, row)].tolist() for row in matrix)
-    else:
-        rows = ([repr(float(v)) for v in row] for row in matrix)
+    """Write a numeric matrix as CSV, one row per line: each value by the repr
+    of its Python value, so integers print as integers and floats round-trip
+    losslessly."""
     with open(path, "w") as fh:
-        for fields in rows:
-            fh.write(",".join(fields))
-            fh.write("\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in np.asarray(matrix).tolist())
 
 
 def save_dense(path, data):
     """Write a binary matrix as dense CSV, one row per line, no header."""
-    save_csv_matrix(path, data.values)
+    # Every cell is one digit, so each line is the same 2 * D bytes with only
+    # the digits changing: fill one reusable line per row.
+    line = np.full(2 * data.n_features, ord(","), dtype=np.uint8)
+    line[-1] = ord("\n")
+    with open(path, "wb") as fh:
+        for row in data.values:
+            np.add(row, ord("0"), out=line[::2])
+            fh.write(line)
 
 
 def load_dense(path):
@@ -155,8 +149,7 @@ def save_sparse(path, data):
     """Write a binary matrix as "N D" header plus one "row col" pair per 1-entry."""
     with open(path, "w") as fh:
         fh.write(f"{data.n_objects} {data.n_features}\n")
-        for i, j in np.argwhere(data.values == 1):
-            fh.write(f"{i} {j}\n")
+        fh.writelines(f"{i} {j}\n" for i, j in np.argwhere(data.values == 1).tolist())
 
 
 def load_sparse(path):
@@ -216,10 +209,8 @@ def load_matrix(path):
 
 def save_labels(path, labels):
     """Write one non-negative integer label per line."""
-    labels = np.asarray(labels)
     with open(path, "w") as fh:
-        for value in labels:
-            fh.write(f"{int(value)}\n")
+        fh.writelines(f"{value}\n" for value in np.asarray(labels, dtype=np.int64).tolist())
 
 
 def load_labels(path):

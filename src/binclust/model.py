@@ -9,10 +9,10 @@ Everything in this module is a pure function of its inputs, apart from the
 mutable :class:`ClusterState` a sampler run owns.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
 # Option sentinel for "open a brand-new cluster" in APIs that otherwise take
 # an integer cluster index.  A string, not -1, so it can never collide with
@@ -86,8 +86,14 @@ class Hyperparams:
             raise ValueError("Beta shape parameters must be finite")
         if not alpha > 0:
             raise ValueError("alpha must be strictly positive")
-        if not np.isfinite(alpha):
-            raise ValueError("alpha must be finite")
+        # joint_log_score subtracts log Gamma(alpha) from log Gamma(N + alpha):
+        # past ~2.5e305 both overflow and the score would be inf - inf = NaN.
+        try:
+            finite = math.isfinite(math.lgamma(alpha))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"alpha must be finite, with a finite log-gamma (below about 2.5e305), got {alpha}")
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -424,6 +430,10 @@ def joint_log_score(state, data, hyper):
     partitions of the same data, which is what makes it usable both as an
     annealing monitor and as an exhaustive-search oracle.
     """
+    # Imported here, not at module level: this is the only user of scipy.special,
+    # and importing it costs every process a quarter of a second.
+    from scipy.special import betaln, gammaln
+
     if state.sizes.sum() != data.n_objects:
         raise ValueError("state must cover every object")
     _check_width(hyper, data)

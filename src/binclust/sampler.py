@@ -40,14 +40,30 @@ class AnnealingSchedule:
         self.n_sweeps = int(self.n_sweeps)
         if not self.t_init > 0:
             raise ValueError("t_init must be strictly positive")
+        if not np.isfinite(self.t_init):
+            raise ValueError("t_init must be finite")
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lam must lie strictly between 0 and 1")
         if self.block < 1:
             raise ValueError("block must be a positive integer")
         if self.n_sweeps < 1:
             raise ValueError("n_sweeps must be a positive integer")
-        if not self.t_init * self.lam ** (self.n_sweeps // self.block) > 0:
+        if not min(self._temperatures()) > 0:
             raise ValueError("the schedule cools to a temperature of 0: raise t_init or lam, or lower n_sweeps/block")
+
+    def _temperatures(self):
+        """Yield the temperature after each sweep's cooling step, one per sweep.
+
+        Sweep s (from 1) runs at the value yielded for sweep s - 1, the first
+        at ``t_init``.  The one place the cooling is computed: :func:`run`
+        sweeps at these values and the refusal of a schedule that cools to 0
+        checks them, so the two round alike even at subnormal temperatures.
+        """
+        temperature = self.t_init
+        for sweep in range(1, self.n_sweeps + 1):
+            if sweep % self.block == 0:
+                temperature *= self.lam
+            yield temperature
 
 
 @dataclass
@@ -67,10 +83,11 @@ def init_state(data, k_init, rng):
     """Assign each object uniformly at random to one of ``k_init`` labels.
 
     Labels that end up empty are compacted away, so the returned state may
-    hold fewer than ``k_init`` clusters.
+    hold fewer than ``k_init`` clusters.  A ``k_init`` above the number of
+    objects is valid; its state always holds fewer.
     """
-    if not 1 <= k_init <= data.n_objects:
-        raise ValueError(f"k_init must lie in [1, {data.n_objects}], got {k_init}")
+    if not k_init >= 1:
+        raise ValueError(f"k_init must be at least 1, got {k_init}")
     labels = rng.integers(0, k_init, size=data.n_objects)
     return ClusterState.from_assignments(data, labels)
 
@@ -144,13 +161,12 @@ def run(data, hyper=None, schedule=None, k_init=10, seed=0):
     k_trace = np.empty(m, dtype=np.int64)
     temp_trace = np.empty(m, dtype=np.float64)
     temperature = schedule.t_init
-    for sweep in range(1, m + 1):
+    for sweep, cooled in enumerate(schedule._temperatures()):
         gibbs_sweep(state, data, hyper, temperature, rng)
-        if sweep % schedule.block == 0:
-            temperature *= schedule.lam
-        score_trace[sweep - 1] = joint_log_score(state, data, hyper)
-        k_trace[sweep - 1] = state.n_clusters
-        temp_trace[sweep - 1] = temperature
+        temperature = cooled
+        score_trace[sweep] = joint_log_score(state, data, hyper)
+        k_trace[sweep] = state.n_clusters
+        temp_trace[sweep] = temperature
     # The report JSON's run record, in its exact shape.
     config_echo = {
         "hyperparams": {

@@ -1,6 +1,10 @@
 """Command-line surface: subcommands, pipelines, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,15 @@ from binclust import baselines
 from binclust.cli import cli_main
 from binclust.evaluate import matched_accuracy
 from binclust.io import load_dense, load_labels, load_report
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(*argv, timeout):
+    """Run ``python argv`` in a fresh process with the package on its path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def _run(capsys, *argv):
@@ -40,6 +53,16 @@ class TestGenerate:
         )
         assert code == 2
         assert "k_true" in err
+
+    def test_as_many_clusters_as_objects_returns(self, tmp_path):
+        # A fresh process, so a generator that never returns fails on the timeout.
+        out, labels_out = tmp_path / "g.csv", tmp_path / "g.txt"
+        done = _python(
+            "-m", "binclust", "generate", "--n", "30", "--d", "5", "--sd", "10", "--sn", "1",
+            "--k-true", "30", "--out", str(out), "--labels-out", str(labels_out), timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        assert sorted(load_labels(labels_out).tolist()) == list(range(30))
 
 
 class TestClusterEvaluatePipeline:
@@ -126,6 +149,9 @@ class TestClusterEvaluatePipeline:
         [
             (("--alpha", "inf"), "alpha must be finite"),
             (("--t-init", "1", "--lambda", "0.01", "--block", "1", "--sweeps", "200"), "cools to a temperature of 0"),
+            (("--t-init", "1.5e-323", "--lambda", "0.45", "--block", "2", "--sweeps", "5"), "cools to a temperature of 0"),
+            (("--t-init", "inf"), "t_init must be finite"),
+            (("--alpha", "1e307"), "alpha must be finite"),
         ],
     )
     def test_invalid_run_settings_exit_2_before_sweeping(self, tmp_path, capsys, flags, message):
@@ -138,6 +164,17 @@ class TestClusterEvaluatePipeline:
         assert code == 2
         assert message in err
         assert not report_path.exists()
+
+    @pytest.mark.parametrize("text", ["0,1,1,0,1\n", "1\n0\n1\n1\n0\n"], ids=["1x5", "5x1"])
+    def test_fewer_rows_than_stock_k_init_cluster_at_stock_defaults(self, tmp_path, capsys, text):
+        data_path = tmp_path / "data.csv"
+        data_path.write_text(text)
+        report_path = tmp_path / "report.json"
+        code, _, err = _run(capsys, "cluster", "--in", str(data_path), "--report", str(report_path))
+        assert code == 0, err
+        report = load_report(report_path)
+        assert len(report["assignments"]) == text.count("\n")
+        assert report["k_init"] == 10
 
     def test_sparse_input_autodetected(self, tmp_path, capsys):
         sparse_path = tmp_path / "data.sparse"
@@ -204,6 +241,14 @@ class TestClusterEvaluatePipeline:
         )
         assert code == 2
         assert err.strip() != ""
+
+
+def test_importing_the_cli_loads_no_scipy_module_it_does_not_call():
+    done = _python("-c", "import json, sys, binclust.cli; print(json.dumps(sorted(sys.modules)))", timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert "scipy.optimize" not in loaded
+    assert "scipy.special" not in loaded
 
 
 class TestUsageErrors:

@@ -18,6 +18,9 @@ class TestSyntheticSpec:
             {"n_objects": 5, "n_features": 5, "info_pct": 10, "noise_pct": -1},
             {"n_objects": 5, "n_features": 5, "info_pct": 10, "noise_pct": 0, "k_true": 6},
             {"n_objects": 5, "n_features": 5, "info_pct": 10, "noise_pct": 0, "k_true": 0},
+            {"n_objects": 5.0, "n_features": 5, "info_pct": 10, "noise_pct": 0},
+            {"n_objects": 5, "n_features": 2.5, "info_pct": 10, "noise_pct": 0},
+            {"n_objects": 5, "n_features": 5, "info_pct": 10, "noise_pct": 1, "k_true": 2.5},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -68,6 +71,14 @@ class TestGenerate:
             spec = SyntheticSpec(n_objects=12, n_features=6, info_pct=30, noise_pct=5, k_true=5, seed=seed)
             _, labels = generate(spec)
             assert set(labels.tolist()) == set(range(5))
+
+    def test_as_many_clusters_as_objects(self):
+        # One uniform draw covers all 30 clusters with probability 30!/30**30,
+        # so this takes the seat-one-row-per-cluster fallback.
+        spec = SyntheticSpec(n_objects=30, n_features=5, info_pct=10, noise_pct=1, k_true=30, seed=0)
+        data, labels = generate(spec)
+        assert sorted(labels.tolist()) == list(range(30))
+        assert data.n_objects == 30
 
     def test_single_cluster(self):
         spec = SyntheticSpec(n_objects=6, n_features=10, info_pct=50, noise_pct=0, k_true=1, seed=0)

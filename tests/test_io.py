@@ -17,6 +17,7 @@ from binclust.io import (
     load_sparse,
     percentile_binarize,
     report_to_dict,
+    save_csv_matrix,
     save_dense,
     save_labels,
     save_report,
@@ -175,6 +176,53 @@ class TestLabelsFormat:
         path.write_text("0\nx\n")
         with pytest.raises(DataFormatError):
             load_labels(path)
+
+
+_WRITER_SHAPES = [(1, 1), (1, 7), (6, 1), (23, 17)]
+
+
+class TestWriterBytes:
+    """Each writer's exact bytes against a plain per-cell formatting of the same values."""
+
+    @pytest.mark.parametrize("shape", _WRITER_SHAPES)
+    def test_dense(self, tmp_path, shape):
+        values = np.random.default_rng(shape[1]).integers(0, 2, size=shape).astype(np.uint8)
+        path = tmp_path / "m.csv"
+        save_dense(path, BinaryMatrix(values))
+        assert path.read_text() == "".join(",".join(str(v) for v in row) + "\n" for row in values)
+
+    @pytest.mark.parametrize("shape", _WRITER_SHAPES)
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.float32])
+    def test_csv_matrix(self, tmp_path, shape, dtype):
+        rng = np.random.default_rng(shape[0])
+        if dtype is np.int64:
+            table = rng.integers(-(2**62), 2**62, size=shape) // rng.integers(1, 2**40, size=shape)
+            cell = str
+        else:
+            table = (rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape)).astype(dtype)
+            table.flat[0] = 0.1  # not exact in either float type
+
+            def cell(v):
+                return repr(float(v))
+
+        path = tmp_path / "t.csv"
+        save_csv_matrix(path, table)
+        assert path.read_text() == "".join(",".join(cell(v) for v in row) + "\n" for row in table)
+
+    @pytest.mark.parametrize("shape", _WRITER_SHAPES)
+    def test_sparse(self, tmp_path, shape):
+        values = np.random.default_rng(shape[1]).integers(0, 2, size=shape).astype(np.uint8)
+        path = tmp_path / "m.sparse"
+        save_sparse(path, BinaryMatrix(values))
+        pairs = [f"{i} {j}\n" for i in range(shape[0]) for j in range(shape[1]) if values[i, j]]
+        assert path.read_text() == f"{shape[0]} {shape[1]}\n" + "".join(pairs)
+
+    @pytest.mark.parametrize("n", [1, 6, 250])
+    def test_labels(self, tmp_path, n):
+        labels = np.random.default_rng(n).integers(0, 2**62, size=n)
+        path = tmp_path / "labels.txt"
+        save_labels(path, labels)
+        assert path.read_text() == "".join(f"{int(v)}\n" for v in labels)
 
 
 class TestReportFormat:

@@ -90,6 +90,17 @@ class TestHyperparams:
         with pytest.raises(ValueError, match="alpha must be finite"):
             Hyperparams(a=np.ones(2), b=np.ones(2), alpha=np.inf)
 
+    def test_rejects_alpha_whose_log_gamma_overflows(self):
+        # log Gamma(1e307) overflows, and the partition score would be inf - inf.
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            Hyperparams(a=np.ones(2), b=np.ones(2), alpha=1e307)
+
+    def test_largest_alpha_scores_finite(self):
+        data = BinaryMatrix(np.eye(4, dtype=np.uint8))
+        hyper = default_hyperparams(data, alpha=2.5e305)
+        state = ClusterState.from_assignments(data, np.array([0, 0, 1, 2]))
+        assert np.isfinite(joint_log_score(state, data, hyper))
+
     def test_is_immutable_and_leaves_the_callers_arrays_writable(self):
         a = np.ones(3)
         hyper = Hyperparams(a=a, b=np.ones(3), alpha=1.0)

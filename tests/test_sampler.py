@@ -51,6 +51,10 @@ class TestAnnealingSchedule:
             {"n_sweeps": 0},
             # cools to t_init * lam**200 == 0.0 before the last sweep
             {"t_init": 1.0, "lam": 0.01, "block": 1, "n_sweeps": 200},
+            # t_init * lam**2 rounds to the least subnormal, but cooling one
+            # step at a time, as the run does, reaches 0 after the fourth sweep
+            {"t_init": 1.5e-323, "lam": 0.45, "block": 2, "n_sweeps": 5},
+            {"t_init": np.inf},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -82,11 +86,18 @@ class TestInitState:
             state = init_state(data, 5, np.random.default_rng(seed))
             state.check_consistency(data)
 
-    @pytest.mark.parametrize("k_init", [0, -1, 13])
+    @pytest.mark.parametrize("k_init", [0, -1])
     def test_rejects_out_of_range(self, k_init):
         data = _two_block_data()  # 12 objects
         with pytest.raises(ValueError):
             init_state(data, k_init, np.random.default_rng(0))
+
+    def test_more_labels_than_objects_give_a_compact_state(self):
+        data = _two_block_data()  # 12 objects
+        state = init_state(data, 13, np.random.default_rng(0))
+        state.check_consistency(data)
+        assert 1 <= state.n_clusters <= data.n_objects
+        assert sorted(set(state.assignments.tolist())) == list(range(state.n_clusters))
 
 
 class TestRemoveInsert:
