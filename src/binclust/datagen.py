@@ -73,9 +73,12 @@ def generate(spec):
         labels[rng.permutation(n)[: spec.k_true]] = np.arange(spec.k_true)
     x = np.zeros((n, d), dtype=np.uint8)
     n_signal = math.ceil(spec.info_pct * d / 100.0)
-    for k in range(spec.k_true):
+    # Each cluster's rows from one stable sort of the labels, not a mask over
+    # all N rows per cluster; every cluster is non-empty by now.
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    for rows in members:
         cols = rng.choice(d, size=n_signal, replace=False)
-        x[np.ix_(labels == k, cols)] = 1
+        x[np.ix_(rows, cols)] = 1
     n_flips = math.floor(spec.noise_pct * n * d / 100.0)
     flips = rng.choice(n * d, size=n_flips, replace=False)
     flat = x.reshape(-1)

@@ -120,13 +120,17 @@ class ClusterState:
     :func:`assignment_distribution` scores it with, for the ``Hyperparams``
     they were last computed under.  Change the statistics only through
     :func:`~binclust.sampler.remove_object` and
-    :func:`~binclust.sampler.insert_object`: they mark the rows they touch
-    for recomputation, and an edit made any other way leaves a stale cache
-    behind (which :meth:`check_consistency` reports).
+    :func:`~binclust.sampler.insert_object`: they update or mark for
+    recomputation the rows they touch, and an edit made any other way leaves
+    a stale cache behind (which :meth:`check_consistency` reports).
+
+    The state's first visit chooses how its visits run, for the state's
+    life: in the compiled kernel of :mod:`binclust._kernel` where it can be
+    built, otherwise in numpy.
     """
 
     def __init__(self, assignments, sizes, feature_counts):
-        self.assignments = np.asarray(assignments, dtype=np.int64)
+        self.assignments = np.ascontiguousarray(assignments, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
         counts = np.asarray(feature_counts, dtype=np.int64)
         if sizes.ndim != 1 or counts.ndim != 2 or counts.shape[0] != sizes.shape[0]:
@@ -145,6 +149,14 @@ class ClusterState:
         self._log_absent = np.zeros((k + 2, d), dtype=np.float64)
         self._log_denom = np.zeros(k + 2, dtype=np.float64)
         self._stale = np.ones(k + 2, dtype=bool)
+        # The compiled kernel bound to these arrays, a _kernel.Visit; False on
+        # the numpy path, None until the first visit chooses.
+        self._visit = None
+
+    def __getstate__(self):
+        # A copy binds a kernel of its own at its first visit: this one holds
+        # the addresses of this state's arrays.
+        return {**self.__dict__, "_visit": None}
 
     @property
     def sizes(self):
@@ -175,18 +187,38 @@ class ClusterState:
     def _row_buffers(self):
         return (self._sizes, self._counts, self._log_present, self._log_absent, self._log_denom, self._stale)
 
-    def _detach(self, i, row):
-        """Take object ``i`` with feature row ``row`` out of its cluster; return the old label.
+    def _visit_kernel(self):
+        """This state's compiled visit kernel, or None on the numpy path.
+
+        Chosen at the first visit and kept, so one state's cache is always
+        computed the same way.
+        """
+        if self._visit is None:
+            from . import _kernel
+
+            lib = _kernel.library()
+            self._visit = False if lib is None else _kernel.Visit(lib, self)
+        return self._visit or None
+
+    def _detach(self, i, values):
+        """Take object ``i`` of the {0,1} matrix ``values`` out of its cluster; return the old label.
 
         A cluster left empty is deleted: rows above it, the zero row
         included, shift down one place with their cached log terms, and
         labels above it drop by one.
         """
         k = int(self.assignments[i])
-        self._sizes[k] -= 1
-        self._counts[k] -= row
-        self.assignments[i] = UNASSIGNED
-        self._stale[k] = True
+        # A label outside 0..K-1 would send the update past the live rows.
+        if not 0 <= k < self._k:
+            raise ValueError(f"object {i} carries label {k}, outside 0..{self._k - 1}")
+        visit = self._visit_kernel()
+        if visit:
+            visit.detach(i, k, values)
+        else:
+            self._sizes[k] -= 1
+            self._counts[k] -= values[i]
+            self.assignments[i] = UNASSIGNED
+            self._stale[k] = True
         if self._sizes[k] == 0:
             top = self._k
             for buf in self._row_buffers():
@@ -195,17 +227,21 @@ class ClusterState:
             self.assignments[self.assignments > k] -= 1
         return k
 
-    def _attach(self, i, k, row):
-        """Put detached object ``i`` with feature row ``row`` into cluster ``k``;
+    def _attach(self, i, k, values):
+        """Put detached object ``i`` of the {0,1} matrix ``values`` into cluster ``k``;
         ``k == n_clusters`` fills the zero row, opening a new cluster."""
         if k == self._k:
             if k + 2 > self._sizes.shape[0]:
                 self._grow()
             self._k = k + 1
-        self._sizes[k] += 1
-        self._counts[k] += row
-        self.assignments[i] = k
-        self._stale[k] = True
+        visit = self._visit_kernel()
+        if visit:
+            visit.attach(i, k, values)
+        else:
+            self._sizes[k] += 1
+            self._counts[k] += values[i]
+            self.assignments[i] = k
+            self._stale[k] = True
 
     def _grow(self):
         """Double the row capacity; the new rows are zero and their cache stale."""
@@ -217,13 +253,20 @@ class ClusterState:
             grown.append(new)
         self._sizes, self._counts, self._log_present, self._log_absent, self._log_denom, self._stale = grown
         self._stale[old:] = True
+        if self._visit:
+            self._visit.bind_buffers(self)
 
-    def _log_terms(self, hyper, data):
-        """Cached log terms of rows 0..K under ``hyper``, stale rows recomputed first."""
+    def _use(self, hyper, data):
+        """Cache log terms under ``hyper`` from now on; a new one marks every row stale."""
         if hyper is not self._hyper:
             _check_width(hyper, data)
             self._hyper = hyper
             self._stale[:] = True
+            if self._visit:
+                self._visit.bind_hyper(hyper)
+
+    def _log_terms(self):
+        """Cached log terms of rows 0..K, stale rows recomputed first (the numpy path)."""
         top = self._k + 1
         stale = np.flatnonzero(self._stale[:top])
         if stale.size:
@@ -231,7 +274,7 @@ class ClusterState:
                 self._log_present[stale],
                 self._log_absent[stale],
                 self._log_denom[stale],
-            ) = _cluster_log_terms(self._sizes[stale], self._counts[stale], hyper)
+            ) = _cluster_log_terms(self._sizes[stale], self._counts[stale], self._hyper)
             self._stale[:top] = False
         return self._log_present[:top], self._log_absent[:top], self._log_denom[:top]
 
@@ -257,8 +300,12 @@ class ClusterState:
         if self._sizes[self._k :].any() or self._counts[self._k :].any():
             raise ValueError("statistics rows from n_clusters up must be zero")
         if self._hyper is not None:
+            # Each path is held to its own from-scratch recomputation.
             fresh = np.flatnonzero(~self._stale)
-            expected = _cluster_log_terms(self._sizes[fresh], self._counts[fresh], self._hyper)
+            if self._visit:
+                expected = self._visit.row_terms(fresh)
+            else:
+                expected = _cluster_log_terms(self._sizes[fresh], self._counts[fresh], self._hyper)
             cached = (self._log_present[fresh], self._log_absent[fresh], self._log_denom[fresh])
             if not all(np.array_equal(c, e) for c, e in zip(cached, expected)):
                 raise ValueError("cached log terms disagree with a recomputation from the statistics")
@@ -313,6 +360,14 @@ def _cluster_log_terms(sizes, counts, hyper):
         np.log(hyper.b + (sizes[:, None] - counts)),
         np.log(hyper.a + hyper.b + sizes[:, None]).sum(axis=1),
     )
+
+
+def _check_object(i, state):
+    """``i`` as an int, refused unless it is an integer object index in [0, N)."""
+    n = state.assignments.shape[0]
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < n:
+        raise ValueError(f"object index must be an integer in [0, {n}), got {i!r}")
+    return int(i)
 
 
 def _check_width(hyper, data):
@@ -396,17 +451,23 @@ def assignment_distribution(i, state, data, hyper, temperature):
     the highest predictive likelihood.  The likelihoods are shifted by
     their maximum before the division by T, so the best option stays
     finite at any T > 0, and the weights are normalized after a second
-    max-shift so the result always sums to one.
+    max-shift so the result always sums to one.  Where it can be built, the
+    compiled kernel of :mod:`binclust._kernel` takes the same steps.
     """
     if not temperature > 0:
         raise ValueError("temperature must be strictly positive")
+    i = _check_object(i, state)
     if state.assignments[i] != UNASSIGNED:
         raise ValueError(f"object {i} must be detached from the state first")
     if state.sizes.sum() != data.n_objects - 1:
         raise ValueError("state statistics must cover exactly the other n - 1 objects")
+    visit = state._visit_kernel()
+    state._use(hyper, data)
+    if visit:
+        return visit.distribution(i, state.n_clusters + 1, temperature, data.values)
     # Rows 0..K-1 are the existing clusters and row K, all-zero, the new one;
     # the same sum as ``_log_predictives``, with the logs taken from the cache.
-    present, absent, denom = state._log_terms(hyper, data)
+    present, absent, denom = state._log_terms()
     loglik = np.where(data.values[i] == 1, present, absent).sum(axis=1) - denom
     loglik -= loglik.max()
     # At a cold T a worse option's shifted likelihood overflows to -inf,

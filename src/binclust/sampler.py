@@ -16,6 +16,7 @@ from .model import (
     NEW_CLUSTER,
     UNASSIGNED,
     ClusterState,
+    _check_object,
     _check_width,
     assignment_distribution,
     default_hyperparams,
@@ -98,9 +99,10 @@ def remove_object(state, i, data):
     If the source cluster becomes empty it is deleted and the labels above
     it shift down by one, keeping the label set compact.
     """
+    i = _check_object(i, state)
     if state.assignments[i] == UNASSIGNED:
         raise ValueError(f"object {i} is already detached")
-    return state._detach(i, data.values[i])
+    return state._detach(i, data.values)
 
 
 def insert_object(state, i, option, data):
@@ -109,6 +111,7 @@ def insert_object(state, i, option, data):
     ``option`` is an existing cluster index or ``NEW_CLUSTER``; a new cluster
     takes the next free label (the current cluster count).
     """
+    i = _check_object(i, state)
     if state.assignments[i] != UNASSIGNED:
         raise ValueError(f"object {i} is already assigned")
     if isinstance(option, str):
@@ -119,7 +122,7 @@ def insert_object(state, i, option, data):
         k = int(option)
         if not 0 <= k < state.n_clusters:
             raise ValueError(f"cluster index {k} out of range")
-    state._attach(i, k, data.values[i])
+    state._attach(i, k, data.values)
     return state
 
 

@@ -85,3 +85,36 @@ class TestGenerate:
         data, labels = generate(spec)
         assert set(labels.tolist()) == {0}
         assert (data.values == data.values[0]).all()
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 4, 50, 0, 1), (40, 25, 20, 10, 4), (30, 5, 10, 1, 30), (200, 60, 10, 20, 5), (500, 3, 34, 5, 500)],
+    )
+    def test_planting_equals_one_mask_per_cluster(self, shape):
+        n, d, info, noise, k_true = shape
+        for seed in range(3):
+            spec = SyntheticSpec(n, d, info, noise, k_true=k_true, seed=seed)
+            data, labels = generate(spec)
+            want_data, want_labels = _generate_by_masks(spec)
+            assert np.array_equal(labels, want_labels)
+            assert np.array_equal(data.values, want_data)
+
+
+def _generate_by_masks(spec):
+    """The generator with each cluster's rows found by a mask over all N rows."""
+    rng = np.random.default_rng(spec.seed)
+    n, d = spec.n_objects, spec.n_features
+    for _ in range(100):
+        labels = rng.integers(0, spec.k_true, size=n)
+        if np.bincount(labels, minlength=spec.k_true).all():
+            break
+    else:
+        labels[rng.permutation(n)[: spec.k_true]] = np.arange(spec.k_true)
+    x = np.zeros((n, d), dtype=np.uint8)
+    n_signal = math.ceil(spec.info_pct * d / 100.0)
+    for k in range(spec.k_true):
+        cols = rng.choice(d, size=n_signal, replace=False)
+        x[np.ix_(labels == k, cols)] = 1
+    flips = rng.choice(n * d, size=math.floor(spec.noise_pct * n * d / 100.0), replace=False)
+    x.reshape(-1)[flips] ^= 1
+    return x, labels

@@ -31,6 +31,7 @@ from _oracles import (
     predictive_by_quadrature,
     seating_weights_by_raw_beta,
 )
+from _paths import PATHS, visit_path
 
 
 def _uniform_hyper(d, alpha=1.0):
@@ -335,13 +336,15 @@ class TestAssignmentDistribution:
         alpha = example.draw(st.floats(1e-3, 10.0))
         temperature = max(math.exp(example.draw(st.floats(math.log(5e-324), math.log(1e3)))), 5e-324)
         data = BinaryMatrix(values)
-        state = ClusterState.from_assignments(data, labels)
-        remove_object(state, i, data)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            probs = assignment_distribution(i, state, data, default_hyperparams(data, alpha), temperature)
-        assert np.isfinite(probs).all()
-        assert abs(probs.sum() - 1.0) < 1e-12
+        for path in PATHS:
+            with visit_path(path):
+                state = ClusterState.from_assignments(data, labels)
+                remove_object(state, i, data)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    probs = assignment_distribution(i, state, data, default_hyperparams(data, alpha), temperature)
+            assert np.isfinite(probs).all()
+            assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_rejects_nonpositive_temperature(self):
         data = BinaryMatrix([[1], [0]])
@@ -361,6 +364,16 @@ class TestAssignmentDistribution:
         state = _detached_state(data, [0, 1, 1], 2)
         with pytest.raises(ValueError, match=f"hyperparameters cover {width} features, the data has 4"):
             assignment_distribution(2, state, data, _uniform_hyper(width), temperature=1.0)
+
+    @pytest.mark.parametrize("i", [-1, 3, 2**63, 1.0, np.float64(2), True, "0", None])
+    def test_rejects_an_object_index_that_is_not_an_integer_in_range(self, i):
+        data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
+        for path in PATHS:
+            with visit_path(path):
+                state = _detached_state(data, [0, 1, 0], 2)
+                with pytest.raises(ValueError, match=r"object index must be an integer in \[0, 3\)"):
+                    assignment_distribution(i, state, data, _uniform_hyper(2), temperature=1.0)
+                assert assignment_distribution(np.int64(2), state, data, _uniform_hyper(2), 1.0).shape == (3,)
 
 
 class TestJointLogScore:
@@ -431,14 +444,16 @@ class TestClusterState:
 
     def test_check_consistency_detects_a_corrupted_log_term_cache(self):
         data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
-        state = ClusterState.from_assignments(data, [0, 1, 0])
-        remove_object(state, 2, data)
-        assignment_distribution(2, state, data, _uniform_hyper(2), temperature=1.0)
-        insert_object(state, 2, 0, data)
-        state.check_consistency(data)
-        state._log_present[1, 0] += 1e-9
-        with pytest.raises(ValueError, match="cached log terms"):
+        for path in PATHS:
+            with visit_path(path):
+                state = ClusterState.from_assignments(data, [0, 1, 0])
+                remove_object(state, 2, data)
+                assignment_distribution(2, state, data, _uniform_hyper(2), temperature=1.0)
+                insert_object(state, 2, 0, data)
             state.check_consistency(data)
+            state._log_present[1, 0] += 1e-9
+            with pytest.raises(ValueError, match="cached log terms"):
+                state.check_consistency(data)
 
     def test_check_consistency_detects_counts_beyond_the_last_cluster(self):
         data = BinaryMatrix([[1, 0], [0, 1]])
@@ -508,51 +523,77 @@ def _distribution_by_plain_formula(i, state, data, hyper, temperature):
     return probs
 
 
-class TestLogTermCache:
-    @pytest.mark.parametrize(
-        "shape, n_labels, built_by, n_steps",
-        [
-            ((14, 5), 3, "from_assignments", 60),
-            ((14, 5), 2, "constructor", 60),
-            ((9, 1), 3, "from_assignments", 40),
-            ((1, 6), 1, "constructor", 40),
-        ],
+def _walk_the_cache(shape, n_labels, built_by, n_steps, check):
+    """Random detach/score/attach steps under two alternating hyperparameter
+    objects; ``check(fast, i, state, data, hyper, temperature)`` judges each
+    distribution the state's cache scores."""
+    rng = np.random.default_rng([*shape, n_labels])
+    data = BinaryMatrix(rng.integers(0, 2, size=shape).astype(np.uint8))
+    labels = rng.integers(0, n_labels, size=shape[0])
+    if built_by == "constructor":
+        counted = ClusterState.from_assignments(data, labels)
+        state = ClusterState(counted.assignments.copy(), counted.sizes.copy(), counted.feature_counts.copy())
+    else:
+        state = ClusterState.from_assignments(data, labels)
+    # Two objects of one width, switched every few steps on the same state.
+    hypers = (
+        default_hyperparams(data, alpha=0.7),
+        Hyperparams(a=rng.random(shape[1]) + 0.1, b=np.full(shape[1], 2.5), alpha=3.0),
     )
-    def test_cached_distribution_equals_the_plain_formula(self, shape, n_labels, built_by, n_steps):
-        rng = np.random.default_rng([*shape, n_labels])
-        data = BinaryMatrix(rng.integers(0, 2, size=shape).astype(np.uint8))
-        labels = rng.integers(0, n_labels, size=shape[0])
-        if built_by == "constructor":
-            counted = ClusterState.from_assignments(data, labels)
-            state = ClusterState(counted.assignments.copy(), counted.sizes.copy(), counted.feature_counts.copy())
+    capacity = state._sizes.shape[0]
+    births = deaths = 0
+    for step in range(n_steps):
+        hyper = hypers[(step // 4) % 2]
+        i = int(rng.integers(shape[0]))
+        k_before = state.n_clusters
+        remove_object(state, i, data)
+        deaths += state.n_clusters < k_before
+        for temperature in (1.0, 0.3, 1e-300):
+            check(assignment_distribution(i, state, data, hyper, temperature), i, state, data, hyper, temperature)
+        state.check_consistency(data)
+        # Births often enough to outgrow the initial capacity.
+        if state.n_clusters == 0 or rng.random() < 0.35:
+            insert_object(state, i, NEW_CLUSTER, data)
+            births += 1
         else:
-            state = ClusterState.from_assignments(data, labels)
-        # Two objects of one width, switched every few steps on the same state.
-        hypers = (
-            default_hyperparams(data, alpha=0.7),
-            Hyperparams(a=rng.random(shape[1]) + 0.1, b=np.full(shape[1], 2.5), alpha=3.0),
-        )
-        capacity = state._sizes.shape[0]
-        births = deaths = 0
-        for step in range(n_steps):
-            hyper = hypers[(step // 4) % 2]
-            i = int(rng.integers(shape[0]))
-            k_before = state.n_clusters
-            remove_object(state, i, data)
-            deaths += state.n_clusters < k_before
-            for temperature in (1.0, 0.3, 1e-300):
-                fast = assignment_distribution(i, state, data, hyper, temperature)
-                plain = _distribution_by_plain_formula(i, state, data, hyper, temperature)
-                assert np.array_equal(fast, plain)
-            state.check_consistency(data)
-            # Births often enough to outgrow the initial capacity.
-            if state.n_clusters == 0 or rng.random() < 0.35:
-                insert_object(state, i, NEW_CLUSTER, data)
-                births += 1
-            else:
-                insert_object(state, i, int(rng.integers(state.n_clusters)), data)
-            state.check_consistency(data)
-        assert births > 0
-        assert deaths > 0
-        if shape[0] > 1:  # one object never needs a second cluster
-            assert state._sizes.shape[0] > capacity
+            insert_object(state, i, int(rng.integers(state.n_clusters)), data)
+        state.check_consistency(data)
+    assert births > 0
+    assert deaths > 0
+    if shape[0] > 1:  # one object never needs a second cluster
+        assert state._sizes.shape[0] > capacity
+
+
+_WALKS = pytest.mark.parametrize(
+    "shape, n_labels, built_by, n_steps",
+    [
+        ((14, 5), 3, "from_assignments", 60),
+        ((14, 5), 2, "constructor", 60),
+        ((9, 1), 3, "from_assignments", 40),
+        ((1, 6), 1, "constructor", 40),
+    ],
+)
+
+
+class TestLogTermCache:
+    @_WALKS
+    def test_cached_distribution_equals_the_plain_formula(self, shape, n_labels, built_by, n_steps):
+        def check(fast, i, state, data, hyper, temperature):
+            assert np.array_equal(fast, _distribution_by_plain_formula(i, state, data, hyper, temperature))
+
+        with visit_path("numpy"):
+            _walk_the_cache(shape, n_labels, built_by, n_steps, check)
+
+    @_WALKS
+    def test_compiled_cache_equals_its_own_recomputation(self, shape, n_labels, built_by, n_steps):
+        # Exact against the kernel's own from-scratch rows; against numpy only
+        # up to libm's log and exp, which can differ from numpy's in the last bit.
+        def check(fast, i, state, data, hyper, temperature):
+            top = np.arange(state.n_clusters + 1)
+            cached = (state._log_present[top], state._log_absent[top], state._log_denom[top])
+            assert all(np.array_equal(c, e) for c, e in zip(cached, state._visit.row_terms(top)))
+            plain = _distribution_by_plain_formula(i, state, data, hyper, temperature)
+            np.testing.assert_allclose(fast, plain, rtol=1e-12, atol=0)
+
+        with visit_path("compiled"):
+            _walk_the_cache(shape, n_labels, built_by, n_steps, check)

@@ -26,6 +26,7 @@ from binclust.sampler import (
 )
 
 from _oracles import canonical_labels
+from _paths import PATHS, visit_path
 
 
 def _two_block_data(block=6, d=8):
@@ -165,6 +166,50 @@ class TestRemoveInsert:
             insert_object(state, 0, 5, data)
         with pytest.raises(ValueError):
             insert_object(state, 0, "fresh", data)
+
+    @pytest.mark.parametrize("i", [-1, 3, -4, 2**63, 1.0, True, "1", None])
+    def test_rejects_an_object_index_that_is_not_an_integer_in_range(self, i):
+        data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
+        for path in PATHS:
+            with visit_path(path):
+                state = ClusterState.from_assignments(data, [0, 1, 0])
+                message = r"object index must be an integer in \[0, 3\)"
+                with pytest.raises(ValueError, match=message):
+                    remove_object(state, i, data)
+                assert np.array_equal(state.assignments, [0, 1, 0])
+                remove_object(state, np.int64(2), data)
+                with pytest.raises(ValueError, match=message):
+                    insert_object(state, i, 0, data)
+                insert_object(state, np.int64(2), 0, data)
+                state.check_consistency(data)
+
+    def test_rejects_a_label_beyond_the_last_cluster_before_touching_a_row(self):
+        data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
+        for path in PATHS:
+            with visit_path(path):
+                state = ClusterState.from_assignments(data, [0, 1, 0])
+                state.assignments[2] = 2
+                with pytest.raises(ValueError, match=r"object 2 carries label 2, outside 0\.\.1"):
+                    remove_object(state, 2, data)
+                assert np.array_equal(state._sizes, [2, 1, 0, 0])
+                assert not state._counts[2:].any()
+
+    def test_a_deep_copy_visits_its_own_arrays(self):
+        data = BinaryMatrix([[1, 0], [0, 1], [1, 1], [1, 0]])
+        hyper = default_hyperparams(data)
+        for path in PATHS:
+            with visit_path(path):
+                state = ClusterState.from_assignments(data, [0, 1, 1, 0])
+                gibbs_sweep(state, data, hyper, 1.0, np.random.default_rng(0))
+                twin = copy.deepcopy(state)
+                before = copy.deepcopy(state)
+                remove_object(twin, 3, data)
+                insert_object(twin, 3, NEW_CLUSTER, data)
+                gibbs_sweep(twin, data, hyper, 1.0, np.random.default_rng(1))
+            for name in ("assignments", "_sizes", "_counts", "_log_present", "_log_absent", "_log_denom"):
+                assert np.array_equal(getattr(state, name), getattr(before, name))
+            state.check_consistency(data)
+            twin.check_consistency(data)
 
     def test_random_remove_insert_sequences_keep_invariants(self):
         rng = np.random.default_rng(21)
