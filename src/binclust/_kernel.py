@@ -3,7 +3,8 @@ and its binding to one :class:`~binclust.model.ClusterState`.
 
 A visit of the annealed Gibbs sampler detaches one object, scores every
 cluster option and attaches the object again.  Here those steps run in C
-over the state's own row buffers, one call each, with no copies in or out:
+over the state's own row buffers, one call each, with no copies in or out.
+The log-term cache is this kernel's alone; the numpy path keeps none.
 
 - Detach and attach update the size, the feature counts and the cached log
   terms of the one row they touch.  Adding or removing an object changes
@@ -20,8 +21,9 @@ hash covers the source, the flags and the machine type), writing a temporary
 file and renaming it into place; every process loads that file with
 :mod:`ctypes`.  If the build or the load fails, one ``RuntimeWarning`` names
 the error and the numpy code in :mod:`binclust.model` runs instead.  That
-code stays the reference the tests hold this kernel to: libm's ``log`` and
-``exp`` may differ from numpy's in the last bit, every other step is the same.
+code scores with the plain collapsed predictive, the reference the tests hold
+this kernel to: libm's ``log`` and ``exp`` may differ from numpy's in the last
+bit, every other step is the same.
 """
 
 import ctypes

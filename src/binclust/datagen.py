@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BinaryMatrix
+from .model import BinaryMatrix, _is_integer
 
 # Label draws before generate seats one row per cluster instead: 100 take
 # about 0.1 s at N = 100000, and a labeling with a fair chance of covering
@@ -37,7 +37,7 @@ class SyntheticSpec:
     def __post_init__(self):
         for name in ("n_objects", "n_features", "k_true"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_objects < 1 or self.n_features < 1:
             raise ValueError("n_objects and n_features must be positive")

@@ -67,7 +67,7 @@ class Hyperparams:
     is what makes the new-cluster predictive well defined.
 
     Immutable, down to read-only copies of ``a`` and ``b``, and equal only
-    to itself: a :class:`ClusterState` caches log terms per object.
+    to itself: the compiled visit kernel caches log terms per object.
     """
 
     a: np.ndarray
@@ -116,17 +116,18 @@ class ClusterState:
 
     ``sizes`` and ``feature_counts`` are views of the first K rows of row
     buffers with spare capacity; row K is always all-zero, the statistics of
-    a brand-new cluster.  Next to each row the state caches the log terms
-    :func:`assignment_distribution` scores it with, for the ``Hyperparams``
-    they were last computed under.  Change the statistics only through
-    :func:`~binclust.sampler.remove_object` and
-    :func:`~binclust.sampler.insert_object`: they update or mark for
-    recomputation the rows they touch, and an edit made any other way leaves
-    a stale cache behind (which :meth:`check_consistency` reports).
+    a brand-new cluster.  The constructor refuses statistics that disagree
+    with themselves or with the labels' tallies.
 
     The state's first visit chooses how its visits run, for the state's
     life: in the compiled kernel of :mod:`binclust._kernel` where it can be
-    built, otherwise in numpy.
+    built, otherwise in numpy.  The kernel caches, next to each row, the log
+    terms :func:`assignment_distribution` scores it with; the numpy path
+    keeps no cache and scores with the plain formula.  Change the statistics
+    only through :func:`~binclust.sampler.remove_object` and
+    :func:`~binclust.sampler.insert_object`: the kernel updates the rows they
+    touch, and an edit made any other way leaves its cache stale (which
+    :meth:`check_consistency` reports).
     """
 
     def __init__(self, assignments, sizes, feature_counts):
@@ -136,14 +137,22 @@ class ClusterState:
         if sizes.ndim != 1 or counts.ndim != 2 or counts.shape[0] != sizes.shape[0]:
             raise ValueError(f"expected sizes (K,) and feature counts (K, D), got {sizes.shape} and {counts.shape}")
         k, d = counts.shape
+        if (sizes < 1).any():
+            raise ValueError("every cluster size must be at least 1")
+        if (counts < 0).any() or (counts > sizes[:, None]).any():
+            raise ValueError("feature counts must lie in [0, cluster size]")
+        if self.assignments.ndim != 1 or ((self.assignments < UNASSIGNED) | (self.assignments >= k)).any():
+            raise ValueError(f"labels must be 1-d, each {UNASSIGNED} (detached) or in [0, {k})")
+        if not np.array_equal(np.bincount(self.assignments[self.assignments >= 0], minlength=k), sizes):
+            raise ValueError("cluster sizes disagree with the labels' tallies")
         self._k = k
         self._sizes = np.zeros(k + 2, dtype=np.int64)
         self._counts = np.zeros((k + 2, d), dtype=np.int64)
         self._sizes[:k] = sizes
         self._counts[:k] = counts
-        # Log-term cache, one row per buffer row: log(a + c_k), log(b + n_k - c_k)
-        # and sum_j log(a_j + b_j + n_k) under ``_hyper``; ``_stale`` rows are
-        # recomputed before they are read.
+        # The compiled kernel's log-term cache, one row per buffer row:
+        # log(a + c_k), log(b + n_k - c_k) and sum_j log(a_j + b_j + n_k) under
+        # ``_hyper``; ``_stale`` rows are recomputed before they are read.
         self._hyper = None
         self._log_present = np.zeros((k + 2, d), dtype=np.float64)
         self._log_absent = np.zeros((k + 2, d), dtype=np.float64)
@@ -190,7 +199,7 @@ class ClusterState:
     def _visit_kernel(self):
         """This state's compiled visit kernel, or None on the numpy path.
 
-        Chosen at the first visit and kept, so one state's cache is always
+        Chosen at the first visit and kept, so one state's visits are always
         computed the same way.
         """
         if self._visit is None:
@@ -218,7 +227,6 @@ class ClusterState:
             self._sizes[k] -= 1
             self._counts[k] -= values[i]
             self.assignments[i] = UNASSIGNED
-            self._stale[k] = True
         if self._sizes[k] == 0:
             top = self._k
             for buf in self._row_buffers():
@@ -241,7 +249,6 @@ class ClusterState:
             self._sizes[k] += 1
             self._counts[k] += values[i]
             self.assignments[i] = k
-            self._stale[k] = True
 
     def _grow(self):
         """Double the row capacity; the new rows are zero and their cache stale."""
@@ -257,26 +264,13 @@ class ClusterState:
             self._visit.bind_buffers(self)
 
     def _use(self, hyper, data):
-        """Cache log terms under ``hyper`` from now on; a new one marks every row stale."""
+        """Score under ``hyper`` from now on; a new one marks every row of the kernel's cache stale."""
         if hyper is not self._hyper:
             _check_width(hyper, data)
             self._hyper = hyper
             self._stale[:] = True
             if self._visit:
                 self._visit.bind_hyper(hyper)
-
-    def _log_terms(self):
-        """Cached log terms of rows 0..K, stale rows recomputed first (the numpy path)."""
-        top = self._k + 1
-        stale = np.flatnonzero(self._stale[:top])
-        if stale.size:
-            (
-                self._log_present[stale],
-                self._log_absent[stale],
-                self._log_denom[stale],
-            ) = _cluster_log_terms(self._sizes[stale], self._counts[stale], self._hyper)
-            self._stale[:top] = False
-        return self._log_present[:top], self._log_absent[:top], self._log_denom[:top]
 
     def check_consistency(self, data):
         """Verify every invariant against a from-scratch recount; raise on mismatch.
@@ -299,13 +293,10 @@ class ClusterState:
             raise ValueError("feature counts outside [0, cluster size]")
         if self._sizes[self._k :].any() or self._counts[self._k :].any():
             raise ValueError("statistics rows from n_clusters up must be zero")
-        if self._hyper is not None:
-            # Each path is held to its own from-scratch recomputation.
+        if self._visit:
+            # The kernel's cache, held to its own from-scratch recomputation.
             fresh = np.flatnonzero(~self._stale)
-            if self._visit:
-                expected = self._visit.row_terms(fresh)
-            else:
-                expected = _cluster_log_terms(self._sizes[fresh], self._counts[fresh], self._hyper)
+            expected = self._visit.row_terms(fresh)
             cached = (self._log_present[fresh], self._log_absent[fresh], self._log_denom[fresh])
             if not all(np.array_equal(c, e) for c, e in zip(cached, expected)):
                 raise ValueError("cached log terms disagree with a recomputation from the statistics")
@@ -348,26 +339,28 @@ def _log_predictives(x, sizes, counts, hyper):
     return np.log(numer).sum(axis=1) - np.log(hyper.a + hyper.b + sizes[:, None]).sum(axis=1)
 
 
-def _cluster_log_terms(sizes, counts, hyper):
-    """The terms :func:`_log_predictives` takes logs of, per cluster: ``log(a + c_k)``
-    and ``log(b + n_k - c_k)`` (K, D), and ``sum_j log(a_j + b_j + n_k)`` (K,).
+def _is_integer(value):
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
-    Each element is the same number :func:`_log_predictives` computes, so a row
-    scored from these terms is bit-identical to one scored by it.
-    """
-    return (
-        np.log(hyper.a + counts),
-        np.log(hyper.b + (sizes[:, None] - counts)),
-        np.log(hyper.a + hyper.b + sizes[:, None]).sum(axis=1),
-    )
+
+def _check_index(value, n, name):
+    """``value`` as an int, refused unless it is an integer in [0, n)."""
+    if not (_is_integer(value) and 0 <= value < n):
+        raise ValueError(f"{name} must be an integer in [0, {n}), got {value!r}")
+    return int(value)
 
 
 def _check_object(i, state):
-    """``i`` as an int, refused unless it is an integer object index in [0, N)."""
-    n = state.assignments.shape[0]
-    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < n:
-        raise ValueError(f"object index must be an integer in [0, {n}), got {i!r}")
-    return int(i)
+    return _check_index(i, state.assignments.shape[0], "object index")
+
+
+def _check_option(option, n_clusters):
+    """The row a cluster option seats an object in: ``n_clusters`` for ``NEW_CLUSTER``,
+    else the option itself, refused unless it is an integer in [0, n_clusters)."""
+    if isinstance(option, str) and option == NEW_CLUSTER:
+        return n_clusters
+    return _check_index(option, n_clusters, f"a cluster option other than {NEW_CLUSTER!r}")
 
 
 def _check_width(hyper, data):
@@ -425,16 +418,9 @@ def crp_log_prior(option, leave_one_out_sizes, n_total, alpha):
     sizes = np.asarray(leave_one_out_sizes, dtype=np.int64)
     if sizes.sum() != n_total - 1:
         raise ValueError("leave-one-out sizes must sum to n_total - 1")
-    if isinstance(option, str):
-        if option != NEW_CLUSTER:
-            raise ValueError(f"unknown option {option!r}")
-        k = sizes.shape[0]
-    else:
-        k = int(option)
-        if not 0 <= k < sizes.shape[0]:
-            raise ValueError(f"cluster index {k} out of range")
-        if sizes[k] == 0:
-            raise ValueError("an empty cluster must not be offered as an existing option")
+    k = _check_option(option, sizes.shape[0])
+    if k < sizes.shape[0] and sizes[k] == 0:
+        raise ValueError("an empty cluster must not be offered as an existing option")
     return float(_log_seating_weights(sizes, alpha)[k] - np.log(n_total - 1 + alpha))
 
 
@@ -451,8 +437,12 @@ def assignment_distribution(i, state, data, hyper, temperature):
     the highest predictive likelihood.  The likelihoods are shifted by
     their maximum before the division by T, so the best option stays
     finite at any T > 0, and the weights are normalized after a second
-    max-shift so the result always sums to one.  Where it can be built, the
-    compiled kernel of :mod:`binclust._kernel` takes the same steps.
+    max-shift so the result always sums to one.
+
+    The numpy path scores with the plain :func:`_log_predictives`, the
+    reference the tests hold the compiled kernel of :mod:`binclust._kernel`
+    to; where the kernel can be built it takes the same steps from the log
+    terms it caches.
     """
     if not temperature > 0:
         raise ValueError("temperature must be strictly positive")
@@ -465,10 +455,9 @@ def assignment_distribution(i, state, data, hyper, temperature):
     state._use(hyper, data)
     if visit:
         return visit.distribution(i, state.n_clusters + 1, temperature, data.values)
-    # Rows 0..K-1 are the existing clusters and row K, all-zero, the new one;
-    # the same sum as ``_log_predictives``, with the logs taken from the cache.
-    present, absent, denom = state._log_terms()
-    loglik = np.where(data.values[i] == 1, present, absent).sum(axis=1) - denom
+    # Rows 0..K-1 are the existing clusters and row K, all-zero, the new one.
+    top = state.n_clusters + 1
+    loglik = _log_predictives(data.values[i], state._sizes[:top], state._counts[:top], hyper)
     loglik -= loglik.max()
     # At a cold T a worse option's shifted likelihood overflows to -inf,
     # which is its exact weight of zero.

@@ -17,7 +17,9 @@ from .model import (
     UNASSIGNED,
     ClusterState,
     _check_object,
+    _check_option,
     _check_width,
+    _is_integer,
     assignment_distribution,
     default_hyperparams,
     joint_log_score,
@@ -35,20 +37,19 @@ class AnnealingSchedule:
     n_sweeps: int = 200
 
     def __post_init__(self):
+        for name in ("block", "n_sweeps"):
+            value = getattr(self, name)
+            if not (_is_integer(value) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            setattr(self, name, int(value))
         self.t_init = float(self.t_init)
         self.lam = float(self.lam)
-        self.block = int(self.block)
-        self.n_sweeps = int(self.n_sweeps)
         if not self.t_init > 0:
             raise ValueError("t_init must be strictly positive")
         if not np.isfinite(self.t_init):
             raise ValueError("t_init must be finite")
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lam must lie strictly between 0 and 1")
-        if self.block < 1:
-            raise ValueError("block must be a positive integer")
-        if self.n_sweeps < 1:
-            raise ValueError("n_sweeps must be a positive integer")
         if not min(self._temperatures()) > 0:
             raise ValueError("the schedule cools to a temperature of 0: raise t_init or lam, or lower n_sweeps/block")
 
@@ -87,8 +88,8 @@ def init_state(data, k_init, rng):
     hold fewer than ``k_init`` clusters.  A ``k_init`` above the number of
     objects is valid; its state always holds fewer.
     """
-    if not k_init >= 1:
-        raise ValueError(f"k_init must be at least 1, got {k_init}")
+    if not (_is_integer(k_init) and k_init >= 1):
+        raise ValueError(f"k_init must be a positive integer, got {k_init!r}")
     labels = rng.integers(0, k_init, size=data.n_objects)
     return ClusterState.from_assignments(data, labels)
 
@@ -114,15 +115,7 @@ def insert_object(state, i, option, data):
     i = _check_object(i, state)
     if state.assignments[i] != UNASSIGNED:
         raise ValueError(f"object {i} is already assigned")
-    if isinstance(option, str):
-        if option != NEW_CLUSTER:
-            raise ValueError(f"unknown option {option!r}")
-        k = state.n_clusters
-    else:
-        k = int(option)
-        if not 0 <= k < state.n_clusters:
-            raise ValueError(f"cluster index {k} out of range")
-    state._attach(i, k, data.values)
+    state._attach(i, _check_option(option, state.n_clusters), data.values)
     return state
 
 

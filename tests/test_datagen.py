@@ -21,6 +21,7 @@ class TestSyntheticSpec:
             {"n_objects": 5.0, "n_features": 5, "info_pct": 10, "noise_pct": 0},
             {"n_objects": 5, "n_features": 2.5, "info_pct": 10, "noise_pct": 0},
             {"n_objects": 5, "n_features": 5, "info_pct": 10, "noise_pct": 1, "k_true": 2.5},
+            {"n_objects": 5, "n_features": 5, "info_pct": 10, "noise_pct": 1, "k_true": True},
         ],
     )
     def test_rejects_invalid(self, kwargs):

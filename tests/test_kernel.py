@@ -99,6 +99,68 @@ def test_help_and_baseline_never_load_the_kernel(tmp_path):
     assert done.stdout.strip().splitlines()[-1] == "False"
 
 
+# Sweeps one state through births that outgrow its row buffers and through
+# deaths, checking the kernel's cache after every sweep, then runs from the
+# coldest start there is.
+_SANITIZED_RUN = """
+import numpy as np
+from binclust import _kernel
+from binclust.datagen import SyntheticSpec, generate
+from binclust.model import default_hyperparams
+from binclust.sampler import AnnealingSchedule, gibbs_sweep, init_state, run
+
+_kernel._FLAGS, _kernel._CACHE_DIR = {flags!r}, {cache!r}
+data, _ = generate(SyntheticSpec(60, 40, 20, 5, k_true=6, seed=3))
+hyper = default_hyperparams(data)
+rng = np.random.default_rng(0)
+state = init_state(data, 1, rng)
+capacity = state._sizes.shape[0]
+for temperature in (1.0, 1.0, 0.1):
+    gibbs_sweep(state, data, hyper, temperature, rng)
+    state.check_consistency(data)
+assert _kernel._lib and state._visit
+assert state._sizes.shape[0] > capacity, "no buffer growth"
+state = init_state(data, 40, rng)
+k_start = state.n_clusters
+gibbs_sweep(state, data, hyper, 1.0, rng)
+state.check_consistency(data)
+assert state.n_clusters < k_start, "no deaths"
+run(data, schedule=AnnealingSchedule(t_init=5e-324, n_sweeps=5), k_init=8, seed=1)
+"""
+
+
+def test_the_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizers(tmp_path):
+    libasan = subprocess.run([_kernel._CC, "-print-file-name=libasan.so"], capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(libasan):
+        pytest.skip("libasan.so, the AddressSanitizer runtime, is not installed")
+    warned = subprocess.run(
+        [_kernel._CC, *_kernel._FLAGS, "-Wall", "-Wextra", "-Wconversion", "-Werror", "-x", "c", "-",
+         "-o", str(tmp_path / "warnings.so"), "-lm"],
+        input=_kernel.SOURCE, capture_output=True, text=True, timeout=300,
+    )
+    assert warned.returncode == 0, warned.stderr
+    flags = _kernel._FLAGS + ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+    cache = str(tmp_path / "cache")
+    # Built here, outside the sanitized process: gcc need not run under the preloaded runtime.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "_FLAGS", flags)
+        patch.setattr(_kernel, "_CACHE_DIR", cache)
+        _kernel._built()
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+        "LD_PRELOAD": libasan,
+        "ASAN_OPTIONS": "detect_leaks=0",
+        "PATH": str(tmp_path / "no-compiler"),  # the library is loaded, never rebuilt
+    }
+    script = _SANITIZED_RUN.format(flags=flags, cache=cache)
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-4000:]
+
+
 def _planted(n, d, sd, sn, k_true, seed):
     return lambda: (generate(SyntheticSpec(n, d, sd, sn, k_true=k_true, seed=seed))[0], {})
 

@@ -237,9 +237,10 @@ class TestCrpLogPrior:
         with pytest.raises(ValueError, match="empty cluster"):
             crp_log_prior(1, [2, 0], 3, 1.0)
 
-    def test_rejects_unknown_option(self):
-        with pytest.raises(ValueError):
-            crp_log_prior("brand-new", [2], 3, 1.0)
+    @pytest.mark.parametrize("option", ["brand-new", True, 0.7, np.float64(0.0), 1, -1, None])
+    def test_rejects_unknown_option(self, option):
+        with pytest.raises(ValueError, match=r"cluster option other than 'new' must be an integer in \[0, 1\)"):
+            crp_log_prior(option, [2], 3, 1.0)
 
 
 def _detached_state(data, labels, i):
@@ -444,16 +445,49 @@ class TestClusterState:
 
     def test_check_consistency_detects_a_corrupted_log_term_cache(self):
         data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
+        with visit_path("compiled"):
+            state = ClusterState.from_assignments(data, [0, 1, 0])
+            remove_object(state, 2, data)
+            assignment_distribution(2, state, data, _uniform_hyper(2), temperature=1.0)
+            insert_object(state, 2, 0, data)
+        state.check_consistency(data)
+        state._log_present[1, 0] += 1e-9
+        with pytest.raises(ValueError, match="cached log terms"):
+            state.check_consistency(data)
+
+    def test_the_numpy_path_reads_no_log_term_cache(self):
+        data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
+        hyper = _uniform_hyper(2)
+        with visit_path("numpy"):
+            state = ClusterState.from_assignments(data, [0, 1, 0])
+            remove_object(state, 2, data)
+            assignment_distribution(2, state, data, hyper, temperature=1.0)
+            insert_object(state, 2, 0, data)
+            state._log_present[:] = 5.0
+            state.check_consistency(data)
+            remove_object(state, 2, data)
+            got = assignment_distribution(2, state, data, hyper, temperature=0.5)
+        assert np.array_equal(got, _distribution_by_plain_formula(2, state, data, hyper, 0.5))
+
+    @pytest.mark.parametrize(
+        "assignments, sizes, counts, message",
+        [
+            ([0, 0, 1, 1], [2, 2], [[5, 5], [1, 1]], r"feature counts must lie in \[0, cluster size\]"),
+            ([0, 0, 1, 1], [2, 2], [[-1, 0], [1, 1]], r"feature counts must lie in \[0, cluster size\]"),
+            ([0, 0, -1, -1], [2, 0], [[1, 1], [0, 0]], "every cluster size must be at least 1"),
+            ([0, 0, 2, -1], [2, 1], [[1, 1], [0, 1]], r"each -1 \(detached\) or in \[0, 2\)"),
+            ([0, 0, -2, -1], [2, 1], [[1, 1], [0, 1]], r"each -1 \(detached\) or in \[0, 2\)"),
+            ([0, 0, 0, -1], [2, 1], [[1, 1], [0, 1]], "disagree with the labels' tallies"),
+            ([0, 0, 1, -1], [2, 2], [[1, 1], [0, 1]], "disagree with the labels' tallies"),
+        ],
+        ids=["count-above-size", "negative-count", "empty-cluster", "label-past-k", "label-below-detached",
+             "tally-short", "tally-long"],
+    )
+    def test_constructor_refuses_inconsistent_statistics(self, assignments, sizes, counts, message):
         for path in PATHS:
             with visit_path(path):
-                state = ClusterState.from_assignments(data, [0, 1, 0])
-                remove_object(state, 2, data)
-                assignment_distribution(2, state, data, _uniform_hyper(2), temperature=1.0)
-                insert_object(state, 2, 0, data)
-            state.check_consistency(data)
-            state._log_present[1, 0] += 1e-9
-            with pytest.raises(ValueError, match="cached log terms"):
-                state.check_consistency(data)
+                with pytest.raises(ValueError, match=message):
+                    ClusterState(assignments, sizes, counts)
 
     def test_check_consistency_detects_counts_beyond_the_last_cluster(self):
         data = BinaryMatrix([[1, 0], [0, 1]])

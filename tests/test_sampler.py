@@ -56,6 +56,11 @@ class TestAnnealingSchedule:
             # step at a time, as the run does, reaches 0 after the fourth sweep
             {"t_init": 1.5e-323, "lam": 0.45, "block": 2, "n_sweeps": 5},
             {"t_init": np.inf},
+            {"block": 2.7},
+            {"block": 2.0},
+            {"block": True},
+            {"n_sweeps": 1.5},
+            {"n_sweeps": "3"},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -87,7 +92,7 @@ class TestInitState:
             state = init_state(data, 5, np.random.default_rng(seed))
             state.check_consistency(data)
 
-    @pytest.mark.parametrize("k_init", [0, -1])
+    @pytest.mark.parametrize("k_init", [0, -1, 2.5, 2.0, float("inf"), True, np.float64(3)])
     def test_rejects_out_of_range(self, k_init):
         data = _two_block_data()  # 12 objects
         with pytest.raises(ValueError):
@@ -181,6 +186,20 @@ class TestRemoveInsert:
                 with pytest.raises(ValueError, match=message):
                     insert_object(state, i, 0, data)
                 insert_object(state, np.int64(2), 0, data)
+                state.check_consistency(data)
+
+    @pytest.mark.parametrize("option", [True, False, 0.7, np.float64(1), 2, -1, "fresh", None])
+    def test_rejects_an_option_that_is_not_new_or_a_cluster_index(self, option):
+        data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
+        for path in PATHS:
+            with visit_path(path):
+                state = ClusterState.from_assignments(data, [0, 1, 0])
+                remove_object(state, 2, data)
+                with pytest.raises(ValueError, match=r"cluster option other than 'new' must be an integer in \[0, 2\)"):
+                    insert_object(state, 2, option, data)
+                assert np.array_equal(state.assignments, [0, 1, UNASSIGNED])
+                assert np.array_equal(state._sizes, [1, 1, 0, 0])
+                insert_object(state, 2, np.int64(1), data)
                 state.check_consistency(data)
 
     def test_rejects_a_label_beyond_the_last_cluster_before_touching_a_row(self):
