@@ -11,6 +11,13 @@ The log-term cache is this kernel's alone; the numpy path keeps none.
   ``log(a_j + c_kj)`` only where the object has feature j and
   ``log(b_j + n_k - c_kj)`` only where it has not, so a touched row costs D
   logs.  ``sum_j log(a_j + b_j + n)`` is memoised by the size n.
+- Restore on return: a detach from a current row that keeps members saves
+  the D terms it overwrites, and the row's denominator sum, in one slot
+  keyed by (object, row).  An attach of that object into that row, still
+  current, copies them back instead of taking D logs; they are the logs of
+  the same counts under the same hyperparameters, so the bits are the same.
+  Every other detach or attach, a death, and a recomputation of that row
+  from scratch (after new hyperparameters mark it stale) empty the slot.
 - The distribution selects and sums each row's terms in numpy's pairwise
   order, then shifts, tempers, seats and normalises in the steps of
   :func:`binclust.model.assignment_distribution`.
@@ -60,6 +67,13 @@ typedef struct {
     double *denom_memo;    /* N + 1: sum_j log(a_j + b_j + n) by n, NaN until computed */
     double *scratch;       /* D */
     double *probs;         /* capacity: the last distribution */
+    /* The restore slot: the terms the last detach overwrote, one per
+       feature, and the row's denominator, while returned_object may still
+       return to returned_row; returned_object is -1 when the slot is empty. */
+    int64_t returned_object;
+    int64_t returned_row;
+    double returned_denom;
+    double *returned;      /* D */
 } bc_state;
 
 /* numpy's pairwise summation, as its add.reduce runs along a contiguous
@@ -138,13 +152,17 @@ double bc_row_terms(const bc_state *s, int64_t k, double *present, double *absen
 }
 
 /* Add (sign 1) or remove (sign -1) object i to or from row k.  A current row
-   recomputes only the terms that change; any other row is left stale. */
+   recomputes only the terms that change; any other row is left stale.  A
+   detach from a current row that keeps members fills the restore slot with
+   the terms it overwrites; every other move empties it (an attach still
+   writes the terms into the empty slot, which keeps the loop one loop). */
 static void move(bc_state *s, int64_t i, int64_t k, int64_t sign)
 {
     const int64_t d = s->n_features;
     const uint8_t *x = s->values + i * d;
     int64_t *c = s->counts + k * d;
     const int64_t n = (s->sizes[k] += sign);
+    s->returned_object = -1;
     if (s->stale[k] || n == 0) {
         for (int64_t j = 0; j < d; j++)
             c[j] += sign * x[j];
@@ -152,11 +170,18 @@ static void move(bc_state *s, int64_t i, int64_t k, int64_t sign)
         return;
     }
     double *present = s->log_present + k * d, *absent = s->log_absent + k * d;
+    if (sign < 0) {
+        s->returned_object = i;
+        s->returned_row = k;
+        s->returned_denom = s->log_denom[k];
+    }
     for (int64_t j = 0; j < d; j++) {
         if (x[j]) {
             c[j] += sign;
+            s->returned[j] = present[j];
             present[j] = log(s->a[j] + (double)c[j]);
         } else {
+            s->returned[j] = absent[j];
             absent[j] = log(s->b[j] + (double)(n - c[j]));
         }
     }
@@ -169,9 +194,26 @@ void bc_detach(bc_state *s, int64_t i, int64_t k)
     s->assignments[i] = -1;
 }
 
+/* Attaching the object the last detach took from the same, still current
+   row copies the slot's terms back: they are the logs the row held before,
+   of the same counts under the same hyperparameters. */
 void bc_attach(bc_state *s, int64_t i, int64_t k)
 {
-    move(s, i, k, 1);
+    if (s->returned_object == i && s->returned_row == k && !s->stale[k]) {
+        const int64_t d = s->n_features;
+        const uint8_t *x = s->values + i * d;
+        int64_t *c = s->counts + k * d;
+        double *present = s->log_present + k * d, *absent = s->log_absent + k * d;
+        s->sizes[k] += 1;
+        for (int64_t j = 0; j < d; j++) {
+            c[j] += x[j];
+            (x[j] ? present : absent)[j] = s->returned[j];
+        }
+        s->log_denom[k] = s->returned_denom;
+        s->returned_object = -1;
+    } else {
+        move(s, i, k, 1);
+    }
     s->assignments[i] = k;
 }
 
@@ -188,6 +230,10 @@ void bc_distribution(bc_state *s, int64_t i, int64_t top, double temperature)
             row_logs(s, k, s->log_present + k * d, s->log_absent + k * d);
             s->log_denom[k] = log_denom(s, s->sizes[k]);
             s->stale[k] = 0;
+            /* Recomputed, perhaps under new hyperparameters: the slot's terms
+               may no longer be this row's. */
+            if (k == s->returned_row)
+                s->returned_object = -1;
         }
         const double *present = s->log_present + k * d, *absent = s->log_absent + k * d;
         for (int64_t j = 0; j < d; j++)
@@ -301,6 +347,10 @@ class _Context(ctypes.Structure):
         ("denom_memo", ctypes.c_void_p),
         ("scratch", ctypes.c_void_p),
         ("probs", ctypes.c_void_p),
+        ("returned_object", ctypes.c_int64),
+        ("returned_row", ctypes.c_int64),
+        ("returned_denom", ctypes.c_double),
+        ("returned", ctypes.c_void_p),
     ]
 
 
@@ -322,9 +372,12 @@ class Visit:
         self._assignments = state.assignments
         self._memo = np.full(n + 1, np.nan)
         self._scratch = np.empty(d)
+        self._returned = np.empty(d)
         self._ctx.assignments = self._assignments.ctypes.data
         self._ctx.denom_memo = self._memo.ctypes.data
         self._ctx.scratch = self._scratch.ctypes.data
+        self._ctx.returned = self._returned.ctypes.data
+        self._ctx.returned_object = -1
         self._values = self._hyper = None
         self.bind_buffers(state)
         if state._hyper is not None:

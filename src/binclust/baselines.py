@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BinaryMatrix
+from .model import BinaryMatrix, _is_integer
 
 # Seeded Lloyd runs per k-means fit, and the iteration cap of each run.
 _N_RESTARTS = 5
@@ -66,8 +66,15 @@ def _plusplus_seeds(points, norms, k, rng):
 
 
 def _wcss(points, labels, centroids):
-    """Within-cluster sum of squares: each point's squared distance to its centroid, summed."""
-    return float(((points - centroids[labels]) ** 2).sum())
+    """Within-cluster sum of squares: each point's squared distance to its centroid, summed.
+
+    Computed in the one N x D buffer of each point's centroid, with the values
+    and summation order of ``((points - centroids[labels]) ** 2).sum()``.
+    """
+    diff = centroids[labels]
+    np.subtract(points, diff, out=diff)
+    np.multiply(diff, diff, out=diff)
+    return float(diff.sum())
 
 
 def _lloyd(points, norms, k, max_iters, rng):
@@ -117,6 +124,8 @@ def kmeans_binary(data, k, rng=None):
 
     Centroids are real-valued cluster means.  Returns ``(labels, centroids)``.
     """
+    if not _is_integer(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= data.n_objects:
         raise ValueError(f"k must lie in [1, {data.n_objects}], got {k}")
     labels, centroids, _ = _best_fits(data, [k], np.random.default_rng(rng))[0]
@@ -135,10 +144,12 @@ def gap_statistic(data, k_max=15, n_refs=10, rng=None):
     such k is a perfect separation and is returned directly (k = 1 when
     all rows are identical).
     """
+    if not _is_integer(k_max):
+        raise ValueError(f"k_max must be an integer, got {k_max!r}")
     if not 1 <= k_max <= data.n_objects:
         raise ValueError(f"k_max must lie in [1, {data.n_objects}], got {k_max}")
-    if n_refs < 1:
-        raise ValueError("n_refs must be at least 1")
+    if not (_is_integer(n_refs) and n_refs >= 1):
+        raise ValueError(f"n_refs must be a positive integer, got {n_refs!r}")
     rng = np.random.default_rng(rng)
     k_values = range(1, k_max + 1)
 

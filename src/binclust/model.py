@@ -123,7 +123,10 @@ class ClusterState:
     life: in the compiled kernel of :mod:`binclust._kernel` where it can be
     built, otherwise in numpy.  The kernel caches, next to each row, the log
     terms :func:`assignment_distribution` scores it with; the numpy path
-    keeps no cache and scores with the plain formula.  Change the statistics
+    keeps no cache and scores with the plain formula.  The kernel's detach
+    saves the terms it overwrites, and an attach that returns the object to
+    the row it left, with nothing else changed in between, copies them back
+    instead of recomputing them.  Change the statistics
     only through :func:`~binclust.sampler.remove_object` and
     :func:`~binclust.sampler.insert_object`: the kernel updates the rows they
     touch, and an edit made any other way leaves its cache stale (which
@@ -341,7 +344,8 @@ def _log_predictives(x, sizes, counts, hyper):
 
 def _is_integer(value):
     """Whether ``value`` is a Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    # A plain int, what every visit passes, is answered by the first test.
+    return type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool))
 
 
 def _check_index(value, n, name):
@@ -449,7 +453,9 @@ def assignment_distribution(i, state, data, hyper, temperature):
     i = _check_object(i, state)
     if state.assignments[i] != UNASSIGNED:
         raise ValueError(f"object {i} must be detached from the state first")
-    if state.sizes.sum() != data.n_objects - 1:
+    # np.add.reduce, not .sum(): the check runs on every visit, and .sum()
+    # adds a Python-level wrapper around the same reduction.
+    if np.add.reduce(state.sizes) != data.n_objects - 1:
         raise ValueError("state statistics must cover exactly the other n - 1 objects")
     visit = state._visit_kernel()
     state._use(hyper, data)

@@ -120,10 +120,20 @@ def insert_object(state, i, option, data):
 
 
 def _categorical(probs, rng):
-    """Draw one index from a normalized probability vector."""
-    cum = np.cumsum(probs)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(idx, len(probs) - 1)
+    """Draw one index from a normalized probability vector.
+
+    The first index whose running sum exceeds a uniform draw, the last where
+    rounding leaves the total at or below it.  The sum runs left to right in
+    float64, as ``np.cumsum`` does, so this is ``searchsorted(cumsum(probs),
+    u, side="right")`` clamped to the last index, bit for bit.
+    """
+    u = rng.random()
+    total = 0.0
+    for k, p in enumerate(probs.tolist()):
+        total += p
+        if total > u:
+            return k
+    return len(probs) - 1
 
 
 def gibbs_sweep(state, data, hyper, temperature, rng):
@@ -144,8 +154,13 @@ def run(data, hyper=None, schedule=None, k_init=10, seed=0):
     ``hyper`` defaults to :func:`~binclust.model.default_hyperparams` and
     ``schedule`` to the stock :class:`AnnealingSchedule`.  The run is
     deterministic given ``(data, hyper, schedule, k_init, seed)``.  Traces
-    are recorded once per sweep, after the post-sweep cooling step.
+    are recorded once per sweep, after the post-sweep cooling step.  A sweep
+    that leaves every label where it was records the previous score again
+    instead of recomputing it: the same labels give the same statistics, so
+    :func:`~binclust.model.joint_log_score` would return the same bits.
     """
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     reference = default_hyperparams(data)
     hyper = reference if hyper is None else hyper
     if schedule is None:
@@ -157,10 +172,14 @@ def run(data, hyper=None, schedule=None, k_init=10, seed=0):
     k_trace = np.empty(m, dtype=np.int64)
     temp_trace = np.empty(m, dtype=np.float64)
     temperature = schedule.t_init
+    scored = None  # the labels the last score was computed for
     for sweep, cooled in enumerate(schedule._temperatures()):
         gibbs_sweep(state, data, hyper, temperature, rng)
         temperature = cooled
-        score_trace[sweep] = joint_log_score(state, data, hyper)
+        if scored is None or not np.array_equal(state.assignments, scored):
+            score = joint_log_score(state, data, hyper)
+            scored = state.assignments.copy()
+        score_trace[sweep] = score
         k_trace[sweep] = state.n_clusters
         temp_trace[sweep] = temperature
     # The report JSON's run record, in its exact shape.

@@ -116,6 +116,31 @@ class TestKmeansBinary:
         with pytest.raises(ValueError):
             kmeans_binary(data, k, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+    def test_rejects_a_k_that_is_not_an_integer_before_fitting(self, k, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("fitted before the arguments were checked")
+
+        monkeypatch.setattr(baselines, "_lloyd", no_fit)
+        data = BinaryMatrix(np.eye(4, 3, dtype=np.uint8))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            kmeans_binary(data, k, rng=np.random.default_rng(0))
+
+    def test_accepts_a_numpy_integer_k(self):
+        data = BinaryMatrix(np.random.default_rng(2).integers(0, 2, size=(12, 4)).astype(np.uint8))
+        got, _ = kmeans_binary(data, np.int64(3), rng=np.random.default_rng(1))
+        want, _ = kmeans_binary(data, 3, rng=np.random.default_rng(1))
+        assert np.array_equal(got, want)
+
+    def test_wcss_equals_the_sum_of_squared_differences(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            n, d, k = int(rng.integers(1, 40)), int(rng.integers(1, 30)), int(rng.integers(1, 6))
+            points = rng.integers(0, 2, size=(n, d)).astype(np.float64)
+            labels = rng.integers(0, k, size=n)
+            centroids = rng.random((k, d))
+            assert _wcss(points, labels, centroids) == float(((points - centroids[labels]) ** 2).sum())
+
     def test_every_cluster_nonempty(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -174,6 +199,33 @@ class TestGapStatistic:
             gap_statistic(data, k_max=2, n_refs=0)
         with pytest.raises(ValueError, match="k_max"):
             gap_statistic(data, k_max=3)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"k_max": 3.5}, "k_max must be an integer"),
+            ({"k_max": True}, "k_max must be an integer"),
+            ({"k_max": 2.0}, "k_max must be an integer"),
+            ({"k_max": 2, "n_refs": 2.5}, "n_refs must be a positive integer"),
+            ({"k_max": 2, "n_refs": True}, "n_refs must be a positive integer"),
+            ({"k_max": 2, "n_refs": None}, "n_refs must be a positive integer"),
+        ],
+    )
+    def test_rejects_counts_that_are_not_integers_before_fitting(self, kwargs, message, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("fitted before the arguments were checked")
+
+        monkeypatch.setattr(baselines, "_lloyd", no_fit)
+        data = BinaryMatrix([[0, 1], [1, 0], [1, 1]])
+        with pytest.raises(ValueError, match=message):
+            gap_statistic(data, **kwargs)
+
+    def test_accepts_numpy_integer_counts(self):
+        data = BinaryMatrix(np.random.default_rng(4).integers(0, 2, size=(10, 5)).astype(np.uint8))
+        got = gap_statistic(data, k_max=np.int64(3), n_refs=np.int32(2), rng=np.random.default_rng(0))
+        want = gap_statistic(data, k_max=3, n_refs=2, rng=np.random.default_rng(0))
+        assert got.chosen_k == want.chosen_k
+        assert np.array_equal(got.gap_curve, want.gap_curve)
 
     def test_equals_the_per_k_fits(self):
         # Identical rows (zero WCSS at every k) and three distinct rows, each

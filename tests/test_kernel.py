@@ -100,14 +100,15 @@ def test_help_and_baseline_never_load_the_kernel(tmp_path):
 
 
 # Sweeps one state through births that outgrow its row buffers and through
-# deaths, checking the kernel's cache after every sweep, then runs from the
-# coldest start there is.
+# deaths, checking the kernel's cache after every sweep; visits objects that
+# return to their own row, some of them scored under another hyperparameter
+# object between detach and attach; then runs from the coldest start there is.
 _SANITIZED_RUN = """
 import numpy as np
 from binclust import _kernel
 from binclust.datagen import SyntheticSpec, generate
-from binclust.model import default_hyperparams
-from binclust.sampler import AnnealingSchedule, gibbs_sweep, init_state, run
+from binclust.model import Hyperparams, assignment_distribution, default_hyperparams
+from binclust.sampler import AnnealingSchedule, gibbs_sweep, init_state, insert_object, remove_object, run
 
 _kernel._FLAGS, _kernel._CACHE_DIR = {flags!r}, {cache!r}
 data, _ = generate(SyntheticSpec(60, 40, 20, 5, k_true=6, seed=3))
@@ -125,6 +126,20 @@ k_start = state.n_clusters
 gibbs_sweep(state, data, hyper, 1.0, rng)
 state.check_consistency(data)
 assert state.n_clusters < k_start, "no deaths"
+other = Hyperparams(a=np.full(data.n_features, 0.5), b=np.full(data.n_features, 2.0), alpha=2.0)
+state = init_state(data, 3, rng)  # clusters of about 20: every object can return
+restored = switched = 0
+for i in range(data.n_objects):
+    k = remove_object(state, i, data)
+    switch = i % 3 == 0
+    assignment_distribution(i, state, data, other if switch else hyper, 0.5)
+    if state._visit._ctx.returned_object == i:
+        restored += 1
+    else:
+        switched += switch
+    insert_object(state, i, k, data)
+    state.check_consistency(data)
+assert restored and switched, (restored, switched)
 run(data, schedule=AnnealingSchedule(t_init=5e-324, n_sweeps=5), k_init=8, seed=1)
 """
 

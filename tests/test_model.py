@@ -631,3 +631,61 @@ class TestLogTermCache:
 
         with visit_path("compiled"):
             _walk_the_cache(shape, n_labels, built_by, n_steps, check)
+
+    def test_restore_on_return_keeps_the_compiled_cache_exact(self):
+        # Detach/attach orders around the kernel's restore slot: a plain return,
+        # a return after a hyperparameter switch, two objects out at once and
+        # re-attached in both orders, and another object attached into the
+        # row the slot was saved from.  The cache is checked after every step.
+        rng = np.random.default_rng(17)
+        data = BinaryMatrix(rng.integers(0, 2, size=(12, 7)).astype(np.uint8))
+        hypers = (
+            default_hyperparams(data),
+            Hyperparams(a=rng.random(7) + 0.1, b=np.full(7, 2.5), alpha=3.0),
+        )
+        with visit_path("compiled"):
+            state = ClusterState.from_assignments(data, np.arange(12) % 3)
+            slot = state._visit_kernel()._ctx
+            restored = []  # whether each attach found its own terms in the slot
+
+            def out(i, hyper=None):
+                k = remove_object(state, i, data)
+                assert slot.returned_object == i and slot.returned_row == k
+                if hyper is not None:  # scored only while it is the one object out
+                    probs = assignment_distribution(i, state, data, hyper, 0.5)
+                    plain = _distribution_by_plain_formula(i, state, data, hyper, 0.5)
+                    np.testing.assert_allclose(probs, plain, rtol=1e-12, atol=0)
+                state.check_consistency(data)
+                return k
+
+            def back(i, k):
+                restored.append(slot.returned_object == i and slot.returned_row == k)
+                insert_object(state, i, k, data)
+                assert slot.returned_object == -1
+                state.check_consistency(data)
+
+            # The first visit finds every row stale, so it saves nothing.
+            remove_object(state, 0, data)
+            assert slot.returned_object == -1
+            assignment_distribution(0, state, data, hypers[0], 0.5)
+            back(0, 0)
+            k = out(0, hypers[0])
+            back(0, k)  # restored
+            k = out(1, hypers[0])
+            assert slot.returned_object == 1  # the distribution left the slot filled
+            # A new hyperparameter object arrives between detach and attach.
+            assignment_distribution(1, state, data, hypers[1], 0.5)
+            assert slot.returned_object == -1
+            back(1, k)
+            for first, second in ((3, 6), (6, 3), (4, 5), (5, 4)):  # same cluster, then different ones
+                k_first = out(first, hypers[1])
+                k_second = out(second)
+                back(second, k_second)
+                back(first, k_first)
+            # Detach j, then i; attach j into i's row, then i into j's old row.
+            k_j = out(2, hypers[1])
+            k_i = out(7)
+            back(2, k_i)
+            back(7, k_j)
+            assert restored == [False, True, False] + [True, False] * 4 + [False, False]
+            np.testing.assert_array_equal(state.assignments[[2, 7]], [k_i, k_j])

@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from binclust import sampler
 from binclust.datagen import SyntheticSpec, generate
 from binclust.evaluate import matched_accuracy
 from binclust.model import (
@@ -18,6 +19,7 @@ from binclust.model import (
 )
 from binclust.sampler import (
     AnnealingSchedule,
+    _categorical,
     gibbs_sweep,
     init_state,
     insert_object,
@@ -359,3 +361,89 @@ class TestRun:
         hyper = Hyperparams(a=np.ones(9), b=np.ones(9), alpha=1.0)
         with pytest.raises(ValueError, match="hyperparameters cover 9 features, the data has 8"):
             run(data, hyper=hyper, k_init=2, seed=0, schedule=AnnealingSchedule(n_sweeps=5))
+
+    def test_score_trace_equals_the_score_recomputed_after_every_sweep(self, monkeypatch):
+        # Thin data freezes within a few sweeps, so most scores are reused;
+        # the noisy 30 x 20 instance keeps moving labels at T = 1.
+        for spec, seed in ((SyntheticSpec(40, 60, 20, 5, k_true=3, seed=2), 0), (SyntheticSpec(30, 20, 20, 40, k_true=3, seed=9), 7)):
+            data, _ = generate(spec)
+            hyper = default_hyperparams(data)
+            schedule = AnnealingSchedule(t_init=1.0, lam=0.5, block=5, n_sweeps=30)
+            rng = np.random.default_rng(seed)
+            state = init_state(data, 10, rng)
+            expected = []
+            for temperature in (schedule.t_init, *list(schedule._temperatures())[:-1]):
+                gibbs_sweep(state, data, hyper, temperature, rng)
+                expected.append(joint_log_score(state, data, hyper))
+            calls = []
+            monkeypatch.setattr(sampler, "joint_log_score", lambda *args: calls.append(1) or joint_log_score(*args))
+            report = run(data, hyper=hyper, schedule=schedule, k_init=10, seed=seed)
+            monkeypatch.undo()
+            assert np.array_equal(report.assignments, state.assignments)
+            assert np.array_equal(report.score_trace, np.array(expected))
+            assert 1 <= len(calls) < schedule.n_sweeps  # some sweeps reused the score
+
+    @pytest.mark.parametrize("seed", [2.5, True, False, None, "0", -1, np.float64(3.0)])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer_before_any_work(self, seed, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("worked before the seed was checked")
+
+        monkeypatch.setattr(sampler, "default_hyperparams", no_work)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            run(_two_block_data(), seed=seed)
+
+    def test_accepts_a_numpy_integer_seed(self):
+        data = _two_block_data()
+        schedule = AnnealingSchedule(n_sweeps=5)
+        report = run(data, schedule=schedule, k_init=3, seed=np.int64(4))
+        assert report.seed == 4
+        assert np.array_equal(report.assignments, run(data, schedule=schedule, k_init=3, seed=4).assignments)
+
+
+class _FixedUniform:
+    """Stands in for a generator whose next ``random()`` is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def _categorical_by_searchsorted(probs, u):
+    return min(int(np.searchsorted(np.cumsum(probs), u, side="right")), len(probs) - 1)
+
+
+class TestCategorical:
+    def _check(self, probs, u):
+        probs = np.asarray(probs, dtype=np.float64)
+        got = _categorical(probs, _FixedUniform(u))
+        assert type(got) is int
+        assert got == _categorical_by_searchsorted(probs, u), (probs.tolist(), u)
+
+    def test_equals_searchsorted_over_the_cumulative_sum_on_random_vectors(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            probs = rng.random(int(rng.integers(1, 12))) ** rng.choice([1, 8, 40])
+            probs /= probs.sum()
+            self._check(probs, rng.random())
+
+    def test_edge_vectors_and_draws(self):
+        cases = [
+            ([0.0, 0.0, 1.0, 0.0], (0.0, 0.5, 0.9999999999999999)),  # exact zeros, a lone 1.0
+            ([1.0], (0.0, 0.3)),
+            ([0.25, 0.25, 0.5], (0.0, 0.25, 0.5, 0.75)),  # u equal to a running sum
+            ([0.0, 0.25, 0.0, 0.75], (0.0, 0.25)),
+        ]
+        for probs, draws in cases:
+            for u in draws:
+                self._check(probs, u)
+
+    def test_a_total_just_under_one_clamps_to_the_last_index(self):
+        probs = np.full(10, 0.1)  # the running sum ends at 0.9999999999999999
+        total = np.cumsum(probs)[-1]
+        assert total < 1.0
+        for u in (total, np.nextafter(1.0, 0.0), np.nextafter(total, 0.0)):
+            self._check(probs, u)
+        assert _categorical(probs, _FixedUniform(np.nextafter(1.0, 0.0))) == 9
+        assert _categorical(np.array([0.5, 0.5 - 2**-53, 0.0]), _FixedUniform(np.nextafter(1.0, 0.0))) == 2
