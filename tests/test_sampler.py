@@ -365,7 +365,8 @@ class TestRun:
     def test_score_trace_equals_the_score_recomputed_after_every_sweep(self, monkeypatch):
         # Thin data freezes within a few sweeps, so most scores are reused;
         # the noisy 30 x 20 instance keeps moving labels at T = 1.
-        for spec, seed in ((SyntheticSpec(40, 60, 20, 5, k_true=3, seed=2), 0), (SyntheticSpec(30, 20, 20, 40, k_true=3, seed=9), 7)):
+        instances = ((SyntheticSpec(40, 60, 20, 5, k_true=3, seed=2), 0), (SyntheticSpec(30, 20, 20, 40, k_true=3, seed=9), 7))
+        for spec, seed in instances:
             data, _ = generate(spec)
             hyper = default_hyperparams(data)
             schedule = AnnealingSchedule(t_init=1.0, lam=0.5, block=5, n_sweeps=30)
@@ -376,7 +377,12 @@ class TestRun:
                 gibbs_sweep(state, data, hyper, temperature, rng)
                 expected.append(joint_log_score(state, data, hyper))
             calls = []
-            monkeypatch.setattr(sampler, "joint_log_score", lambda *args: calls.append(1) or joint_log_score(*args))
+
+            def counted(*args):
+                calls.append(args)
+                return joint_log_score(*args)
+
+            monkeypatch.setattr(sampler, "joint_log_score", counted)
             report = run(data, hyper=hyper, schedule=schedule, k_init=10, seed=seed)
             monkeypatch.undo()
             assert np.array_equal(report.assignments, state.assignments)
