@@ -3,21 +3,22 @@ and its binding to one :class:`~binclust.model.ClusterState`.
 
 A visit of the annealed Gibbs sampler detaches one object, scores every
 cluster option and attaches the object again.  Here those steps run in C
-over the state's own row buffers, one call each, with no copies in or out.
-The log-term cache is this kernel's alone; the numpy path keeps none.
+over the state's own statistics buffers, one call each, with no copies in or
+out.  The log-term cache is :class:`Visit`'s alone: bound at the state's
+first scoring, and current on every row at all times.
 
 - Detach and attach update the size, the feature counts and the cached log
   terms of the one row they touch.  Adding or removing an object changes
   ``log(a_j + c_kj)`` only where the object has feature j and
   ``log(b_j + n_k - c_kj)`` only where it has not, so a touched row costs D
-  logs.  ``sum_j log(a_j + b_j + n)`` is memoised by the size n.
-- Restore on return: a detach from a current row that keeps members saves
-  the D terms it overwrites, and the row's denominator sum, in one slot
-  keyed by (object, row).  An attach of that object into that row, still
-  current, copies them back instead of taking D logs; they are the logs of
-  the same counts under the same hyperparameters, so the bits are the same.
-  Every other detach or attach, a death, and a recomputation of that row
-  from scratch (after new hyperparameters mark it stale) empty the slot.
+  logs.  ``sum_j log(a_j + b_j + n)`` is memoised by the size n.  A detach
+  that empties its row changes only the counts: the state deletes it next.
+- Restore on return: a detach from a row that keeps members saves the D
+  terms it overwrites, and the row's denominator sum, in one slot keyed by
+  (object, row).  An attach of that object into that row copies them back
+  instead of taking D logs; they are the logs of the same counts under the
+  same hyperparameters, so the bits are the same.  Every other detach or
+  attach and every switch of hyperparameters empty the slot.
 - The distribution selects and sums each row's terms in numpy's pairwise
   order, then shifts, tempers, seats and normalises in the steps of
   :func:`binclust.model.assignment_distribution`.
@@ -43,6 +44,8 @@ import warnings
 
 import numpy as np
 
+from .model import _check_matrix
+
 SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
@@ -60,7 +63,6 @@ typedef struct {
     double *log_present;   /* capacity x D: log(a_j + c_kj) */
     double *log_absent;    /* capacity x D: log(b_j + n_k - c_kj) */
     double *log_denom;     /* capacity: sum_j log(a_j + b_j + n_k) */
-    uint8_t *stale;        /* capacity: the row's log terms are not current */
     const double *a;       /* D */
     const double *b;       /* D */
     double alpha;
@@ -133,7 +135,10 @@ static double log_denom(const bc_state *s, int64_t n)
     return s->denom_memo[n];
 }
 
-static void row_logs(const bc_state *s, int64_t k, double *present, double *absent)
+/* Log terms of row k from its statistics alone, none memoised: what the
+   cache fills its rows with and is checked against.  Returns the
+   denominator sum. */
+double bc_row_terms(const bc_state *s, int64_t k, double *present, double *absent)
 {
     const int64_t d = s->n_features, n = s->sizes[k];
     const int64_t *c = s->counts + k * d;
@@ -141,21 +146,15 @@ static void row_logs(const bc_state *s, int64_t k, double *present, double *abse
         present[j] = log(s->a[j] + (double)c[j]);
         absent[j] = log(s->b[j] + (double)(n - c[j]));
     }
+    return denom_sum(s, n);
 }
 
-/* Log terms of row k from its statistics alone, none memoised: the reference
-   for the cache the other calls keep.  Returns the denominator sum. */
-double bc_row_terms(const bc_state *s, int64_t k, double *present, double *absent)
-{
-    row_logs(s, k, present, absent);
-    return denom_sum(s, s->sizes[k]);
-}
-
-/* Add (sign 1) or remove (sign -1) object i to or from row k.  A current row
-   recomputes only the terms that change; any other row is left stale.  A
-   detach from a current row that keeps members fills the restore slot with
-   the terms it overwrites; every other move empties it (an attach still
-   writes the terms into the empty slot, which keeps the loop one loop). */
+/* Add (sign 1) or remove (sign -1) object i to or from row k, recomputing
+   only the terms that change.  A detach from a row that keeps members fills
+   the restore slot with the terms it overwrites; every other move empties
+   it (an attach still writes the terms into the empty slot, which keeps the
+   loop one loop).  A row left empty only updates its counts: the state
+   deletes it next. */
 static void move(bc_state *s, int64_t i, int64_t k, int64_t sign)
 {
     const int64_t d = s->n_features;
@@ -163,10 +162,9 @@ static void move(bc_state *s, int64_t i, int64_t k, int64_t sign)
     int64_t *c = s->counts + k * d;
     const int64_t n = (s->sizes[k] += sign);
     s->returned_object = -1;
-    if (s->stale[k] || n == 0) {
+    if (n == 0) {
         for (int64_t j = 0; j < d; j++)
             c[j] += sign * x[j];
-        s->stale[k] = 1;
         return;
     }
     double *present = s->log_present + k * d, *absent = s->log_absent + k * d;
@@ -194,12 +192,12 @@ void bc_detach(bc_state *s, int64_t i, int64_t k)
     s->assignments[i] = -1;
 }
 
-/* Attaching the object the last detach took from the same, still current
-   row copies the slot's terms back: they are the logs the row held before,
-   of the same counts under the same hyperparameters. */
+/* Attaching the object the last detach took from the same row copies the
+   slot's terms back: they are the logs the row held before, of the same
+   counts under the same hyperparameters. */
 void bc_attach(bc_state *s, int64_t i, int64_t k)
 {
-    if (s->returned_object == i && s->returned_row == k && !s->stale[k]) {
+    if (s->returned_object == i && s->returned_row == k) {
         const int64_t d = s->n_features;
         const uint8_t *x = s->values + i * d;
         int64_t *c = s->counts + k * d;
@@ -226,15 +224,6 @@ void bc_distribution(bc_state *s, int64_t i, int64_t top, double temperature)
     double *p = s->probs;
     double best = -INFINITY;
     for (int64_t k = 0; k < top; k++) {
-        if (s->stale[k]) {
-            row_logs(s, k, s->log_present + k * d, s->log_absent + k * d);
-            s->log_denom[k] = log_denom(s, s->sizes[k]);
-            s->stale[k] = 0;
-            /* Recomputed, perhaps under new hyperparameters: the slot's terms
-               may no longer be this row's. */
-            if (k == s->returned_row)
-                s->returned_object = -1;
-        }
         const double *present = s->log_present + k * d, *absent = s->log_absent + k * d;
         for (int64_t j = 0; j < d; j++)
             s->scratch[j] = pick(x[j], present[j], absent[j]);
@@ -263,7 +252,7 @@ _CC = "gcc"
 _FLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC")
 _CACHE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
 
-# None until the first visit of the process asks for the kernel; then the
+# None until the first scoring of the process asks for the kernel; then the
 # loaded library, or False where it could not be built or loaded and the
 # numpy path runs.
 _lib = None
@@ -340,7 +329,6 @@ class _Context(ctypes.Structure):
         ("log_present", ctypes.c_void_p),
         ("log_absent", ctypes.c_void_p),
         ("log_denom", ctypes.c_void_p),
-        ("stale", ctypes.c_void_p),
         ("a", ctypes.c_void_p),
         ("b", ctypes.c_void_p),
         ("alpha", ctypes.c_double),
@@ -355,79 +343,94 @@ class _Context(ctypes.Structure):
 
 
 class Visit:
-    """The kernel bound to one state's arrays.
+    """The kernel bound to one state's statistics buffers, with its log-term cache.
 
-    It holds a reference to every array whose address the C side keeps, so
-    none is freed while bound.  The state rebinds its row buffers after it
-    replaces them (:meth:`bind_buffers`) and its hyperparameters when they
-    change (:meth:`bind_hyper`); a data matrix is bound on the first call
-    that passes it.
+    Every cache row, up to the buffers' capacity, holds what ``bc_row_terms``
+    computes from that row's statistics under ``hyper``: detach and attach
+    keep the rows they touch so, and the state calls :meth:`bind_buffers`,
+    :meth:`drop_row` and :meth:`bind_hyper` on growth, on a death and for
+    other hyperparameters.  It holds a reference to every array whose
+    address the C side keeps, so none is freed while bound.
     """
 
-    def __init__(self, lib, state):
+    def __init__(self, lib, state, hyper):
         n, d = state.assignments.shape[0], state._counts.shape[1]
         self._lib = lib
-        self._ctx = _Context(n_objects=n, n_features=d)
-        self._addr = ctypes.addressof(self._ctx)
+        self._ctx = ctx = _Context(n_objects=n, n_features=d, returned_object=-1)
+        self._addr = ctypes.addressof(ctx)
         self._assignments = state.assignments
-        self._memo = np.full(n + 1, np.nan)
+        self._memo = np.empty(n + 1)
         self._scratch = np.empty(d)
         self._returned = np.empty(d)
-        self._ctx.assignments = self._assignments.ctypes.data
-        self._ctx.denom_memo = self._memo.ctypes.data
-        self._ctx.scratch = self._scratch.ctypes.data
-        self._ctx.returned = self._returned.ctypes.data
-        self._ctx.returned_object = -1
-        self._values = self._hyper = None
+        ctx.assignments, ctx.denom_memo, ctx.scratch, ctx.returned = (
+            buf.ctypes.data for buf in (self._assignments, self._memo, self._scratch, self._returned)
+        )
+        self._present, self._absent, self._denom = np.empty((0, d)), np.empty((0, d)), np.empty(0)
+        self.values = None
+        self.bind_hyper(hyper)
         self.bind_buffers(state)
-        if state._hyper is not None:
-            self.bind_hyper(state._hyper)
+
+    def _recompute(self, present, absent, denom, start=0):
+        """Fill rows ``start`` up of the given cache-shaped arrays from the statistics."""
+        for k in range(start, denom.shape[0]):
+            denom[k] = self._lib.bc_row_terms(self._addr, k, present[k].ctypes.data, absent[k].ctypes.data)
 
     def bind_buffers(self, state):
-        self._buffers = buffers = (
-            state._sizes, state._counts, state._log_present, state._log_absent, state._log_denom, state._stale
-        )
-        self._probs = np.empty(state._sizes.shape[0])
+        """Bind the state's statistics buffers after it grew them; the rows growth added get their terms."""
+        self._sizes, self._counts = state._sizes, state._counts
+        old, capacity = self._denom.shape[0], state._sizes.shape[0]
+        cache = (self._present, self._absent, self._denom)
+        self._present, self._absent, self._denom = grown = [
+            np.concatenate([buf, np.empty((capacity - old,) + buf.shape[1:])]) for buf in cache
+        ]
+        self._probs = np.empty(capacity)
         ctx = self._ctx
-        ctx.sizes, ctx.counts, ctx.log_present, ctx.log_absent, ctx.log_denom, ctx.stale = (
-            buf.ctypes.data for buf in buffers
+        ctx.sizes, ctx.counts, ctx.log_present, ctx.log_absent, ctx.log_denom, ctx.probs = (
+            buf.ctypes.data for buf in (self._sizes, self._counts, *grown, self._probs)
         )
-        ctx.probs = self._probs.ctypes.data
+        self._recompute(*grown, start=old)
 
     def bind_hyper(self, hyper):
-        """Score under ``hyper`` from now on; the state marks every row stale."""
-        self._hyper = hyper
-        self._ctx.a, self._ctx.b, self._ctx.alpha = hyper.a.ctypes.data, hyper.b.ctypes.data, hyper.alpha
+        """Score under ``hyper`` from now on: every row recomputed, the memo reset, the restore slot emptied."""
+        self.hyper = hyper
+        ctx = self._ctx
+        ctx.a, ctx.b, ctx.alpha = hyper.a.ctypes.data, hyper.b.ctypes.data, hyper.alpha
+        ctx.returned_object = -1
         self._memo.fill(np.nan)
+        self._recompute(self._present, self._absent, self._denom)
 
-    def _bind_values(self, values):
-        shape = (self._ctx.n_objects, self._ctx.n_features)
-        if values.shape != shape or values.dtype != np.uint8 or not values.flags.c_contiguous:
-            raise ValueError(f"expected a C-contiguous {shape} uint8 matrix, got {values.dtype} {values.shape}")
-        self._values = values
+    def bind_values(self, values):
+        """Read the {0,1} matrix ``values`` from now on; refused unless it is the state's N x D ``uint8``."""
+        _check_matrix(values, (self._ctx.n_objects, self._ctx.n_features))
+        if values.dtype != np.uint8 or not values.flags.c_contiguous:
+            raise ValueError(f"expected a C-contiguous uint8 matrix, got {values.dtype}")
+        self.values = values
         self._ctx.values = values.ctypes.data
 
+    def drop_row(self, k, top):
+        """Delete row ``k`` as the state deletes its statistics: rows ``k + 1 .. top`` shift down one."""
+        for buf in (self._present, self._absent, self._denom):
+            buf[k:top] = buf[k + 1 : top + 1]
+
     def detach(self, i, k, values):
-        if values is not self._values:
-            self._bind_values(values)
+        if values is not self.values:
+            self.bind_values(values)
         self._lib.bc_detach(self._addr, i, k)
 
     def attach(self, i, k, values):
-        if values is not self._values:
-            self._bind_values(values)
+        if values is not self.values:
+            self.bind_values(values)
         self._lib.bc_attach(self._addr, i, k)
 
-    def distribution(self, i, top, temperature, values):
-        if values is not self._values:
-            self._bind_values(values)
+    def distribution(self, i, top, temperature):
+        """The distribution of detached object ``i`` over rows ``0 .. top - 1``, under the bound matrix."""
         self._lib.bc_distribution(self._addr, i, top, temperature)
         return self._probs[:top].copy()
 
-    def row_terms(self, rows):
-        """From-scratch log terms of ``rows``, as the cache holds them: (present, absent, denom)."""
-        d = self._ctx.n_features
-        present, absent = np.empty((len(rows), d)), np.empty((len(rows), d))
-        denom = np.empty(len(rows))
-        for r, k in enumerate(rows):
-            denom[r] = self._lib.bc_row_terms(self._addr, int(k), present[r].ctypes.data, absent[r].ctypes.data)
-        return present, absent, denom
+    def check(self):
+        """Raise unless every cache row equals its recomputation from the statistics."""
+        cache = (self._present, self._absent, self._denom)
+        fresh = tuple(np.empty_like(buf) for buf in cache)
+        self._recompute(*fresh)
+        if not all(np.array_equal(c, f) for c, f in zip(cache, fresh)):
+            raise ValueError("cached log terms disagree with a recomputation from the statistics")

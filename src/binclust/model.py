@@ -119,18 +119,16 @@ class ClusterState:
     a brand-new cluster.  The constructor refuses statistics that disagree
     with themselves or with the labels' tallies.
 
-    The state's first visit chooses how its visits run, for the state's
+    The state keeps statistics only.  Its first scoring, when the
+    hyperparameters are known, chooses how its visits run for the state's
     life: in the compiled kernel of :mod:`binclust._kernel` where it can be
-    built, otherwise in numpy.  The kernel caches, next to each row, the log
-    terms :func:`assignment_distribution` scores it with; the numpy path
-    keeps no cache and scores with the plain formula.  The kernel's detach
-    saves the terms it overwrites, and an attach that returns the object to
-    the row it left, with nothing else changed in between, copies them back
-    instead of recomputing them.  Change the statistics
-    only through :func:`~binclust.sampler.remove_object` and
+    built, otherwise in numpy, which scores with the plain formula.  The
+    kernel keeps a log-term cache beside the row buffers, current on every
+    row at all times.  Change the statistics only through
+    :func:`~binclust.sampler.remove_object` and
     :func:`~binclust.sampler.insert_object`: the kernel updates the rows they
-    touch, and an edit made any other way leaves its cache stale (which
-    :meth:`check_consistency` reports).
+    touch, and an edit made any other way leaves its cache out of step
+    (which :meth:`check_consistency` reports).
     """
 
     def __init__(self, assignments, sizes, feature_counts):
@@ -153,20 +151,12 @@ class ClusterState:
         self._counts = np.zeros((k + 2, d), dtype=np.int64)
         self._sizes[:k] = sizes
         self._counts[:k] = counts
-        # The compiled kernel's log-term cache, one row per buffer row:
-        # log(a + c_k), log(b + n_k - c_k) and sum_j log(a_j + b_j + n_k) under
-        # ``_hyper``; ``_stale`` rows are recomputed before they are read.
-        self._hyper = None
-        self._log_present = np.zeros((k + 2, d), dtype=np.float64)
-        self._log_absent = np.zeros((k + 2, d), dtype=np.float64)
-        self._log_denom = np.zeros(k + 2, dtype=np.float64)
-        self._stale = np.ones(k + 2, dtype=bool)
         # The compiled kernel bound to these arrays, a _kernel.Visit; False on
-        # the numpy path, None until the first visit chooses.
+        # the numpy path, None until the first scoring chooses.
         self._visit = None
 
     def __getstate__(self):
-        # A copy binds a kernel of its own at its first visit: this one holds
+        # A copy binds a kernel of its own at its first scoring: this one holds
         # the addresses of this state's arrays.
         return {**self.__dict__, "_visit": None}
 
@@ -196,44 +186,56 @@ class ClusterState:
             raise ValueError("all objects must be assigned (labels >= 0)")
         return cls(*_count_table(labels, data.values))
 
-    def _row_buffers(self):
-        return (self._sizes, self._counts, self._log_present, self._log_absent, self._log_denom, self._stale)
+    def _check_values(self, values):
+        _check_matrix(values, (self.assignments.shape[0], self._counts.shape[1]))
 
-    def _visit_kernel(self):
-        """This state's compiled visit kernel, or None on the numpy path.
+    def _visit_kernel(self, hyper, data):
+        """This state's compiled visit kernel, bound to ``hyper`` and ``data``; None on the numpy path.
 
-        Chosen at the first visit and kept, so one state's visits are always
-        computed the same way.
+        The first scoring chooses the path, for the state's life.  A matrix or
+        hyperparameters of the wrong shape are refused; the kernel checks and
+        binds them only when they are not the ones it holds.
         """
-        if self._visit is None:
+        visit = self._visit
+        if visit and hyper is visit.hyper and data.values is visit.values:
+            return visit
+        self._check_values(data.values)
+        _check_width(hyper, data)
+        if visit is None:
             from . import _kernel
 
             lib = _kernel.library()
-            self._visit = False if lib is None else _kernel.Visit(lib, self)
-        return self._visit or None
+            self._visit = visit = _kernel.Visit(lib, self, hyper) if lib else False
+        if not visit:
+            return None
+        if hyper is not visit.hyper:
+            visit.bind_hyper(hyper)
+        visit.bind_values(data.values)
+        return visit
 
     def _detach(self, i, values):
         """Take object ``i`` of the {0,1} matrix ``values`` out of its cluster; return the old label.
 
         A cluster left empty is deleted: rows above it, the zero row
-        included, shift down one place with their cached log terms, and
-        labels above it drop by one.
+        included, shift down one place, and labels above it drop by one.
         """
         k = int(self.assignments[i])
         # A label outside 0..K-1 would send the update past the live rows.
         if not 0 <= k < self._k:
             raise ValueError(f"object {i} carries label {k}, outside 0..{self._k - 1}")
-        visit = self._visit_kernel()
-        if visit:
-            visit.detach(i, k, values)
+        if self._visit:
+            self._visit.detach(i, k, values)
         else:
+            self._check_values(values)
             self._sizes[k] -= 1
             self._counts[k] -= values[i]
             self.assignments[i] = UNASSIGNED
         if self._sizes[k] == 0:
             top = self._k
-            for buf in self._row_buffers():
+            for buf in (self._sizes, self._counts):
                 buf[k:top] = buf[k + 1 : top + 1]
+            if self._visit:
+                self._visit.drop_row(k, top)
             self._k = top - 1
             self.assignments[self.assignments > k] -= 1
         return k
@@ -241,45 +243,31 @@ class ClusterState:
     def _attach(self, i, k, values):
         """Put detached object ``i`` of the {0,1} matrix ``values`` into cluster ``k``;
         ``k == n_clusters`` fills the zero row, opening a new cluster."""
-        if k == self._k:
-            if k + 2 > self._sizes.shape[0]:
-                self._grow()
-            self._k = k + 1
-        visit = self._visit_kernel()
-        if visit:
-            visit.attach(i, k, values)
+        if self._visit:
+            self._visit.attach(i, k, values)
         else:
+            self._check_values(values)
             self._sizes[k] += 1
             self._counts[k] += values[i]
             self.assignments[i] = k
+        if k == self._k:
+            self._k = k + 1
+            if k + 2 > self._sizes.shape[0]:
+                self._grow()
 
     def _grow(self):
-        """Double the row capacity; the new rows are zero and their cache stale."""
-        old = self._sizes.shape[0]
-        grown = []
-        for buf in self._row_buffers():
-            new = np.zeros((2 * old,) + buf.shape[1:], dtype=buf.dtype)
-            new[:old] = buf
-            grown.append(new)
-        self._sizes, self._counts, self._log_present, self._log_absent, self._log_denom, self._stale = grown
-        self._stale[old:] = True
+        """Double the row capacity; the new rows are zero."""
+        self._sizes = np.concatenate([self._sizes, np.zeros_like(self._sizes)])
+        self._counts = np.concatenate([self._counts, np.zeros_like(self._counts)])
         if self._visit:
             self._visit.bind_buffers(self)
-
-    def _use(self, hyper, data):
-        """Score under ``hyper`` from now on; a new one marks every row of the kernel's cache stale."""
-        if hyper is not self._hyper:
-            _check_width(hyper, data)
-            self._hyper = hyper
-            self._stale[:] = True
-            if self._visit:
-                self._visit.bind_hyper(hyper)
 
     def check_consistency(self, data):
         """Verify every invariant against a from-scratch recount; raise on mismatch.
 
         Intended for tests and debugging, not for the sampling hot path.
         """
+        self._check_values(data.values)
         assigned = self.assignments != UNASSIGNED
         if (self.assignments[assigned] >= self.n_clusters).any():
             raise ValueError("assignment label out of range")
@@ -297,12 +285,7 @@ class ClusterState:
         if self._sizes[self._k :].any() or self._counts[self._k :].any():
             raise ValueError("statistics rows from n_clusters up must be zero")
         if self._visit:
-            # The kernel's cache, held to its own from-scratch recomputation.
-            fresh = np.flatnonzero(~self._stale)
-            expected = self._visit.row_terms(fresh)
-            cached = (self._log_present[fresh], self._log_absent[fresh], self._log_denom[fresh])
-            if not all(np.array_equal(c, e) for c, e in zip(cached, expected)):
-                raise ValueError("cached log terms disagree with a recomputation from the statistics")
+            self._visit.check()
 
 
 def _count_table(labels, rows):
@@ -365,6 +348,12 @@ def _check_option(option, n_clusters):
     if isinstance(option, str) and option == NEW_CLUSTER:
         return n_clusters
     return _check_index(option, n_clusters, f"a cluster option other than {NEW_CLUSTER!r}")
+
+
+def _check_matrix(values, shape):
+    """Refuse a data matrix whose shape is not a state's (objects, features) ``shape``."""
+    if values.shape != shape:
+        raise ValueError(f"the data matrix has shape {values.shape}, the state covers (objects, features) {shape}")
 
 
 def _check_width(hyper, data):
@@ -455,12 +444,11 @@ def assignment_distribution(i, state, data, hyper, temperature):
         raise ValueError(f"object {i} must be detached from the state first")
     # np.add.reduce, not .sum(): the check runs on every visit, and .sum()
     # adds a Python-level wrapper around the same reduction.
-    if np.add.reduce(state.sizes) != data.n_objects - 1:
+    if np.add.reduce(state.sizes) != state.assignments.shape[0] - 1:
         raise ValueError("state statistics must cover exactly the other n - 1 objects")
-    visit = state._visit_kernel()
-    state._use(hyper, data)
+    visit = state._visit_kernel(hyper, data)
     if visit:
-        return visit.distribution(i, state.n_clusters + 1, temperature, data.values)
+        return visit.distribution(i, state.n_clusters + 1, temperature)
     # Rows 0..K-1 are the existing clusters and row K, all-zero, the new one.
     top = state.n_clusters + 1
     loglik = _log_predictives(data.values[i], state._sizes[:top], state._counts[:top], hyper)
@@ -490,6 +478,7 @@ def joint_log_score(state, data, hyper):
     # and importing it costs every process a quarter of a second.
     from scipy.special import betaln, gammaln
 
+    state._check_values(data.values)
     if state.sizes.sum() != data.n_objects:
         raise ValueError("state must cover every object")
     _check_width(hyper, data)

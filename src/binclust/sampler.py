@@ -138,6 +138,7 @@ def _categorical(probs, rng):
 
 def gibbs_sweep(state, data, hyper, temperature, rng):
     """One full pass over all objects at a fixed temperature, in place."""
+    state._check_values(data.values)
     _check_width(hyper, data)
     for i in range(data.n_objects):
         remove_object(state, i, data)

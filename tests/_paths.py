@@ -1,8 +1,8 @@
 """Choose which implementation runs the Gibbs visits: numpy or the compiled kernel.
 
-A :class:`~binclust.model.ClusterState` picks its path at its first visit,
+A :class:`~binclust.model.ClusterState` picks its path at its first scoring,
 from ``binclust._kernel._lib``; :func:`visit_path` sets that attribute for the
-duration of a block, so states that first visit inside it take that path.
+duration of a block, so states first scored inside it take that path.
 """
 
 import contextlib
@@ -14,7 +14,7 @@ PATHS = ("numpy", "compiled")
 
 @contextlib.contextmanager
 def visit_path(name):
-    """Run the visits of states first visited in the block on path ``name``.
+    """Run the visits of states first scored in the block on path ``name``.
 
     ``"compiled"`` builds or loads the kernel first, and fails where it cannot.
     """

@@ -176,6 +176,58 @@ def test_the_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizers(
     assert done.returncode == 0, done.stderr[-4000:]
 
 
+# Detaches, births, deaths and growth before a state's first scoring binds its
+# kernel; a switch of hyperparameters before every birth, some of which grow
+# the buffers; and deaths of the top live row.  The cache is checked after
+# every step.
+_SANITIZED_EDGES = """
+import numpy as np
+from binclust import _kernel
+from binclust.datagen import SyntheticSpec, generate
+from binclust.model import NEW_CLUSTER, ClusterState, Hyperparams, assignment_distribution, default_hyperparams
+from binclust.sampler import gibbs_sweep, insert_object, remove_object
+
+_kernel._FLAGS, _kernel._CACHE_DIR = {flags!r}, {cache!r}
+data, _ = generate(SyntheticSpec(30, 25, 20, 5, k_true=3, seed=4))
+n = data.n_objects
+hypers = (default_hyperparams(data), Hyperparams(a=np.full(25, 0.5), b=np.full(25, 2.0), alpha=2.0))
+rng = np.random.default_rng(0)
+state = ClusterState.from_assignments(data, np.arange(n) % 2)
+capacity = state._sizes.shape[0]
+for i in range(n):
+    remove_object(state, i, data)
+    insert_object(state, i, NEW_CLUSTER if i % 2 else int(rng.integers(state.n_clusters)), data)
+assert state._visit is None and state._sizes.shape[0] > capacity, "no growth before binding"
+gibbs_sweep(state, data, hypers[0], 1.0, rng)
+state.check_consistency(data)
+assert _kernel._lib and state._visit
+state = ClusterState.from_assignments(data, np.arange(n) % 2)
+capacity = state._sizes.shape[0]
+for i in range(n):
+    remove_object(state, i, data)
+    assignment_distribution(i, state, data, hypers[i % 2], 0.5)
+    insert_object(state, i, NEW_CLUSTER, data)
+    state.check_consistency(data)
+assert state._sizes.shape[0] > capacity, "no growth after a switch"
+for i in range(n):
+    remove_object(state, i, data)
+    assignment_distribution(i, state, data, hypers[0], 0.5)
+    insert_object(state, i, NEW_CLUSTER, data)
+    top = state.n_clusters - 1
+    assert remove_object(state, i, data) == top and state.n_clusters == top, "no death of the top live row"
+    state.check_consistency(data)
+    assignment_distribution(i, state, data, hypers[1], 0.5)
+    insert_object(state, i, 0, data)
+    state.check_consistency(data)
+"""
+
+
+def test_the_kernel_runs_its_edge_cases_clean_under_sanitizers(tmp_path, monkeypatch):
+    # The test above, with the edge-case script in place of _SANITIZED_RUN.
+    monkeypatch.setattr(sys.modules[__name__], "_SANITIZED_RUN", _SANITIZED_EDGES)
+    test_the_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizers(tmp_path)
+
+
 def _planted(n, d, sd, sn, k_true, seed):
     return lambda: (generate(SyntheticSpec(n, d, sd, sn, k_true=k_true, seed=seed))[0], {})
 

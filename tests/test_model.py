@@ -1,5 +1,6 @@
 """Core model: predictive likelihoods, priors, assignment distributions, partition score."""
 
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -24,7 +25,7 @@ from binclust.model import (
     joint_log_score,
     log_predictive,
 )
-from binclust.sampler import insert_object, remove_object
+from binclust.sampler import gibbs_sweep, insert_object, remove_object
 
 from _oracles import (
     log_ratio_by_betaln,
@@ -451,7 +452,7 @@ class TestClusterState:
             assignment_distribution(2, state, data, _uniform_hyper(2), temperature=1.0)
             insert_object(state, 2, 0, data)
         state.check_consistency(data)
-        state._log_present[1, 0] += 1e-9
+        state._visit._present[1, 0] += 1e-9
         with pytest.raises(ValueError, match="cached log terms"):
             state.check_consistency(data)
 
@@ -463,11 +464,45 @@ class TestClusterState:
             remove_object(state, 2, data)
             assignment_distribution(2, state, data, hyper, temperature=1.0)
             insert_object(state, 2, 0, data)
-            state._log_present[:] = 5.0
+            assert state._visit is False  # no kernel, so no cache to read
             state.check_consistency(data)
             remove_object(state, 2, data)
             got = assignment_distribution(2, state, data, hyper, temperature=0.5)
         assert np.array_equal(got, _distribution_by_plain_formula(2, state, data, hyper, 0.5))
+
+    def test_a_state_holds_only_statistics_on_either_path(self):
+        data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
+        for path in PATHS:
+            with visit_path(path):
+                state = ClusterState.from_assignments(data, [0, 1, 0])
+                remove_object(state, 2, data)
+                assignment_distribution(2, state, data, _uniform_hyper(2), temperature=1.0)
+                insert_object(state, 2, NEW_CLUSTER, data)
+            assert set(vars(state)) == {"assignments", "_k", "_sizes", "_counts", "_visit"}
+            assert (state._visit is False) == (path == "numpy")
+
+    @pytest.mark.parametrize("event", ["growth", "death"])
+    def test_check_consistency_detects_a_corrupted_spare_row_of_the_cache(self, event):
+        data = BinaryMatrix([[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        hyper = Hyperparams(a=[0.5, 1.0, 2.0], b=[1.5, 1.0, 3.0], alpha=1.0)
+        with visit_path("compiled"):
+            state = ClusterState.from_assignments(data, [0, 0, 0, 1, 1, 2])  # K = 3 in 5 rows
+            remove_object(state, 0, data)
+            assignment_distribution(0, state, data, hyper, temperature=1.0)
+            if event == "growth":  # two births need a sixth row
+                insert_object(state, 0, NEW_CLUSTER, data)
+                remove_object(state, 1, data)
+                insert_object(state, 1, NEW_CLUSTER, data)
+            else:  # the singleton's death leaves K = 2 in 5 rows
+                insert_object(state, 0, 0, data)
+                remove_object(state, 5, data)
+                insert_object(state, 5, 0, data)
+        spare = state.n_clusters + 2
+        assert spare < state._sizes.shape[0]
+        state.check_consistency(data)
+        state._visit._absent[spare, 1] += 1e-9
+        with pytest.raises(ValueError, match="cached log terms"):
+            state.check_consistency(data)
 
     @pytest.mark.parametrize(
         "assignments, sizes, counts, message",
@@ -623,9 +658,7 @@ class TestLogTermCache:
         # Exact against the kernel's own from-scratch rows; against numpy only
         # up to libm's log and exp, which can differ from numpy's in the last bit.
         def check(fast, i, state, data, hyper, temperature):
-            top = np.arange(state.n_clusters + 1)
-            cached = (state._log_present[top], state._log_absent[top], state._log_denom[top])
-            assert all(np.array_equal(c, e) for c, e in zip(cached, state._visit.row_terms(top)))
+            state._visit.check()
             plain = _distribution_by_plain_formula(i, state, data, hyper, temperature)
             np.testing.assert_allclose(fast, plain, rtol=1e-12, atol=0)
 
@@ -645,7 +678,6 @@ class TestLogTermCache:
         )
         with visit_path("compiled"):
             state = ClusterState.from_assignments(data, np.arange(12) % 3)
-            slot = state._visit_kernel()._ctx
             restored = []  # whether each attach found its own terms in the slot
 
             def out(i, hyper=None):
@@ -664,10 +696,11 @@ class TestLogTermCache:
                 assert slot.returned_object == -1
                 state.check_consistency(data)
 
-            # The first visit finds every row stale, so it saves nothing.
+            # The first visit detaches before its scoring binds the kernel, so it saves nothing.
             remove_object(state, 0, data)
-            assert slot.returned_object == -1
             assignment_distribution(0, state, data, hypers[0], 0.5)
+            slot = state._visit._ctx
+            assert slot.returned_object == -1
             back(0, 0)
             k = out(0, hypers[0])
             back(0, k)  # restored
@@ -689,3 +722,41 @@ class TestLogTermCache:
             back(7, k_j)
             assert restored == [False, True, False] + [True, False] * 4 + [False, False]
             np.testing.assert_array_equal(state.assignments[[2, 7]], [k_i, k_j])
+
+    def test_new_hyperparameters_between_detach_and_attach_leave_nothing_to_restore(self):
+        rng = np.random.default_rng(8)
+        data = BinaryMatrix(rng.integers(0, 2, size=(9, 6)).astype(np.uint8))
+        first = default_hyperparams(data)
+        second = Hyperparams(a=rng.random(6) + 0.1, b=np.full(6, 2.5), alpha=3.0)
+        with visit_path("compiled"):
+            state = ClusterState.from_assignments(data, np.arange(9) % 3)
+            remove_object(state, 0, data)
+            assignment_distribution(0, state, data, first, 1.0)
+            insert_object(state, 0, 0, data)
+            visit = state._visit
+            k = remove_object(state, 4, data)
+            assert (visit._ctx.returned_object, visit._ctx.returned_row) == (4, k)
+            visit.bind_hyper(second)
+            assert visit._ctx.returned_object == -1
+            insert_object(state, 4, k, data)
+        # A restoring attach would have put back terms taken under ``first``.
+        state.check_consistency(data)
+
+    def test_a_deep_copy_leaves_the_cache_of_the_original_current(self):
+        rng = np.random.default_rng(5)
+        data = BinaryMatrix(rng.integers(0, 2, size=(12, 5)).astype(np.uint8))
+        hyper = default_hyperparams(data)
+        with visit_path("compiled"):
+            state = ClusterState.from_assignments(data, np.arange(12) % 2)
+            gibbs_sweep(state, data, hyper, 1.0, rng)
+            visit = state._visit
+            cached = [buf.copy() for buf in (visit._present, visit._absent, visit._denom)]
+            twin = copy.deepcopy(state)
+            for i in range(12):  # every object into a cluster of its own: deaths, births and growth
+                remove_object(twin, i, data)
+                assignment_distribution(i, twin, data, hyper, 1.0)
+                insert_object(twin, i, NEW_CLUSTER, data)
+            twin.check_consistency(data)
+        assert twin._visit is not visit and twin.n_clusters == 12
+        state.check_consistency(data)
+        assert all(np.array_equal(c, b) for c, b in zip(cached, (visit._present, visit._absent, visit._denom)))

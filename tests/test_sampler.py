@@ -1,6 +1,7 @@
 """Annealed Gibbs sampler: state bookkeeping, sweeps, cooling, determinism."""
 
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from binclust.model import (
     BinaryMatrix,
     ClusterState,
     Hyperparams,
+    assignment_distribution,
     default_hyperparams,
     joint_log_score,
 )
@@ -227,10 +229,47 @@ class TestRemoveInsert:
                 remove_object(twin, 3, data)
                 insert_object(twin, 3, NEW_CLUSTER, data)
                 gibbs_sweep(twin, data, hyper, 1.0, np.random.default_rng(1))
-            for name in ("assignments", "_sizes", "_counts", "_log_present", "_log_absent", "_log_denom"):
+            for name in ("assignments", "_sizes", "_counts"):
                 assert np.array_equal(getattr(state, name), getattr(before, name))
             state.check_consistency(data)
             twin.check_consistency(data)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 3)], ids=["a-row-short", "a-column-wide"])
+    @pytest.mark.parametrize("scored", [False, True], ids=["before-scoring", "after-scoring"])
+    def test_a_matrix_of_another_shape_is_refused_before_any_statistic_changes(self, shape, scored):
+        data = BinaryMatrix([[1, 0], [0, 1], [1, 1], [1, 0]])
+        other = BinaryMatrix(np.ones(shape, dtype=np.uint8))
+        hyper = default_hyperparams(data)
+        message = re.escape(f"the data matrix has shape {shape}, the state covers (objects, features) (4, 2)")
+        for path in PATHS:
+            with visit_path(path):
+                state = ClusterState.from_assignments(data, [0, 1, 1, 0])
+                if scored:
+                    gibbs_sweep(state, data, hyper, 1.0, np.random.default_rng(0))
+                labels = state.assignments.copy()
+                attached = (
+                    lambda: remove_object(state, 3, other),
+                    lambda: gibbs_sweep(state, other, hyper, 1.0, np.random.default_rng(0)),
+                    lambda: joint_log_score(state, other, hyper),
+                    lambda: state.check_consistency(other),
+                )
+                detached = (
+                    lambda: insert_object(state, 3, 0, other),
+                    lambda: insert_object(state, 3, NEW_CLUSTER, other),
+                    lambda: assignment_distribution(3, state, other, hyper, 1.0),
+                )
+                for refused in attached:
+                    with pytest.raises(ValueError, match=message):
+                        refused()
+                    state.check_consistency(data)
+                    assert np.array_equal(state.assignments, labels)
+                k = remove_object(state, 3, data)
+                for refused in detached:
+                    with pytest.raises(ValueError, match=message):
+                        refused()
+                    state.check_consistency(data)
+                insert_object(state, 3, k, data)
+                assert np.array_equal(state.assignments, labels)
 
     def test_random_remove_insert_sequences_keep_invariants(self):
         rng = np.random.default_rng(21)
