@@ -10,13 +10,27 @@ import itertools
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
-from scipy.special import betaln
+from scipy.special import betaln, gammaln
 
 
 def log_ratio_by_betaln(a, b, size, fcount, x):
     """Single-feature predictive log ratio via log-gamma Beta functions."""
     return float(
         betaln(a + fcount + x, b + size - fcount + 1 - x) - betaln(a + fcount, b + size - fcount)
+    )
+
+
+def joint_log_score_by_betaln(sizes, counts, hyper):
+    """Partition score through scipy's ``betaln``/``gammaln``, from cluster sizes (K,)
+    and feature counts (K, D); the sorted cluster sum matches the production score's."""
+    alpha = hyper.alpha
+    n = sizes.sum()
+    per_cluster = gammaln(sizes) + betaln(hyper.a + counts, hyper.b + (sizes[:, None] - counts)).sum(axis=1)
+    return float(
+        sizes.shape[0] * np.log(alpha)
+        - (gammaln(n + alpha) - gammaln(alpha))
+        - sizes.shape[0] * betaln(hyper.a, hyper.b).sum()
+        + np.sort(per_cluster).sum()
     )
 
 

@@ -243,12 +243,29 @@ class TestClusterEvaluatePipeline:
         assert err.strip() != ""
 
 
-def test_importing_the_cli_loads_no_scipy_module_it_does_not_call():
+def test_importing_the_cli_loads_no_scipy_module_it_does_not_call(tmp_path):
     done = _python("-c", "import json, sys, binclust.cli; print(json.dumps(sorted(sys.modules)))", timeout=60)
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout)
     assert "scipy.optimize" not in loaded
     assert "scipy.special" not in loaded
+    # A whole cluster run, partition scores included, loads no scipy at all:
+    # only evaluate's matched_accuracy calls it.
+    data_path, report_path = tmp_path / "data.csv", tmp_path / "report.json"
+    argv = ["cluster", "--in", str(data_path), "--sweeps", "4", "--block", "2", "--report", str(report_path)]
+    cli_main([
+        "generate", "--n", "30", "--d", "20", "--sd", "20", "--sn", "5", "--k-true", "3",
+        "--out", str(data_path), "--labels-out", str(tmp_path / "truth.txt"),
+    ])
+    script = (
+        "import json, sys; from binclust.cli import cli_main; "
+        f"code = cli_main({argv!r}); print(json.dumps([code, sorted(sys.modules)]))"
+    )
+    done = _python("-c", script, timeout=60)
+    assert done.returncode == 0, done.stderr
+    code, loaded = json.loads(done.stdout)
+    assert code == 0 and load_report(report_path)["n_clusters"] >= 1
+    assert [name for name in loaded if name.startswith("scipy")] == []
 
 
 class TestUsageErrors:

@@ -25,9 +25,11 @@ from binclust.model import (
     joint_log_score,
     log_predictive,
 )
+from binclust.datagen import SyntheticSpec, generate
 from binclust.sampler import gibbs_sweep, insert_object, remove_object
 
 from _oracles import (
+    joint_log_score_by_betaln,
     log_ratio_by_betaln,
     predictive_by_quadrature,
     seating_weights_by_raw_beta,
@@ -100,6 +102,18 @@ class TestHyperparams:
     def test_largest_alpha_scores_finite(self):
         data = BinaryMatrix(np.eye(4, dtype=np.uint8))
         hyper = default_hyperparams(data, alpha=2.5e305)
+        state = ClusterState.from_assignments(data, np.array([0, 0, 1, 2]))
+        assert np.isfinite(joint_log_score(state, data, hyper))
+
+    @pytest.mark.parametrize("a, b", [([1e307, 1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, 2.6e305]), ([1e308], [1e308])])
+    def test_rejects_shapes_whose_log_gamma_overflows(self, a, b):
+        # scipy's betaln scored a = 1e307 finite; math.lgamma raises OverflowError there.
+        with pytest.raises(ValueError, match=r"^a_j \+ b_j must have a finite log-gamma"):
+            Hyperparams(a=a, b=b, alpha=1.0)
+
+    def test_largest_shapes_score_finite(self):
+        data = BinaryMatrix(np.eye(4, dtype=np.uint8))
+        hyper = Hyperparams(a=[2.5e305, 1.0, 1.0, 1.0], b=[1.0, 1.0, 1.0, 2.5e305], alpha=1.0)
         state = ClusterState.from_assignments(data, np.array([0, 0, 1, 2]))
         assert np.isfinite(joint_log_score(state, data, hyper))
 
@@ -407,6 +421,29 @@ class TestJointLogScore:
             perm = rng.permutation(base.n_clusters)
             relabeled = ClusterState.from_assignments(data, perm[base.assignments])
             assert joint_log_score(relabeled, data, hyper) == score
+
+    def test_agrees_with_scipy_betaln_on_random_small_instances(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            d = int(rng.integers(1, 6))
+            data = BinaryMatrix(rng.integers(0, 2, size=(n, d)).astype(np.uint8))
+            hyper = Hyperparams(
+                a=rng.uniform(0.3, 3.0, size=d), b=rng.uniform(0.3, 3.0, size=d), alpha=rng.uniform(0.3, 3.0)
+            )
+            state = ClusterState.from_assignments(data, rng.integers(0, n, size=n))
+            expected = joint_log_score_by_betaln(state.sizes, state.feature_counts, hyper)
+            assert joint_log_score(state, data, hyper) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize(
+        "spec", [SyntheticSpec(200, 500, 10, 20, k_true=5), SyntheticSpec(2000, 2000, 5, 5, k_true=10)], ids=str
+    )
+    def test_agrees_with_scipy_betaln_at_the_true_labels(self, spec):
+        data, truth = generate(spec)
+        hyper = default_hyperparams(data)
+        state = ClusterState.from_assignments(data, truth)
+        expected = joint_log_score_by_betaln(state.sizes, state.feature_counts, hyper)
+        assert joint_log_score(state, data, hyper) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_rejects_incomplete_state(self):
         data = BinaryMatrix([[1], [0]])
