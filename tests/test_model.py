@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binclust.datagen import SyntheticSpec, generate
 from binclust.model import (
     NEW_CLUSTER,
     UNASSIGNED,
@@ -25,7 +26,6 @@ from binclust.model import (
     joint_log_score,
     log_predictive,
 )
-from binclust.datagen import SyntheticSpec, generate
 from binclust.sampler import gibbs_sweep, insert_object, remove_object
 
 from _oracles import (
@@ -436,7 +436,9 @@ class TestJointLogScore:
             assert joint_log_score(state, data, hyper) == pytest.approx(expected, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize(
-        "spec", [SyntheticSpec(200, 500, 10, 20, k_true=5), SyntheticSpec(2000, 2000, 5, 5, k_true=10)], ids=str
+        "spec",
+        [SyntheticSpec(200, 500, 10, 20, k_true=5), SyntheticSpec(2000, 2000, 5, 5, k_true=10)],
+        ids=["200x500", "2000x2000"],
     )
     def test_agrees_with_scipy_betaln_at_the_true_labels(self, spec):
         data, truth = generate(spec)
