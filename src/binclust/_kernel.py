@@ -11,14 +11,15 @@ first scoring, and current on every row at all times.
   terms of the one row they touch.  Adding or removing an object changes
   ``log(a_j + c_kj)`` only where the object has feature j and
   ``log(b_j + n_k - c_kj)`` only where it has not, so a touched row costs D
-  logs.  ``sum_j log(a_j + b_j + n)`` is memoised by the size n.  A detach
+  logs.  ``sum_j log(a_j + b_j + n)`` is memoised by the size n, and the
+  distribution reads each row's from the memo by the row's size.  A detach
   that empties its row changes only the counts: the state deletes it next.
 - Restore on return: a detach from a row that keeps members saves the D
-  terms it overwrites, and the row's denominator sum, in one slot keyed by
-  (object, row).  An attach of that object into that row copies them back
-  instead of taking D logs; they are the logs of the same counts under the
-  same hyperparameters, so the bits are the same.  Every other detach or
-  attach and every switch of hyperparameters empty the slot.
+  terms it overwrites in one slot keyed by (object, row).  An attach of
+  that object into that row copies them back instead of taking D logs; they
+  are the logs of the same counts under the same hyperparameters, so the
+  bits are the same.  Every other detach or attach and every switch of
+  hyperparameters empty the slot.
 - The distribution selects and sums each row's terms in numpy's pairwise
   order, then shifts, tempers, seats and normalises in the steps of
   :func:`binclust.model.assignment_distribution`.
@@ -62,7 +63,6 @@ typedef struct {
     int64_t *counts;       /* capacity x D */
     double *log_present;   /* capacity x D: log(a_j + c_kj) */
     double *log_absent;    /* capacity x D: log(b_j + n_k - c_kj) */
-    double *log_denom;     /* capacity: sum_j log(a_j + b_j + n_k) */
     const double *a;       /* D */
     const double *b;       /* D */
     double alpha;
@@ -70,11 +70,10 @@ typedef struct {
     double *scratch;       /* D */
     double *probs;         /* capacity: the last distribution */
     /* The restore slot: the terms the last detach overwrote, one per
-       feature, and the row's denominator, while returned_object may still
-       return to returned_row; returned_object is -1 when the slot is empty. */
+       feature, while returned_object may still return to returned_row;
+       returned_object is -1 when the slot is empty. */
     int64_t returned_object;
     int64_t returned_row;
-    double returned_denom;
     double *returned;      /* D */
 } bc_state;
 
@@ -171,7 +170,6 @@ static void move(bc_state *s, int64_t i, int64_t k, int64_t sign)
     if (sign < 0) {
         s->returned_object = i;
         s->returned_row = k;
-        s->returned_denom = s->log_denom[k];
     }
     for (int64_t j = 0; j < d; j++) {
         if (x[j]) {
@@ -183,7 +181,6 @@ static void move(bc_state *s, int64_t i, int64_t k, int64_t sign)
             absent[j] = log(s->b[j] + (double)(n - c[j]));
         }
     }
-    s->log_denom[k] = log_denom(s, n);
 }
 
 void bc_detach(bc_state *s, int64_t i, int64_t k)
@@ -207,7 +204,6 @@ void bc_attach(bc_state *s, int64_t i, int64_t k)
             c[j] += x[j];
             (x[j] ? present : absent)[j] = s->returned[j];
         }
-        s->log_denom[k] = s->returned_denom;
         s->returned_object = -1;
     } else {
         move(s, i, k, 1);
@@ -227,7 +223,7 @@ void bc_distribution(bc_state *s, int64_t i, int64_t top, double temperature)
         const double *present = s->log_present + k * d, *absent = s->log_absent + k * d;
         for (int64_t j = 0; j < d; j++)
             s->scratch[j] = pick(x[j], present[j], absent[j]);
-        p[k] = pairwise_sum(s->scratch, d) - s->log_denom[k];
+        p[k] = pairwise_sum(s->scratch, d) - log_denom(s, s->sizes[k]);
         if (p[k] > best)
             best = p[k];
     }
@@ -328,7 +324,6 @@ class _Context(ctypes.Structure):
         ("counts", ctypes.c_void_p),
         ("log_present", ctypes.c_void_p),
         ("log_absent", ctypes.c_void_p),
-        ("log_denom", ctypes.c_void_p),
         ("a", ctypes.c_void_p),
         ("b", ctypes.c_void_p),
         ("alpha", ctypes.c_double),
@@ -337,7 +332,6 @@ class _Context(ctypes.Structure):
         ("probs", ctypes.c_void_p),
         ("returned_object", ctypes.c_int64),
         ("returned_row", ctypes.c_int64),
-        ("returned_denom", ctypes.c_double),
         ("returned", ctypes.c_void_p),
     ]
 
@@ -365,27 +359,28 @@ class Visit:
         ctx.assignments, ctx.denom_memo, ctx.scratch, ctx.returned = (
             buf.ctypes.data for buf in (self._assignments, self._memo, self._scratch, self._returned)
         )
-        self._present, self._absent, self._denom = np.empty((0, d)), np.empty((0, d)), np.empty(0)
+        self._present, self._absent = np.empty((0, d)), np.empty((0, d))
         self.values = None
         self.bind_hyper(hyper)
         self.bind_buffers(state)
 
-    def _recompute(self, present, absent, denom, start=0):
-        """Fill rows ``start`` up of the given cache-shaped arrays from the statistics."""
-        for k in range(start, denom.shape[0]):
-            denom[k] = self._lib.bc_row_terms(self._addr, k, present[k].ctypes.data, absent[k].ctypes.data)
+    def _recompute(self, present, absent, start=0):
+        """Fill rows ``start`` up of the given cache-shaped arrays from the statistics; return their denominators."""
+        return [
+            self._lib.bc_row_terms(self._addr, k, present[k].ctypes.data, absent[k].ctypes.data)
+            for k in range(start, present.shape[0])
+        ]
 
     def bind_buffers(self, state):
         """Bind the state's statistics buffers after it grew them; the rows growth added get their terms."""
         self._sizes, self._counts = state._sizes, state._counts
-        old, capacity = self._denom.shape[0], state._sizes.shape[0]
-        cache = (self._present, self._absent, self._denom)
-        self._present, self._absent, self._denom = grown = [
-            np.concatenate([buf, np.empty((capacity - old,) + buf.shape[1:])]) for buf in cache
+        old, capacity = self._present.shape[0], state._sizes.shape[0]
+        self._present, self._absent = grown = [
+            np.concatenate([buf, np.empty((capacity - old, buf.shape[1]))]) for buf in (self._present, self._absent)
         ]
         self._probs = np.empty(capacity)
         ctx = self._ctx
-        ctx.sizes, ctx.counts, ctx.log_present, ctx.log_absent, ctx.log_denom, ctx.probs = (
+        ctx.sizes, ctx.counts, ctx.log_present, ctx.log_absent, ctx.probs = (
             buf.ctypes.data for buf in (self._sizes, self._counts, *grown, self._probs)
         )
         self._recompute(*grown, start=old)
@@ -397,7 +392,7 @@ class Visit:
         ctx.a, ctx.b, ctx.alpha = hyper.a.ctypes.data, hyper.b.ctypes.data, hyper.alpha
         ctx.returned_object = -1
         self._memo.fill(np.nan)
-        self._recompute(self._present, self._absent, self._denom)
+        self._recompute(self._present, self._absent)
 
     def bind_values(self, values):
         """Read the {0,1} matrix ``values`` from now on; refused unless it is the state's N x D ``uint8``."""
@@ -409,7 +404,7 @@ class Visit:
 
     def drop_row(self, k, top):
         """Delete row ``k`` as the state deletes its statistics: rows ``k + 1 .. top`` shift down one."""
-        for buf in (self._present, self._absent, self._denom):
+        for buf in (self._present, self._absent):
             buf[k:top] = buf[k + 1 : top + 1]
 
     def detach(self, i, k, values):
@@ -428,9 +423,12 @@ class Visit:
         return self._probs[:top].copy()
 
     def check(self):
-        """Raise unless every cache row equals its recomputation from the statistics."""
-        cache = (self._present, self._absent, self._denom)
+        """Raise unless every cache row, and the memoised denominator of every row's size once
+        computed, equals its recomputation from the statistics."""
+        cache = (self._present, self._absent)
         fresh = tuple(np.empty_like(buf) for buf in cache)
-        self._recompute(*fresh)
-        if not all(np.array_equal(c, f) for c, f in zip(cache, fresh)):
+        denoms = self._recompute(*fresh)
+        memo = self._memo[self._sizes]
+        memo_current = ((memo == denoms) | np.isnan(memo)).all()
+        if not (memo_current and all(np.array_equal(c, f) for c, f in zip(cache, fresh))):
             raise ValueError("cached log terms disagree with a recomputation from the statistics")

@@ -65,20 +65,16 @@ def _plusplus_seeds(points, norms, k, rng):
     return centroids
 
 
-def _wcss(points, labels, centroids):
-    """Within-cluster sum of squares: each point's squared distance to its centroid, summed.
-
-    Computed in the one N x D buffer of each point's centroid, with the values
-    and summation order of ``((points - centroids[labels]) ** 2).sum()``.
-    """
-    diff = centroids[labels]
-    np.subtract(points, diff, out=diff)
-    np.multiply(diff, diff, out=diff)
-    return float(diff.sum())
-
-
 def _lloyd(points, norms, k, max_iters, rng):
-    """One seeded Lloyd run; returns (labels, centroids, WCSS)."""
+    """One seeded Lloyd run; returns (labels, centroids, WCSS).
+
+    Each step counts the clusters' features in one K x D table, the one-hot
+    labels times the {0,1} rows, exact in float64.  The centroids are the
+    table over the sizes, bit for bit the mean rows.  The WCSS is
+    ``sum_k (sum_j C_kj (n_k - C_kj)) / n_k``, its cluster terms summed in
+    sorted order so that a relabeled run ties exactly: within K 2^-52
+    relative of the exact value while D N^2 / 4 < 2^53.
+    """
     n = points.shape[0]
     centroids = _plusplus_seeds(points, norms, k, rng)
     labels = np.full(n, -1, dtype=np.int64)
@@ -87,22 +83,23 @@ def _lloyd(points, norms, k, max_iters, rng):
         new_labels = d2.argmin(axis=1)
         # Revive empty clusters with the worst-fit point (farthest from its
         # own centroid); repeat until every cluster has a member.
-        counts = np.bincount(new_labels, minlength=k)
-        while (counts == 0).any():
-            empty = int(np.flatnonzero(counts == 0)[0])
+        sizes = np.bincount(new_labels, minlength=k)
+        while (sizes == 0).any():
+            empty = int(np.flatnonzero(sizes == 0)[0])
             own = d2[np.arange(n), new_labels].copy()
-            own[counts[new_labels] <= 1] = -1.0  # do not drain singletons
+            own[sizes[new_labels] <= 1] = -1.0  # do not drain singletons
             worst = int(own.argmax())
-            counts[new_labels[worst]] -= 1
+            sizes[new_labels[worst]] -= 1
             new_labels[worst] = empty
-            counts[empty] += 1
+            sizes[empty] += 1
             d2[worst, :] = 0.0  # its new centroid will be the point itself
-        for j in range(k):
-            centroids[j] = points[new_labels == j].mean(axis=0)
+        table = np.eye(k)[new_labels].T @ points
+        centroids = table / sizes[:, None]
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    return labels, centroids, _wcss(points, labels, centroids)
+    wcss = np.sort((table * (sizes[:, None] - table)).sum(axis=1) / sizes).sum()
+    return labels, centroids, float(wcss)
 
 
 def _best_fits(data, ks, rng):

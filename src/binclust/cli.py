@@ -9,6 +9,7 @@ Exit codes: 0 on success, 1 on usage errors, 2 on data/format errors.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -132,8 +133,15 @@ def _cmd_baseline(args):
     rng = np.random.default_rng(args.seed)
     result = baselines.gap_statistic(data, k_max=args.k_max, n_refs=args.n_refs, rng=rng)
     labels, _ = baselines.kmeans_binary(data, result.chosen_k, rng=rng)
-    report = {name: np.asarray(value).tolist() for name, value in vars(result).items()}
-    report.update(labels=labels.tolist(), seed=args.seed, k_max=args.k_max, n_refs=args.n_refs)
+    # A curve entry that is not finite (the log of a zero WCSS, or a gap or
+    # spread built on one) is written as null: strict JSON has no NaN or Infinity.
+    report = {
+        name: [v if math.isfinite(v) else None for v in curve.tolist()]
+        for name, curve in vars(result).items() if name.endswith("_curve")
+    }
+    report.update(
+        chosen_k=result.chosen_k, labels=labels.tolist(), seed=args.seed, k_max=args.k_max, n_refs=args.n_refs
+    )
     io.save_report_dict(args.report, report)
     return 0
 

@@ -246,9 +246,10 @@ def save_report(path, report, data):
 
 
 def save_report_dict(path, report_dict):
+    """Write a dict as strict JSON: a non-finite float raises ``ValueError`` and leaves no file."""
+    text = json.dumps(report_dict, sort_keys=True, indent=1, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(report_dict, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_report(path):

@@ -495,10 +495,12 @@ def joint_log_score(state, data, hyper):
     Each log-Beta is expanded into three stdlib ``math.lgamma`` terms,
     ``log B(x, y) = lgamma(x) + lgamma(y) - lgamma(x + y)``.  At the default
     shapes (``a = 1``, ``b <= N``) the score matches scipy's ``betaln`` to
-    about 1e-16 relative.  The error of a cell grows like one ulp of
-    ``lgamma(a_j + b_j + size_k)``, which is about 3e-3 absolute at
-    ``a = 1e12``, ``b = 1``, where ``betaln`` cancels the large terms
-    analytically.
+    about 1e-16 relative.  At large shapes, where ``betaln`` cancels the
+    large terms analytically, each cell's error stays within three ulps of
+    ``lgamma(a_j + b_j + size_k)`` (two rounded log-gammas and their rounded
+    sum; one ulp is 3.9e-3 at ``a = 1e12``, ``b = 1``), and the score's within
+    that summed over its K x D cells plus the K x D prior terms, three ulps
+    of ``lgamma(a_j + b_j)`` each.
     """
     state._check_values(data.values)
     if state.sizes.sum() != data.n_objects:

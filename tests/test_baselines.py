@@ -1,12 +1,13 @@
 """K-means on binary rows and the gap statistic."""
 
 import copy
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from binclust import baselines
-from binclust.baselines import _lloyd, _plusplus_seeds, _squared_distances, _wcss, gap_statistic, kmeans_binary
+from binclust.baselines import _lloyd, _plusplus_seeds, _squared_distances, gap_statistic, kmeans_binary
 from binclust.datagen import SyntheticSpec, generate
 from binclust.evaluate import matched_accuracy
 from binclust.model import BinaryMatrix
@@ -33,12 +34,23 @@ def _plusplus_by_direct_distances(points, k, rng):
     return np.array(centroids)
 
 
+def _exact_wcss(values, labels):
+    """The WCSS of ``labels`` as a fraction: every row's squared distance to its cluster's exact mean row."""
+    total = Fraction(0)
+    for j in np.unique(labels):
+        members = np.asarray(values)[labels == j].astype(int).tolist()
+        mean = [Fraction(sum(column), len(members)) for column in zip(*members)]
+        total += sum((x - m) ** 2 for row in members for x, m in zip(row, mean))
+    return total
+
+
 def _gap_by_per_k_fits(data, k_max, n_refs, rng):
-    """The gap statistic through ``kmeans_binary``, then ``_wcss``, then a scalar log with 0 mapped to -inf."""
+    """The gap statistic through ``kmeans_binary``, then the correctly rounded exact WCSS of its labels,
+    then a scalar log with 0 mapped to -inf."""
 
     def log_dispersion(matrix, k):
-        labels, centroids = kmeans_binary(matrix, k, rng)
-        wcss = _wcss(matrix.values.astype(np.float64), labels, centroids)
+        labels, _ = kmeans_binary(matrix, k, rng)
+        wcss = float(_exact_wcss(matrix.values, labels))
         return -np.inf if wcss == 0.0 else float(np.log(wcss))
 
     k_values = range(1, k_max + 1)
@@ -132,14 +144,26 @@ class TestKmeansBinary:
         want, _ = kmeans_binary(data, 3, rng=np.random.default_rng(1))
         assert np.array_equal(got, want)
 
-    def test_wcss_equals_the_sum_of_squared_differences(self):
+    def test_lloyd_returns_the_mean_rows_and_the_exact_wcss_of_its_labels(self):
+        # Random instances, then K = 1 and K = N, then duplicate rows.  The
+        # WCSS sums K correctly rounded cluster terms, so it is within
+        # K 2^-52 relative of the exact value.
         rng = np.random.default_rng(8)
-        for _ in range(50):
-            n, d, k = int(rng.integers(1, 40)), int(rng.integers(1, 30)), int(rng.integers(1, 6))
-            points = rng.integers(0, 2, size=(n, d)).astype(np.float64)
-            labels = rng.integers(0, k, size=n)
-            centroids = rng.random((k, d))
-            assert _wcss(points, labels, centroids) == float(((points - centroids[labels]) ** 2).sum())
+        cases = []
+        for _ in range(40):
+            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 30))
+            cases.append((rng.integers(0, 2, size=(n, d)), int(rng.integers(1, min(n, 6) + 1))))
+        values = rng.integers(0, 2, size=(25, 12))
+        cases += [(values, 1), (values, 25)]
+        duplicates = np.repeat(rng.integers(0, 2, size=(4, 9)), [5, 1, 3, 6], axis=0)
+        cases += [(duplicates, k) for k in (1, 3, 4, 6, 15)]
+        for values, k in cases:
+            points = values.astype(np.float64)
+            labels, centroids, wcss = _lloyd(points, (points * points).sum(axis=1), k, 100, rng)
+            exact = _exact_wcss(values, labels)
+            assert abs(Fraction(wcss) - exact) <= Fraction(k, 2**52) * exact
+            for j in range(k):
+                assert np.array_equal(centroids[j], points[labels == j].mean(axis=0))
 
     def test_every_cluster_nonempty(self):
         rng = np.random.default_rng(5)
@@ -228,6 +252,17 @@ class TestGapStatistic:
         assert np.array_equal(got.gap_curve, want.gap_curve)
 
     def test_equals_the_per_k_fits(self):
+        """Equal chosen k, and curves equal up to rounding, to the per-k fits with exact WCSS.
+
+        Each WCSS here is within k_max 2^-52 relative of the exact value, the
+        oracle's within 2^-53, so their logs differ by at most
+        (k_max + 1) 2^-52 before numpy's log adds a few ulps of |log| to each.
+        A gap is a mean of such logs minus one, a spread at most sqrt(2) times
+        their largest difference; so every finite curve entry is within
+        8 (k_max + 2) 2^-52 (1 + scale) of the oracle's, scale being the largest
+        finite |entry| of the oracle's curves (a reference log is at most twice
+        that).  A non-finite entry (a zero WCSS) is the same in both.
+        """
         # Identical rows (zero WCSS at every k) and three distinct rows, each
         # repeated (zero WCSS from k = 3), then random instances.
         rng = np.random.default_rng(21)
@@ -239,5 +274,10 @@ class TestGapStatistic:
             result = gap_statistic(data, k_max=k_max, n_refs=n_refs, rng=np.random.default_rng(i))
             chosen_k, *curves = _gap_by_per_k_fits(data, k_max, n_refs, np.random.default_rng(i))
             assert result.chosen_k == chosen_k
+            scale = max([abs(v) for curve in curves for v in curve if np.isfinite(v)], default=0.0)
+            bound = 8 * (k_max + 2) * 2**-52 * (1 + scale)
             for got, want in zip((result.gap_curve, result.sk_curve, result.dispersion_curve), curves):
-                assert np.array_equal(got, want, equal_nan=True)
+                finite = np.isfinite(want)
+                assert np.array_equal(np.isfinite(got), finite)
+                assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+                assert (np.abs(got[finite] - want[finite]) <= bound).all()

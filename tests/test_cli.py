@@ -308,6 +308,25 @@ class TestBaselineCommand:
         assert len(report["gap_curve"]) == 6
         assert len(report["labels"]) == 40
 
+    def test_identical_rows_give_a_strict_json_report_with_nulls(self, tmp_path, capsys):
+        # Every k has zero WCSS, in the data and in its references (their
+        # column means are 0 or 1), so the dispersions log to -inf and the gaps
+        # and spreads are NaN; RFC 8259 has neither, and the report writes null.
+        data_path, report_path = tmp_path / "same.csv", tmp_path / "gap.json"
+        data_path.write_text("1,0,1,1\n" * 10)
+        code, _, _ = _run(
+            capsys, "baseline", "--in", str(data_path), "--k-max", "4", "--n-refs", "3", "--report", str(report_path)
+        )
+        assert code == 0
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads(report_path.read_text(), parse_constant=refuse)
+        assert report["chosen_k"] == 1
+        for name in ("dispersion_curve", "gap_curve", "sk_curve"):
+            assert report[name] == [None] * 4
+
     def test_k_max_above_n_exit_2_before_fitting(self, tmp_path, capsys, monkeypatch):
         data_path = tmp_path / "data.csv"
         _run(

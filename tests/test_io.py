@@ -262,6 +262,14 @@ class TestReportFormat:
         assert load_report(path) == payload
 
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_value_is_refused_and_writes_no_file(self, tmp_path, value):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            save_report_dict(path, {"gap_curve": [0.5, value]})
+        assert not path.exists()
+
+
 class TestNumericCsv:
     def test_count_csv(self, tmp_path):
         path = tmp_path / "counts.csv"

@@ -447,6 +447,29 @@ class TestJointLogScore:
         expected = joint_log_score_by_betaln(state.sizes, state.feature_counts, hyper)
         assert joint_log_score(state, data, hyper) == pytest.approx(expected, rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("a", [1.0, 10.0, 1e3, 1e6, 1e9, 1e12, 1e15])
+    @pytest.mark.parametrize(
+        "spec",
+        [SyntheticSpec(200, 50, 20, 10, k_true=5), SyntheticSpec(60, 20, 20, 10, k_true=4)],
+        ids=["200x50", "60x20"],
+    )
+    def test_error_at_large_shapes_stays_within_three_ulps_per_term(self, spec, a):
+        # The bound of the docstring: three ulps of lgamma(a_j + b_j + size_k)
+        # for each of the K x D evidence cells, and of lgamma(a_j + b_j) for
+        # each of the K x D prior terms.
+        data, truth = generate(spec)
+        state = ClusterState.from_assignments(data, truth)
+        d = data.n_features
+        for b in (np.ones(d), np.linspace(0.5, 50.0, d)):
+            hyper = Hyperparams(a=np.full(d, a), b=b, alpha=1.0)
+            ab = hyper.a + hyper.b
+            cells, prior = (
+                np.spacing([math.lgamma(x) for x in terms.ravel()]).sum() for terms in (ab + state.sizes[:, None], ab)
+            )
+            bound = 3 * (cells + state.n_clusters * prior)
+            expected = joint_log_score_by_betaln(state.sizes, state.feature_counts, hyper)
+            assert abs(joint_log_score(state, data, hyper) - expected) <= bound
+
     def test_rejects_incomplete_state(self):
         data = BinaryMatrix([[1], [0]])
         state = _detached_state(data, [0, 0], 1)
@@ -492,6 +515,21 @@ class TestClusterState:
             insert_object(state, 2, 0, data)
         state.check_consistency(data)
         state._visit._present[1, 0] += 1e-9
+        with pytest.raises(ValueError, match="cached log terms"):
+            state.check_consistency(data)
+
+    def test_check_consistency_detects_a_corrupted_denominator_memo(self):
+        # The kernel reads each row's denominator from the memo by the row's
+        # size, so a wrong entry there is a wrong distribution.
+        data = BinaryMatrix([[1, 0], [0, 1], [1, 1], [0, 0], [1, 0]])
+        with visit_path("compiled"):
+            state = ClusterState.from_assignments(data, [0, 1, 0, 1, 1])
+            remove_object(state, 2, data)
+            assignment_distribution(2, state, data, _uniform_hyper(2), temperature=1.0)
+        state.check_consistency(data)
+        memo = state._visit._memo
+        assert np.isnan(memo[4])  # a size no row holds: never computed, never checked
+        memo[state.sizes[1]] += 1e-9
         with pytest.raises(ValueError, match="cached log terms"):
             state.check_consistency(data)
 
@@ -789,7 +827,7 @@ class TestLogTermCache:
             state = ClusterState.from_assignments(data, np.arange(12) % 2)
             gibbs_sweep(state, data, hyper, 1.0, rng)
             visit = state._visit
-            cached = [buf.copy() for buf in (visit._present, visit._absent, visit._denom)]
+            cached = [buf.copy() for buf in (visit._present, visit._absent, visit._memo)]
             twin = copy.deepcopy(state)
             for i in range(12):  # every object into a cluster of its own: deaths, births and growth
                 remove_object(twin, i, data)
@@ -798,4 +836,6 @@ class TestLogTermCache:
             twin.check_consistency(data)
         assert twin._visit is not visit and twin.n_clusters == 12
         state.check_consistency(data)
-        assert all(np.array_equal(c, b) for c, b in zip(cached, (visit._present, visit._absent, visit._denom)))
+        assert all(
+            np.array_equal(c, b, equal_nan=True) for c, b in zip(cached, (visit._present, visit._absent, visit._memo))
+        )
