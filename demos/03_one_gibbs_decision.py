@@ -25,7 +25,7 @@ data = bc.BinaryMatrix(values)
 labels = np.array([0] * 4 + [1] * 4 + [2] * 2 + [0])
 hyper = bc.default_hyperparams(data)
 
-state = bc.ClusterState.from_assignments(data, labels)
+state = bc.ClusterState(data, labels)
 bc.remove_object(state, 10, data)
 x = data.values[10]
 print(f"object row: {x.tolist()}")

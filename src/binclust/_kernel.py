@@ -4,8 +4,8 @@ and its binding to one :class:`~binclust.model.ClusterState`.
 A visit of the annealed Gibbs sampler detaches one object, scores every
 cluster option and attaches the object again.  Here those steps run in C
 over the state's own statistics buffers, one call each, with no copies in or
-out.  The log-term cache is :class:`Visit`'s alone: bound at the state's
-first scoring, and current on every row at all times.
+out.  The log-term cache is :class:`Visit`'s alone: bound to one state, its
+matrix and one set of hyperparameters, and current on every row at all times.
 
 - Detach and attach update the size, the feature counts and the cached log
   terms of the one row they touch.  Adding or removing an object changes
@@ -18,8 +18,8 @@ first scoring, and current on every row at all times.
   terms it overwrites in one slot keyed by (object, row).  An attach of
   that object into that row copies them back instead of taking D logs; they
   are the logs of the same counts under the same hyperparameters, so the
-  bits are the same.  Every other detach or attach and every switch of
-  hyperparameters empty the slot.
+  bits are the same.  Every other detach or attach empties the slot, and a
+  kernel bound for other hyperparameters starts with it empty.
 - The distribution selects and sums each row's terms in numpy's pairwise
   order, then shifts, tempers, seats and normalises in the steps of
   :func:`binclust.model.assignment_distribution`.
@@ -44,8 +44,6 @@ import tempfile
 import warnings
 
 import numpy as np
-
-from .model import _check_matrix
 
 SOURCE = r"""
 #include <math.h>
@@ -337,31 +335,32 @@ class _Context(ctypes.Structure):
 
 
 class Visit:
-    """The kernel bound to one state's statistics buffers, with its log-term cache.
+    """The kernel bound to one state's data matrix and statistics buffers, and to
+    ``hyper``, with its log-term cache.
 
     Every cache row, up to the buffers' capacity, holds what ``bc_row_terms``
     computes from that row's statistics under ``hyper``: detach and attach
-    keep the rows they touch so, and the state calls :meth:`bind_buffers`,
-    :meth:`drop_row` and :meth:`bind_hyper` on growth, on a death and for
-    other hyperparameters.  It holds a reference to every array whose
-    address the C side keeps, so none is freed while bound.
+    keep the rows they touch so, and the state calls :meth:`bind_buffers` and
+    :meth:`drop_row` on growth and on a death.  Other hyperparameters take a
+    fresh kernel.  It holds a reference to every array whose address the C
+    side keeps, so none is freed while bound.
     """
 
     def __init__(self, lib, state, hyper):
-        n, d = state.assignments.shape[0], state._counts.shape[1]
+        n, d = state._values.shape
         self._lib = lib
-        self._ctx = ctx = _Context(n_objects=n, n_features=d, returned_object=-1)
+        self.hyper = hyper
+        self._ctx = ctx = _Context(n_objects=n, n_features=d, alpha=hyper.alpha, returned_object=-1)
         self._addr = ctypes.addressof(ctx)
-        self._assignments = state.assignments
-        self._memo = np.empty(n + 1)
+        self._values, self._assignments = state._values, state.assignments
+        self._memo = np.full(n + 1, np.nan)
         self._scratch = np.empty(d)
         self._returned = np.empty(d)
-        ctx.assignments, ctx.denom_memo, ctx.scratch, ctx.returned = (
-            buf.ctypes.data for buf in (self._assignments, self._memo, self._scratch, self._returned)
+        ctx.values, ctx.assignments, ctx.a, ctx.b, ctx.denom_memo, ctx.scratch, ctx.returned = (
+            buf.ctypes.data
+            for buf in (self._values, self._assignments, hyper.a, hyper.b, self._memo, self._scratch, self._returned)
         )
         self._present, self._absent = np.empty((0, d)), np.empty((0, d))
-        self.values = None
-        self.bind_hyper(hyper)
         self.bind_buffers(state)
 
     def _recompute(self, present, absent, start=0):
@@ -385,36 +384,15 @@ class Visit:
         )
         self._recompute(*grown, start=old)
 
-    def bind_hyper(self, hyper):
-        """Score under ``hyper`` from now on: every row recomputed, the memo reset, the restore slot emptied."""
-        self.hyper = hyper
-        ctx = self._ctx
-        ctx.a, ctx.b, ctx.alpha = hyper.a.ctypes.data, hyper.b.ctypes.data, hyper.alpha
-        ctx.returned_object = -1
-        self._memo.fill(np.nan)
-        self._recompute(self._present, self._absent)
-
-    def bind_values(self, values):
-        """Read the {0,1} matrix ``values`` from now on; refused unless it is the state's N x D ``uint8``."""
-        _check_matrix(values, (self._ctx.n_objects, self._ctx.n_features))
-        if values.dtype != np.uint8 or not values.flags.c_contiguous:
-            raise ValueError(f"expected a C-contiguous uint8 matrix, got {values.dtype}")
-        self.values = values
-        self._ctx.values = values.ctypes.data
-
     def drop_row(self, k, top):
         """Delete row ``k`` as the state deletes its statistics: rows ``k + 1 .. top`` shift down one."""
         for buf in (self._present, self._absent):
             buf[k:top] = buf[k + 1 : top + 1]
 
-    def detach(self, i, k, values):
-        if values is not self.values:
-            self.bind_values(values)
+    def detach(self, i, k):
         self._lib.bc_detach(self._addr, i, k)
 
-    def attach(self, i, k, values):
-        if values is not self.values:
-            self.bind_values(values)
+    def attach(self, i, k):
         self._lib.bc_attach(self._addr, i, k)
 
     def distribution(self, i, top, temperature):

@@ -42,5 +42,5 @@ def matched_accuracy(pred, truth):
 
 def cluster_feature_frequencies(assignments, data):
     """K x D matrix whose (k, j) entry is the fraction of cluster k carrying feature j."""
-    state = ClusterState.from_assignments(data, assignments)
+    state = ClusterState(data, assignments)
     return state.feature_counts / state.sizes[:, None]

@@ -126,6 +126,12 @@ def _lgamma(x):
 class ClusterState:
     """Cluster labels plus the sufficient statistics the model depends on.
 
+    ``ClusterState(data, assignments)`` counts them from a full label vector,
+    compacted to 0..K-1 in the sorted order of its distinct integer labels,
+    and keeps ``data.values``: every call that passes the state a matrix
+    accepts that array or an equal one, and refuses any other before a
+    statistic changes.
+
     ``assignments[i]`` is the label of object i (``UNASSIGNED`` while an
     object is temporarily detached during a Gibbs update), ``sizes[k]`` the
     cluster cardinality, and ``feature_counts[k, j]`` the number of members
@@ -134,41 +140,40 @@ class ClusterState:
 
     ``sizes`` and ``feature_counts`` are views of the first K rows of row
     buffers with spare capacity; row K is always all-zero, the statistics of
-    a brand-new cluster.  The constructor refuses statistics that disagree
-    with themselves or with the labels' tallies.
+    a brand-new cluster.
 
     The state keeps statistics only.  Its first scoring, when the
     hyperparameters are known, chooses how its visits run for the state's
     life: in the compiled kernel of :mod:`binclust._kernel` where it can be
     built, otherwise in numpy, which scores with the plain formula.  The
     kernel keeps a log-term cache beside the row buffers, current on every
-    row at all times.  Change the statistics only through
+    row at all times; a scoring under another :class:`Hyperparams` object
+    binds a fresh kernel.  Change the statistics only through
     :func:`~binclust.sampler.remove_object` and
     :func:`~binclust.sampler.insert_object`: the kernel updates the rows they
     touch, and an edit made any other way leaves its cache out of step
     (which :meth:`check_consistency` reports).
     """
 
-    def __init__(self, assignments, sizes, feature_counts):
-        self.assignments = np.ascontiguousarray(assignments, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        counts = np.asarray(feature_counts, dtype=np.int64)
-        if sizes.ndim != 1 or counts.ndim != 2 or counts.shape[0] != sizes.shape[0]:
-            raise ValueError(f"expected sizes (K,) and feature counts (K, D), got {sizes.shape} and {counts.shape}")
-        k, d = counts.shape
-        if (sizes < 1).any():
-            raise ValueError("every cluster size must be at least 1")
-        if (counts < 0).any() or (counts > sizes[:, None]).any():
-            raise ValueError("feature counts must lie in [0, cluster size]")
-        if self.assignments.ndim != 1 or ((self.assignments < UNASSIGNED) | (self.assignments >= k)).any():
-            raise ValueError(f"labels must be 1-d, each {UNASSIGNED} (detached) or in [0, {k})")
-        if not np.array_equal(np.bincount(self.assignments[self.assignments >= 0], minlength=k), sizes):
-            raise ValueError("cluster sizes disagree with the labels' tallies")
-        self._k = k
-        self._sizes = np.zeros(k + 2, dtype=np.int64)
-        self._counts = np.zeros((k + 2, d), dtype=np.int64)
-        self._sizes[:k] = sizes
-        self._counts[:k] = counts
+    def __init__(self, data, assignments):
+        labels = np.asarray(assignments)
+        if labels.shape != (data.n_objects,):
+            raise ValueError(f"expected {data.n_objects} labels, got shape {labels.shape}")
+        # Not a cast: it would truncate floats and take bools and digit strings.
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+        if (labels < 0).any():
+            raise ValueError("all objects must be assigned (labels >= 0)")
+        if data.values.dtype != np.uint8 or not data.values.flags.c_contiguous:  # what the kernel reads
+            raise ValueError(f"expected a C-contiguous uint8 matrix, got {data.values.dtype}")
+        self._values = data.values
+        compact, sizes, counts = _count_table(labels, self._values)
+        self.assignments = np.ascontiguousarray(compact, dtype=np.int64)
+        self._k, d = counts.shape
+        self._sizes = np.zeros(self._k + 2, dtype=np.int64)
+        self._counts = np.zeros((self._k + 2, d), dtype=np.int64)
+        self._sizes[: self._k] = sizes
+        self._counts[: self._k] = counts
         # The compiled kernel bound to these arrays, a _kernel.Visit; False on
         # the numpy path, None until the first scoring chooses.
         self._visit = None
@@ -190,49 +195,34 @@ class ClusterState:
     def n_clusters(self):
         return self._k
 
-    @classmethod
-    def from_assignments(cls, data, assignments):
-        """Build a state from a full label vector by counting from scratch.
-
-        Labels are compacted (relabeled to 0..K-1 preserving sorted order of
-        the distinct input labels); every object must carry a label.
-        """
-        labels = np.asarray(assignments, dtype=np.int64)
-        if labels.shape != (data.n_objects,):
-            raise ValueError(f"expected {data.n_objects} labels, got shape {labels.shape}")
-        if (labels < 0).any():
-            raise ValueError("all objects must be assigned (labels >= 0)")
-        return cls(*_count_table(labels, data.values))
-
     def _check_values(self, values):
-        _check_matrix(values, (self.assignments.shape[0], self._counts.shape[1]))
+        """Refuse a matrix unequal to the state's; a visit tests identity inline before calling this."""
+        shape = self._values.shape
+        if values.shape != shape:
+            raise ValueError(f"the data matrix has shape {values.shape}, the state covers (objects, features) {shape}")
+        if values is not self._values and not np.array_equal(values, self._values):
+            raise ValueError("the data matrix differs from the one the state was counted from")
 
     def _visit_kernel(self, hyper, data):
-        """This state's compiled visit kernel, bound to ``hyper`` and ``data``; None on the numpy path.
+        """This state's compiled visit kernel, bound to ``hyper``; None on the numpy path.
 
-        The first scoring chooses the path, for the state's life.  A matrix or
-        hyperparameters of the wrong shape are refused; the kernel checks and
-        binds them only when they are not the ones it holds.
+        The first scoring chooses the path, for the state's life.  Hyperparameters
+        of the wrong width are refused; others than the kernel's get a fresh one.
         """
         visit = self._visit
-        if visit and hyper is visit.hyper and data.values is visit.values:
+        if visit and hyper is visit.hyper:
             return visit
-        self._check_values(data.values)
         _check_width(hyper, data)
-        if visit is None:
-            from . import _kernel
-
-            lib = _kernel.library()
-            self._visit = visit = _kernel.Visit(lib, self, hyper) if lib else False
-        if not visit:
+        if visit is False:
             return None
-        if hyper is not visit.hyper:
-            visit.bind_hyper(hyper)
-        visit.bind_values(data.values)
-        return visit
+        from . import _kernel
 
-    def _detach(self, i, values):
-        """Take object ``i`` of the {0,1} matrix ``values`` out of its cluster; return the old label.
+        lib = visit._lib if visit else _kernel.library()
+        self._visit = visit = _kernel.Visit(lib, self, hyper) if lib else False
+        return visit or None
+
+    def _detach(self, i):
+        """Take object ``i`` out of its cluster; return the old label.
 
         A cluster left empty is deleted: rows above it, the zero row
         included, shift down one place, and labels above it drop by one.
@@ -242,11 +232,10 @@ class ClusterState:
         if not 0 <= k < self._k:
             raise ValueError(f"object {i} carries label {k}, outside 0..{self._k - 1}")
         if self._visit:
-            self._visit.detach(i, k, values)
+            self._visit.detach(i, k)
         else:
-            self._check_values(values)
             self._sizes[k] -= 1
-            self._counts[k] -= values[i]
+            self._counts[k] -= self._values[i]
             self.assignments[i] = UNASSIGNED
         if self._sizes[k] == 0:
             top = self._k
@@ -258,15 +247,14 @@ class ClusterState:
             self.assignments[self.assignments > k] -= 1
         return k
 
-    def _attach(self, i, k, values):
-        """Put detached object ``i`` of the {0,1} matrix ``values`` into cluster ``k``;
-        ``k == n_clusters`` fills the zero row, opening a new cluster."""
+    def _attach(self, i, k):
+        """Put detached object ``i`` into cluster ``k``; ``k == n_clusters``
+        fills the zero row, opening a new cluster."""
         if self._visit:
-            self._visit.attach(i, k, values)
+            self._visit.attach(i, k)
         else:
-            self._check_values(values)
             self._sizes[k] += 1
-            self._counts[k] += values[i]
+            self._counts[k] += self._values[i]
             self.assignments[i] = k
         if k == self._k:
             self._k = k + 1
@@ -293,7 +281,7 @@ class ClusterState:
             raise ValueError("cluster sizes do not sum to the number of assigned objects")
         if (self.sizes < 1).any():
             raise ValueError("empty cluster present; labels must be compact")
-        _, sizes, counts = _count_table(self.assignments[assigned], data.values[assigned])
+        _, sizes, counts = _count_table(self.assignments[assigned], self._values[assigned])
         if not np.array_equal(sizes, self.sizes):
             raise ValueError("sizes disagree with a recount over assignments")
         if not np.array_equal(counts, self.feature_counts):
@@ -366,12 +354,6 @@ def _check_option(option, n_clusters):
     if isinstance(option, str) and option == NEW_CLUSTER:
         return n_clusters
     return _check_index(option, n_clusters, f"a cluster option other than {NEW_CLUSTER!r}")
-
-
-def _check_matrix(values, shape):
-    """Refuse a data matrix whose shape is not a state's (objects, features) ``shape``."""
-    if values.shape != shape:
-        raise ValueError(f"the data matrix has shape {values.shape}, the state covers (objects, features) {shape}")
 
 
 def _check_width(hyper, data):
@@ -464,12 +446,14 @@ def assignment_distribution(i, state, data, hyper, temperature):
     # adds a Python-level wrapper around the same reduction.
     if np.add.reduce(state.sizes) != state.assignments.shape[0] - 1:
         raise ValueError("state statistics must cover exactly the other n - 1 objects")
+    if data.values is not state._values:
+        state._check_values(data.values)
     visit = state._visit_kernel(hyper, data)
     if visit:
         return visit.distribution(i, state.n_clusters + 1, temperature)
     # Rows 0..K-1 are the existing clusters and row K, all-zero, the new one.
     top = state.n_clusters + 1
-    loglik = _log_predictives(data.values[i], state._sizes[:top], state._counts[:top], hyper)
+    loglik = _log_predictives(state._values[i], state._sizes[:top], state._counts[:top], hyper)
     loglik -= loglik.max()
     # At a cold T a worse option's shifted likelihood overflows to -inf,
     # which is its exact weight of zero.

@@ -91,7 +91,7 @@ def init_state(data, k_init, rng):
     if not (_is_integer(k_init) and k_init >= 1):
         raise ValueError(f"k_init must be a positive integer, got {k_init!r}")
     labels = rng.integers(0, k_init, size=data.n_objects)
-    return ClusterState.from_assignments(data, labels)
+    return ClusterState(data, labels)
 
 
 def remove_object(state, i, data):
@@ -103,7 +103,9 @@ def remove_object(state, i, data):
     i = _check_object(i, state)
     if state.assignments[i] == UNASSIGNED:
         raise ValueError(f"object {i} is already detached")
-    return state._detach(i, data.values)
+    if data.values is not state._values:
+        state._check_values(data.values)
+    return state._detach(i)
 
 
 def insert_object(state, i, option, data):
@@ -115,7 +117,10 @@ def insert_object(state, i, option, data):
     i = _check_object(i, state)
     if state.assignments[i] != UNASSIGNED:
         raise ValueError(f"object {i} is already assigned")
-    state._attach(i, _check_option(option, state.n_clusters), data.values)
+    k = _check_option(option, state.n_clusters)
+    if data.values is not state._values:
+        state._check_values(data.values)
+    state._attach(i, k)
     return state
 
 
@@ -137,9 +142,17 @@ def _categorical(probs, rng):
 
 
 def gibbs_sweep(state, data, hyper, temperature, rng):
-    """One full pass over all objects at a fixed temperature, in place."""
+    """One full pass over all objects at a fixed temperature, in place.
+
+    Every argument is checked before the first object is detached, so a
+    refused call leaves the state as it was.
+    """
     state._check_values(data.values)
     _check_width(hyper, data)
+    if not temperature > 0:
+        raise ValueError("temperature must be strictly positive")
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     for i in range(data.n_objects):
         remove_object(state, i, data)
         probs = assignment_distribution(i, state, data, hyper, temperature)

@@ -64,11 +64,11 @@ def criterion(number, description):
 
 
 def _detach(data, labels, i):
-    keep = np.arange(data.n_objects) != i
-    partial = ClusterState.from_assignments(BinaryMatrix(np.asarray(data.values[keep])), np.asarray(labels)[keep])
-    assignments = np.full(data.n_objects, -1, dtype=np.int64)
-    assignments[keep] = partial.assignments
-    return ClusterState(assignments, partial.sizes, partial.feature_counts)
+    labels = np.array(labels)
+    labels[i] = labels.max() + 1  # a cluster of its own, deleted by the removal
+    state = ClusterState(data, labels)
+    remove_object(state, i, data)
+    return state
 
 
 @criterion(1, "benchmark accuracy floors with stock defaults, 5 seeds each")
@@ -119,7 +119,7 @@ def test_criterion_3_exhaustive_map():
     partitions = list(set_partitions(8))
     assert len(partitions) == 4140
     scores = [
-        joint_log_score(ClusterState.from_assignments(data, labels), data, hyper)
+        joint_log_score(ClusterState(data, labels), data, hyper)
         for labels in partitions
     ]
     map_partition = canonical_labels(partitions[int(np.argmax(scores))])
@@ -235,7 +235,7 @@ def test_criterion_6_crp_and_statistics():
         n = int(rng.integers(4, 16))
         d = int(rng.integers(1, 8))
         data = BinaryMatrix(rng.integers(0, 2, size=(n, d)).astype(np.uint8))
-        state = ClusterState.from_assignments(data, rng.integers(0, max(1, n // 2), size=n))
+        state = ClusterState(data, rng.integers(0, max(1, n // 2), size=n))
         for _ in range(25):
             i = int(rng.integers(n))
             remove_object(state, i, data)

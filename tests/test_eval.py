@@ -99,6 +99,12 @@ class TestClusterFeatureFrequencies:
         assert np.array_equal(freq[0], [1.0, 0.0, 1.0])
         assert np.array_equal(freq[1], [0.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("labels", [[0.9, 0.2, 1.7], [1.0, 0.0, 1.0], [True, False, True], ["0", "1", "1"]])
+    def test_refuses_labels_that_are_not_integers(self, labels):
+        data = BinaryMatrix([[1, 0, 1], [1, 0, 1], [0, 1, 0]])
+        with pytest.raises(ValueError, match="labels must be integers"):
+            cluster_feature_frequencies(labels, data)
+
     def test_all_ones_data(self):
         data = BinaryMatrix(np.ones((5, 4), dtype=np.uint8))
         freq = cluster_feature_frequencies([0, 0, 1, 1, 1], data)

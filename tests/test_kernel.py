@@ -192,7 +192,7 @@ data, _ = generate(SyntheticSpec(30, 25, 20, 5, k_true=3, seed=4))
 n = data.n_objects
 hypers = (default_hyperparams(data), Hyperparams(a=np.full(25, 0.5), b=np.full(25, 2.0), alpha=2.0))
 rng = np.random.default_rng(0)
-state = ClusterState.from_assignments(data, np.arange(n) % 2)
+state = ClusterState(data, np.arange(n) % 2)
 capacity = state._sizes.shape[0]
 for i in range(n):
     remove_object(state, i, data)
@@ -201,7 +201,7 @@ assert state._visit is None and state._sizes.shape[0] > capacity, "no growth bef
 gibbs_sweep(state, data, hypers[0], 1.0, rng)
 state.check_consistency(data)
 assert _kernel._lib and state._visit
-state = ClusterState.from_assignments(data, np.arange(n) % 2)
+state = ClusterState(data, np.arange(n) % 2)
 capacity = state._sizes.shape[0]
 for i in range(n):
     remove_object(state, i, data)

@@ -1,7 +1,6 @@
 """Annealed Gibbs sampler: state bookkeeping, sweeps, cooling, determinism."""
 
 import copy
-import re
 
 import numpy as np
 import pytest
@@ -113,7 +112,7 @@ class TestInitState:
 class TestRemoveInsert:
     def test_removing_singleton_deletes_cluster(self):
         data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
-        state = ClusterState.from_assignments(data, [0, 1, 2])
+        state = ClusterState(data, [0, 1, 2])
         removed_from = remove_object(state, 1, data)
         assert removed_from == 1
         assert state.n_clusters == 2
@@ -124,7 +123,7 @@ class TestRemoveInsert:
 
     def test_remove_then_reinsert_is_identity(self):
         data = BinaryMatrix([[1, 0], [0, 1], [1, 1], [1, 0]])
-        state = ClusterState.from_assignments(data, [0, 1, 1, 0])
+        state = ClusterState(data, [0, 1, 1, 0])
         before = copy.deepcopy(state)
         k = remove_object(state, 2, data)
         insert_object(state, 2, k, data)
@@ -139,11 +138,11 @@ class TestRemoveInsert:
             d = int(rng.integers(1, 7))
             data = BinaryMatrix(rng.integers(0, 2, size=(n, d)).astype(np.uint8))
             labels = rng.integers(0, max(1, n // 2), size=n)
-            state = ClusterState.from_assignments(data, labels)
+            state = ClusterState(data, labels)
             i = int(rng.integers(n))
             remove_object(state, i, data)
             keep = np.arange(n) != i
-            rest = ClusterState.from_assignments(
+            rest = ClusterState(
                 BinaryMatrix(np.asarray(data.values[keep])), state.assignments[keep]
             )
             assert np.array_equal(state.sizes, rest.sizes)
@@ -151,7 +150,7 @@ class TestRemoveInsert:
 
     def test_insert_new_cluster(self):
         data = BinaryMatrix([[1, 0], [0, 1]])
-        state = ClusterState.from_assignments(data, [0, 0])
+        state = ClusterState(data, [0, 0])
         remove_object(state, 1, data)
         insert_object(state, 1, NEW_CLUSTER, data)
         assert state.n_clusters == 2
@@ -160,14 +159,14 @@ class TestRemoveInsert:
 
     def test_insert_existing_increments(self):
         data = BinaryMatrix([[1, 0], [0, 1]])
-        state = ClusterState.from_assignments(data, [0, 0])
+        state = ClusterState(data, [0, 0])
         remove_object(state, 0, data)
         insert_object(state, 0, 0, data)
         assert state.sizes[0] == 2
 
     def test_rejects_double_remove_and_bad_option(self):
         data = BinaryMatrix([[1, 0], [0, 1]])
-        state = ClusterState.from_assignments(data, [0, 0])
+        state = ClusterState(data, [0, 0])
         remove_object(state, 0, data)
         with pytest.raises(ValueError):
             remove_object(state, 0, data)
@@ -181,7 +180,7 @@ class TestRemoveInsert:
         data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
         for path in PATHS:
             with visit_path(path):
-                state = ClusterState.from_assignments(data, [0, 1, 0])
+                state = ClusterState(data, [0, 1, 0])
                 message = r"object index must be an integer in \[0, 3\)"
                 with pytest.raises(ValueError, match=message):
                     remove_object(state, i, data)
@@ -197,7 +196,7 @@ class TestRemoveInsert:
         data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
         for path in PATHS:
             with visit_path(path):
-                state = ClusterState.from_assignments(data, [0, 1, 0])
+                state = ClusterState(data, [0, 1, 0])
                 remove_object(state, 2, data)
                 with pytest.raises(ValueError, match=r"cluster option other than 'new' must be an integer in \[0, 2\)"):
                     insert_object(state, 2, option, data)
@@ -210,7 +209,7 @@ class TestRemoveInsert:
         data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
         for path in PATHS:
             with visit_path(path):
-                state = ClusterState.from_assignments(data, [0, 1, 0])
+                state = ClusterState(data, [0, 1, 0])
                 state.assignments[2] = 2
                 with pytest.raises(ValueError, match=r"object 2 carries label 2, outside 0\.\.1"):
                     remove_object(state, 2, data)
@@ -222,7 +221,7 @@ class TestRemoveInsert:
         hyper = default_hyperparams(data)
         for path in PATHS:
             with visit_path(path):
-                state = ClusterState.from_assignments(data, [0, 1, 1, 0])
+                state = ClusterState(data, [0, 1, 1, 0])
                 gibbs_sweep(state, data, hyper, 1.0, np.random.default_rng(0))
                 twin = copy.deepcopy(state)
                 before = copy.deepcopy(state)
@@ -234,16 +233,23 @@ class TestRemoveInsert:
             state.check_consistency(data)
             twin.check_consistency(data)
 
-    @pytest.mark.parametrize("shape", [(3, 2), (4, 3)], ids=["a-row-short", "a-column-wide"])
+    @pytest.mark.parametrize(
+        "other, message",
+        [
+            (np.ones((3, 2)), r"the data matrix has shape \(3, 2\), the state covers \(objects, features\) \(4, 2\)"),
+            (np.ones((4, 3)), r"the data matrix has shape \(4, 3\), the state covers \(objects, features\) \(4, 2\)"),
+            ([[1, 0], [0, 1], [1, 1], [0, 0]], "the data matrix differs from the one the state was counted from"),
+        ],
+        ids=["a-row-short", "a-column-wide", "other-contents"],
+    )
     @pytest.mark.parametrize("scored", [False, True], ids=["before-scoring", "after-scoring"])
-    def test_a_matrix_of_another_shape_is_refused_before_any_statistic_changes(self, shape, scored):
+    def test_another_matrix_is_refused_before_any_statistic_changes(self, other, message, scored):
         data = BinaryMatrix([[1, 0], [0, 1], [1, 1], [1, 0]])
-        other = BinaryMatrix(np.ones(shape, dtype=np.uint8))
+        other = BinaryMatrix(other)
         hyper = default_hyperparams(data)
-        message = re.escape(f"the data matrix has shape {shape}, the state covers (objects, features) (4, 2)")
         for path in PATHS:
             with visit_path(path):
-                state = ClusterState.from_assignments(data, [0, 1, 1, 0])
+                state = ClusterState(data, [0, 1, 1, 0])
                 if scored:
                     gibbs_sweep(state, data, hyper, 1.0, np.random.default_rng(0))
                 labels = state.assignments.copy()
@@ -259,22 +265,46 @@ class TestRemoveInsert:
                     lambda: assignment_distribution(3, state, other, hyper, 1.0),
                 )
                 for refused in attached:
+                    statistics = state._sizes.copy(), state._counts.copy()
                     with pytest.raises(ValueError, match=message):
                         refused()
                     state.check_consistency(data)
                     assert np.array_equal(state.assignments, labels)
+                    assert all(map(np.array_equal, statistics, (state._sizes, state._counts)))
                 k = remove_object(state, 3, data)
                 for refused in detached:
+                    statistics = state._sizes.copy(), state._counts.copy()
                     with pytest.raises(ValueError, match=message):
                         refused()
                     state.check_consistency(data)
+                    assert all(map(np.array_equal, statistics, (state._sizes, state._counts)))
                 insert_object(state, 3, k, data)
                 assert np.array_equal(state.assignments, labels)
+
+    def test_an_equal_matrix_is_accepted_and_scores_the_same(self):
+        data = BinaryMatrix([[1, 0], [0, 1], [1, 1], [1, 0]])
+        twin = BinaryMatrix(data.values.copy())
+        hyper = default_hyperparams(data)
+        for path in PATHS:
+            with visit_path(path):
+                state = ClusterState(data, [0, 1, 1, 0])
+                other = ClusterState(data, [0, 1, 1, 0])
+                for matrix, each in ((data, state), (twin, other)):
+                    gibbs_sweep(each, matrix, hyper, 1.0, np.random.default_rng(3))
+                    remove_object(each, 3, matrix)
+                probs = assignment_distribution(3, state, data, hyper, 0.5)
+                assert np.array_equal(assignment_distribution(3, other, twin, hyper, 0.5), probs)
+                insert_object(state, 3, NEW_CLUSTER, data)
+                insert_object(other, 3, NEW_CLUSTER, twin)
+                assert np.array_equal(state.assignments, other.assignments)
+                assert joint_log_score(state, data, hyper) == joint_log_score(other, twin, hyper)
+                other.check_consistency(twin)
+                other.check_consistency(data)
 
     def test_random_remove_insert_sequences_keep_invariants(self):
         rng = np.random.default_rng(21)
         data = BinaryMatrix(rng.integers(0, 2, size=(12, 4)).astype(np.uint8))
-        state = ClusterState.from_assignments(data, rng.integers(0, 4, size=12))
+        state = ClusterState(data, rng.integers(0, 4, size=12))
         for _ in range(300):
             i = int(rng.integers(12))
             remove_object(state, i, data)
@@ -301,7 +331,7 @@ class TestGibbsSweep:
 
     def test_single_object_lands_in_own_cluster(self):
         data = BinaryMatrix([[1, 0, 1]])
-        state = ClusterState.from_assignments(data, [0])
+        state = ClusterState(data, [0])
         gibbs_sweep(state, data, default_hyperparams(data), 1.0, np.random.default_rng(0))
         assert state.n_clusters == 1
         assert state.sizes[0] == 1
@@ -309,11 +339,38 @@ class TestGibbsSweep:
     @pytest.mark.parametrize("width", [1, 7])
     def test_rejects_hyperparams_of_another_width_before_moving_anything(self, width):
         data = _two_block_data(d=8)
-        state = ClusterState.from_assignments(data, [0, 1] * 6)
+        state = ClusterState(data, [0, 1] * 6)
         hyper = Hyperparams(a=np.ones(width), b=np.ones(width), alpha=1.0)
         with pytest.raises(ValueError, match=f"hyperparameters cover {width} features, the data has 8"):
             gibbs_sweep(state, data, hyper, 1.0, np.random.default_rng(0))
         assert np.array_equal(state.assignments, [0, 1] * 6)
+
+    @pytest.mark.parametrize(
+        "temperature, rng, message",
+        [
+            (0.0, np.random.default_rng(0), "temperature must be strictly positive"),
+            (-1.0, np.random.default_rng(0), "temperature must be strictly positive"),
+            (float("nan"), np.random.default_rng(0), "temperature must be strictly positive"),
+            (1.0, None, "rng must be a numpy.random.Generator, got NoneType"),
+            (1.0, np.random.RandomState(0), "rng must be a numpy.random.Generator, got RandomState"),
+        ],
+        ids=["zero", "negative", "nan", "none", "legacy-generator"],
+    )
+    def test_refuses_bad_arguments_before_detaching_anything(self, temperature, rng, message):
+        data = _two_block_data(d=8)
+        hyper = default_hyperparams(data)
+        for path in PATHS:
+            with visit_path(path):
+                state = ClusterState(data, [0, 1] * 6)
+                gibbs_sweep(state, data, hyper, 1.0, np.random.default_rng(0))
+                before = copy.deepcopy(state)
+                with pytest.raises(ValueError, match=message):
+                    gibbs_sweep(state, data, hyper, temperature, rng)
+                for name in ("assignments", "_sizes", "_counts"):
+                    assert np.array_equal(getattr(state, name), getattr(before, name))
+                state.check_consistency(data)
+                gibbs_sweep(state, data, hyper, 1.0, np.random.default_rng(1))
+                joint_log_score(state, data, hyper)
 
     def test_preserves_invariants_on_random_data(self):
         rng = np.random.default_rng(13)
@@ -450,6 +507,18 @@ class TestRun:
         report = run(data, schedule=schedule, k_init=3, seed=np.int64(4))
         assert report.seed == 4
         assert np.array_equal(report.assignments, run(data, schedule=schedule, k_init=3, seed=4).assignments)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 1000])
+def test_a_block_of_uniforms_equals_as_many_single_draws(n):
+    # Drawing a sweep's N uniforms at once keeps every report byte-identical
+    # only if the generator yields the same doubles, and leaves the same
+    # state, as N calls of rng.random().
+    for seed in range(12):
+        block_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = block_rng.random(n)
+        assert block.tolist() == [single_rng.random() for _ in range(n)]
+        assert block_rng.random() == single_rng.random()
 
 
 class _FixedUniform:
