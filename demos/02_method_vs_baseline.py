@@ -29,7 +29,7 @@ for name, n, d, info, noise in INSTANCES:
 
     rng = np.random.default_rng(1)
     gap = bc.gap_statistic(data, k_max=10, n_refs=8, rng=rng)
-    labels, _ = bc.kmeans_binary(data, gap.chosen_k, rng=rng)
+    labels = bc.kmeans_binary(data, gap.chosen_k, rng=rng)
     baseline_accuracy = bc.matched_accuracy(labels, truth)
 
     print(f"{name:<22} {report.n_clusters:>9d} {mixture_accuracy:>11.1f}% "

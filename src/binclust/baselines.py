@@ -27,62 +27,51 @@ class GapResult:
     dispersion_curve: np.ndarray
 
 
-def _squared_distances(points, norms, centroids):
-    """All pairwise squared Euclidean distances, shape (n, k); ``norms`` are the rows' squared norms."""
-    d2 = (
-        norms[:, None]
-        - 2.0 * points @ centroids.T
-        + (centroids * centroids).sum(axis=1)[None, :]
-    )
+def _squared_distances(points, norms, table, sizes):
+    """Squared Euclidean distances, shape (n, k), of the rows to the clusters' mean rows.
+
+    Cluster k is its feature-count row ``table[k]`` over its size ``sizes[k]``,
+    and ``norms`` are the rows' squared norms.  On {0,1} rows the products and
+    sums are exact integers, so only the divisions by the sizes and the sum of
+    the three terms round; against one row as a cluster of size 1 nothing
+    does, and the result equals ``((points - row) ** 2).sum(axis=1)`` bit for bit.
+    """
+    d2 = norms[:, None] - 2.0 * (points @ table.T) / sizes + (table * table).sum(axis=1) / (sizes * sizes)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def _distances_to_row(points, norms, idx):
-    """Squared distances of every row to row ``idx``, from the rows' squared norms.
-
-    On {0,1} rows every term is an exact integer, so this equals the direct
-    ``((points - points[idx]) ** 2).sum(axis=1)`` bit for bit.
-    """
-    return norms - 2.0 * (points @ points[idx]) + norms[idx]
-
-
 def _plusplus_seeds(points, norms, k, rng):
-    """Greedy k-means++ seeding: spread the initial centroids apart."""
+    """Greedy k-means++ seeding: the indices of k rows spread apart."""
     n = points.shape[0]
-    centroids = np.empty((k, points.shape[1]), dtype=np.float64)
-    idx = rng.integers(n)
-    centroids[0] = points[idx]
-    d2 = _distances_to_row(points, norms, idx)
-    for j in range(1, k):
+    seeds = [rng.integers(n)]
+    d2 = _squared_distances(points, norms, points[seeds], 1)[:, 0]
+    for _ in range(1, k):
         total = d2.sum()
-        if total > 0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = rng.integers(n)
-        centroids[j] = points[idx]
-        np.minimum(d2, _distances_to_row(points, norms, idx), out=d2)
-    return centroids
+        seeds.append(rng.choice(n, p=d2 / total) if total > 0 else rng.integers(n))
+        np.minimum(d2, _squared_distances(points, norms, points[seeds[-1:]], 1)[:, 0], out=d2)
+    return seeds
 
 
 def _lloyd(points, norms, k, max_iters, rng):
-    """One seeded Lloyd run; returns (labels, centroids, WCSS).
+    """One seeded Lloyd run; returns (labels, WCSS).
 
-    Each step counts the clusters' features in one K x D table, the one-hot
-    labels times the {0,1} rows, exact in float64.  The centroids are the
-    table over the sizes, bit for bit the mean rows.  The WCSS is
+    A cluster is its row of a K x D feature-count table and its size.  The
+    seeds start as clusters of one row each; each step counts the table as
+    the one-hot labels times the {0,1} rows, exact in float64.  The WCSS is
     ``sum_k (sum_j C_kj (n_k - C_kj)) / n_k``, its cluster terms summed in
     sorted order so that a relabeled run ties exactly: within K 2^-52
     relative of the exact value while D N^2 / 4 < 2^53.
     """
     n = points.shape[0]
-    centroids = _plusplus_seeds(points, norms, k, rng)
+    table = points[_plusplus_seeds(points, norms, k, rng)]
+    sizes = np.ones(k, dtype=np.int64)
     labels = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iters):
-        d2 = _squared_distances(points, norms, centroids)
+        d2 = _squared_distances(points, norms, table, sizes)
         new_labels = d2.argmin(axis=1)
         # Revive empty clusters with the worst-fit point (farthest from its
-        # own centroid); repeat until every cluster has a member.
+        # own cluster's mean); repeat until every cluster has a member.
         sizes = np.bincount(new_labels, minlength=k)
         while (sizes == 0).any():
             empty = int(np.flatnonzero(sizes == 0)[0])
@@ -92,18 +81,17 @@ def _lloyd(points, norms, k, max_iters, rng):
             sizes[new_labels[worst]] -= 1
             new_labels[worst] = empty
             sizes[empty] += 1
-            d2[worst, :] = 0.0  # its new centroid will be the point itself
+            d2[worst, :] = 0.0  # it is now its cluster's only member
         table = np.eye(k)[new_labels].T @ points
-        centroids = table / sizes[:, None]
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
     wcss = np.sort((table * (sizes[:, None] - table)).sum(axis=1) / sizes).sum()
-    return labels, centroids, float(wcss)
+    return labels, float(wcss)
 
 
 def _best_fits(data, ks, rng):
-    """Best of ``_N_RESTARTS`` seeded Lloyd runs for each k, as ``(labels, centroids, wcss)``.
+    """Best of ``_N_RESTARTS`` seeded Lloyd runs for each k, as ``(labels, wcss)``.
 
     The {0,1} rows are converted to float64, and their squared norms taken,
     once for all k.  On a WCSS tie the earlier run is kept.
@@ -111,7 +99,7 @@ def _best_fits(data, ks, rng):
     points = data.values.astype(np.float64)
     norms = (points * points).sum(axis=1)
     return [
-        min((_lloyd(points, norms, k, _MAX_ITERS, rng) for _ in range(_N_RESTARTS)), key=lambda fit: fit[2])
+        min((_lloyd(points, norms, k, _MAX_ITERS, rng) for _ in range(_N_RESTARTS)), key=lambda fit: fit[1])
         for k in ks
     ]
 
@@ -119,14 +107,14 @@ def _best_fits(data, ks, rng):
 def kmeans_binary(data, k, rng=None):
     """Lloyd's algorithm on {0,1} rows; best of five seeded runs by WCSS.
 
-    Centroids are real-valued cluster means.  Returns ``(labels, centroids)``.
+    Returns the labels, 0..k-1, each cluster with at least one member.
     """
     if not _is_integer(k):
         raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= data.n_objects:
         raise ValueError(f"k must lie in [1, {data.n_objects}], got {k}")
-    labels, centroids, _ = _best_fits(data, [k], np.random.default_rng(rng))[0]
-    return labels, centroids
+    labels, _ = _best_fits(data, [k], np.random.default_rng(rng))[0]
+    return labels
 
 
 def gap_statistic(data, k_max=15, n_refs=10, rng=None):
@@ -152,7 +140,7 @@ def gap_statistic(data, k_max=15, n_refs=10, rng=None):
 
     def log_wcss(matrix):
         with np.errstate(divide="ignore"):  # a zero WCSS logs to -inf
-            return np.log([wcss for _, _, wcss in _best_fits(matrix, k_values, rng)])
+            return np.log([wcss for _, wcss in _best_fits(matrix, k_values, rng)])
 
     data_logs = log_wcss(data)
     col_means = data.values.mean(axis=0)

@@ -132,7 +132,7 @@ def _cmd_baseline(args):
     data = io.load_matrix(args.in_path)
     rng = np.random.default_rng(args.seed)
     result = baselines.gap_statistic(data, k_max=args.k_max, n_refs=args.n_refs, rng=rng)
-    labels, _ = baselines.kmeans_binary(data, result.chosen_k, rng=rng)
+    labels = baselines.kmeans_binary(data, result.chosen_k, rng=rng)
     # A curve entry that is not finite (the log of a zero WCSS, or a gap or
     # spread built on one) is written as null: strict JSON has no NaN or Infinity.
     report = {

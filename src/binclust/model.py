@@ -9,6 +9,7 @@ Everything in this module is a pure function of its inputs, apart from the
 mutable :class:`ClusterState` a sampler run owns.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -182,6 +183,19 @@ class ClusterState:
         # A copy binds a kernel of its own at its first scoring: this one holds
         # the addresses of this state's arrays.
         return {**self.__dict__, "_visit": None}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._values.setflags(write=False)  # unpickled, the matrix is a fresh writeable array
+
+    def __deepcopy__(self, memo):
+        # The matrix is read-only, so a copy shares it and passes the identity
+        # test of every visit; a matrix copied earlier in the same deep copy is
+        # kept, so the copy stays bound to that copy's array.
+        memo.setdefault(id(self._values), self._values)
+        twin = memo[id(self)] = object.__new__(ClusterState)
+        twin.__setstate__(copy.deepcopy(self.__getstate__(), memo))
+        return twin
 
     @property
     def sizes(self):

@@ -263,7 +263,7 @@ def test_criterion_7_baseline_sanity():
         data, truth = generate(spec)
         rng = np.random.default_rng(seed)
         result = gap_statistic(data, k_max=15, n_refs=10, rng=rng)
-        labels, _ = kmeans_binary(data, result.chosen_k, rng=rng)
+        labels = kmeans_binary(data, result.chosen_k, rng=rng)
         accuracies.append(matched_accuracy(labels, truth))
     mean_accuracy = float(np.mean(accuracies))
     assert abs(mean_accuracy - 87.5) <= 15.0, f"baseline accuracy {mean_accuracy:.2f} outside 87.5 +/- 15"

@@ -23,15 +23,14 @@ def _blocks(sizes, d, patterns):
 
 
 def _plusplus_by_direct_distances(points, k, rng):
-    """k-means++ seeding with each squared distance written out as a difference."""
-    centroids = [points[rng.integers(points.shape[0])]]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    """k-means++ seed indices with each squared distance written out as a difference."""
+    seeds = [rng.integers(points.shape[0])]
+    d2 = ((points - points[seeds[0]]) ** 2).sum(axis=1)
     for _ in range(1, k):
         total = d2.sum()
-        idx = rng.choice(points.shape[0], p=d2 / total) if total > 0 else rng.integers(points.shape[0])
-        centroids.append(points[idx])
-        d2 = np.minimum(d2, ((points - centroids[-1]) ** 2).sum(axis=1))
-    return np.array(centroids)
+        seeds.append(rng.choice(points.shape[0], p=d2 / total) if total > 0 else rng.integers(points.shape[0]))
+        d2 = np.minimum(d2, ((points - points[seeds[-1]]) ** 2).sum(axis=1))
+    return seeds
 
 
 def _exact_wcss(values, labels):
@@ -49,7 +48,7 @@ def _gap_by_per_k_fits(data, k_max, n_refs, rng):
     then a scalar log with 0 mapped to -inf."""
 
     def log_dispersion(matrix, k):
-        labels, _ = kmeans_binary(matrix, k, rng)
+        labels = kmeans_binary(matrix, k, rng)
         wcss = float(_exact_wcss(matrix.values, labels))
         return -np.inf if wcss == 0.0 else float(np.log(wcss))
 
@@ -73,16 +72,15 @@ def _gap_by_per_k_fits(data, k_max, n_refs, rng):
 
 
 class TestKmeansBinary:
-    def test_k1_centroid_is_column_means(self):
+    def test_k1_puts_every_row_in_one_cluster(self):
         rng = np.random.default_rng(0)
         data = BinaryMatrix(rng.integers(0, 2, size=(15, 6)).astype(np.uint8))
-        labels, centroids = kmeans_binary(data, 1, rng=rng)
+        labels = kmeans_binary(data, 1, rng=rng)
         assert np.all(labels == 0)
-        np.testing.assert_allclose(centroids[0], data.values.mean(axis=0))
 
     def test_two_separated_blocks(self):
         data = _blocks([7, 7], 10, [range(0, 5), range(5, 10)])
-        labels, _ = kmeans_binary(data, 2, rng=np.random.default_rng(1))
+        labels = kmeans_binary(data, 2, rng=np.random.default_rng(1))
         truth = np.repeat([0, 1], 7)
         assert matched_accuracy(labels, truth) == 100.0
 
@@ -100,7 +98,7 @@ class TestKmeansBinary:
             trace = []
             for max_iters in range(1, 51):
                 run_rng = copy.deepcopy(rng)
-                trace.append(_lloyd(data, norms, k, max_iters=max_iters, rng=run_rng)[2])
+                trace.append(_lloyd(data, norms, k, max_iters=max_iters, rng=run_rng)[1])
             rng = run_rng
             assert (np.diff(trace) <= 1e-9).all()
 
@@ -110,17 +108,17 @@ class TestKmeansBinary:
         norms = (points * points).sum(axis=1)
         for c in points:
             direct = ((points - c) ** 2).sum(axis=1)
-            assert np.array_equal(_squared_distances(points, norms, c[None, :])[:, 0], direct)
+            assert np.array_equal(_squared_distances(points, norms, c[None, :], 1)[:, 0], direct)
         for seed in range(10):
             k = 1 + seed % 6
             seeds = _plusplus_seeds(points, norms, k, np.random.default_rng(seed))
             assert np.array_equal(seeds, _plusplus_by_direct_distances(points, k, np.random.default_rng(seed)))
 
-    def test_centroids_stay_in_unit_box(self):
+    def test_labels_are_exactly_0_to_k_minus_1(self):
         rng = np.random.default_rng(3)
         data = BinaryMatrix(rng.integers(0, 2, size=(20, 5)).astype(np.uint8))
-        _, centroids = kmeans_binary(data, 4, rng=rng)
-        assert np.all(centroids >= 0.0) and np.all(centroids <= 1.0)
+        labels = kmeans_binary(data, 4, rng=rng)
+        assert np.array_equal(np.unique(labels), np.arange(4))
 
     @pytest.mark.parametrize("k", [0, 21])
     def test_rejects_out_of_range_k(self, k):
@@ -140,11 +138,11 @@ class TestKmeansBinary:
 
     def test_accepts_a_numpy_integer_k(self):
         data = BinaryMatrix(np.random.default_rng(2).integers(0, 2, size=(12, 4)).astype(np.uint8))
-        got, _ = kmeans_binary(data, np.int64(3), rng=np.random.default_rng(1))
-        want, _ = kmeans_binary(data, 3, rng=np.random.default_rng(1))
+        got = kmeans_binary(data, np.int64(3), rng=np.random.default_rng(1))
+        want = kmeans_binary(data, 3, rng=np.random.default_rng(1))
         assert np.array_equal(got, want)
 
-    def test_lloyd_returns_the_mean_rows_and_the_exact_wcss_of_its_labels(self):
+    def test_lloyd_returns_nonempty_clusters_and_the_exact_wcss_of_its_labels(self):
         # Random instances, then K = 1 and K = N, then duplicate rows.  The
         # WCSS sums K correctly rounded cluster terms, so it is within
         # K 2^-52 relative of the exact value.
@@ -159,17 +157,16 @@ class TestKmeansBinary:
         cases += [(duplicates, k) for k in (1, 3, 4, 6, 15)]
         for values, k in cases:
             points = values.astype(np.float64)
-            labels, centroids, wcss = _lloyd(points, (points * points).sum(axis=1), k, 100, rng)
+            labels, wcss = _lloyd(points, (points * points).sum(axis=1), k, 100, rng)
             exact = _exact_wcss(values, labels)
             assert abs(Fraction(wcss) - exact) <= Fraction(k, 2**52) * exact
-            for j in range(k):
-                assert np.array_equal(centroids[j], points[labels == j].mean(axis=0))
+            assert np.array_equal(np.unique(labels), np.arange(k))
 
     def test_every_cluster_nonempty(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             data = BinaryMatrix(rng.integers(0, 2, size=(12, 4)).astype(np.uint8))
-            labels, _ = kmeans_binary(data, 5, rng=rng)
+            labels = kmeans_binary(data, 5, rng=rng)
             assert len(np.unique(labels)) == 5
 
 

@@ -345,6 +345,39 @@ class TestBaselineCommand:
         assert "k_max must lie in [1, 12], got 13" in err
         assert not report_path.exists()
 
+    def test_same_seed_byte_identical_reports(self, tmp_path, capsys):
+        data_path = tmp_path / "data.csv"
+        _run(
+            capsys,
+            "generate", "--n", "30", "--d", "20", "--sd", "20", "--sn", "10",
+            "--seed", "3", "--out", str(data_path), "--labels-out", str(tmp_path / "t.txt"),
+        )
+        first, second = tmp_path / "r1.json", tmp_path / "r2.json"
+        for path in (first, second):
+            code, _, _ = _run(
+                capsys, "baseline", "--in", str(data_path), "--k-max", "6", "--n-refs", "3",
+                "--seed", "4", "--report", str(path),
+            )
+            assert code == 0
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_a_run_loads_neither_the_kernel_nor_scipy(self, tmp_path):
+        data_path, report_path = tmp_path / "data.csv", tmp_path / "gap.json"
+        cli_main([
+            "generate", "--n", "30", "--d", "20", "--sd", "20", "--sn", "5", "--k-true", "3",
+            "--out", str(data_path), "--labels-out", str(tmp_path / "truth.txt"),
+        ])
+        argv = ["baseline", "--in", str(data_path), "--k-max", "4", "--n-refs", "2", "--report", str(report_path)]
+        script = (
+            "import json, sys; from binclust.cli import cli_main; "
+            f"code = cli_main({argv!r}); print(json.dumps([code, sorted(sys.modules)]))"
+        )
+        done = _python("-c", script, timeout=60)
+        assert done.returncode == 0, done.stderr
+        code, loaded = json.loads(done.stdout)
+        assert code == 0 and len(load_report(report_path)["labels"]) == 30
+        assert [name for name in loaded if name == "binclust._kernel" or name.startswith("scipy")] == []
+
 
 class TestSummarizeCommand:
     def test_frequencies_to_csv(self, tmp_path, capsys):

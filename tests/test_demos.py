@@ -1,4 +1,4 @@
-"""The demos that drive the library's finer-grained API run to completion."""
+"""Every demo runs to completion."""
 
 import os
 import subprocess
@@ -10,7 +10,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("name", ["03_one_gibbs_decision.py", "04_files_and_preprocessing.py"])
+@pytest.mark.parametrize(
+    "name",
+    ["01_plant_and_recover.py", "02_method_vs_baseline.py", "03_one_gibbs_decision.py", "04_files_and_preprocessing.py"],
+)
 def test_demo_exits_zero(tmp_path, name):
     src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

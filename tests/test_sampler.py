@@ -1,6 +1,7 @@
 """Annealed Gibbs sampler: state bookkeeping, sweeps, cooling, determinism."""
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -232,6 +233,33 @@ class TestRemoveInsert:
                 assert np.array_equal(getattr(state, name), getattr(before, name))
             state.check_consistency(data)
             twin.check_consistency(data)
+
+    def test_a_deep_copy_shares_the_read_only_matrix(self):
+        data, _ = generate(SyntheticSpec(40, 30, 20, 10, k_true=3, seed=4))
+        hyper = default_hyperparams(data)
+        for path in PATHS:
+            with visit_path(path):
+                state = ClusterState(data, np.arange(40) % 4)
+                twin = copy.deepcopy(state)
+                assert twin._values is state._values and not twin._values.flags.writeable
+                gibbs_sweep(state, data, hyper, 1.0, np.random.default_rng(3))
+                gibbs_sweep(twin, data, hyper, 1.0, np.random.default_rng(3))
+            assert np.array_equal(twin.assignments, state.assignments)
+
+    def test_a_matrix_deep_copied_with_its_state_stays_bound_to_it(self):
+        data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
+        state = ClusterState(data, [0, 1, 1])
+        data_twin, twin = copy.deepcopy((data, state))
+        assert twin._values is data_twin.values and twin._values is not data.values
+        assert not data_twin.values.flags.writeable
+
+    def test_an_unpickled_state_holds_a_read_only_matrix(self):
+        data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
+        twin = pickle.loads(pickle.dumps(ClusterState(data, [0, 1, 1])))
+        assert np.array_equal(twin._values, data.values) and not twin._values.flags.writeable
+        remove_object(twin, 2, data)
+        insert_object(twin, 2, 0, data)
+        twin.check_consistency(data)
 
     @pytest.mark.parametrize(
         "other, message",
