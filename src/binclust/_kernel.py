@@ -7,19 +7,19 @@ over the state's own statistics buffers, one call each, with no copies in or
 out.  The log-term cache is :class:`Visit`'s alone: bound to one state, its
 matrix and one set of hyperparameters, and current on every row at all times.
 
-- Detach and attach update the size, the feature counts and the cached log
-  terms of the one row they touch.  Adding or removing an object changes
-  ``log(a_j + c_kj)`` only where the object has feature j and
-  ``log(b_j + n_k - c_kj)`` only where it has not, so a touched row costs D
-  logs.  ``sum_j log(a_j + b_j + n)`` is memoised by the size n, and the
-  distribution reads each row's from the memo by the row's size.  A detach
+- Detach and attach are one C routine, ``move``, the only code that changes
+  a row, a label or the restore slot during a visit.  Adding or removing an
+  object changes ``log(a_j + c_kj)`` only where the object has feature j
+  and ``log(b_j + n_k - c_kj)`` only where it has not, so a touched row
+  costs D logs.  ``sum_j log(a_j + b_j + n)`` is memoised by the size n, and
+  the distribution reads each row's from the memo by the row's size.  A move
   that empties its row changes only the counts: the state deletes it next.
-- Restore on return: a detach from a row that keeps members saves the D
-  terms it overwrites in one slot keyed by (object, row).  An attach of
-  that object into that row copies them back instead of taking D logs; they
-  are the logs of the same counts under the same hyperparameters, so the
-  bits are the same.  Every other detach or attach empties the slot, and a
-  kernel bound for other hyperparameters starts with it empty.
+- Restore on return, one case of ``move``: a detach from a row that keeps
+  members saves the D terms it overwrites in one slot keyed by (object,
+  row), and an attach of that object into that row copies them back instead
+  of taking D logs.  They are the logs of the same counts under the same
+  hyperparameters, so the bits are the same.  Every other move empties the
+  slot, and a kernel bound for other hyperparameters starts with it empty.
 - The distribution selects and sums each row's terms in numpy's pairwise
   order, then shifts, tempers, seats and normalises in the steps of
   :func:`binclust.model.assignment_distribution`.
@@ -146,37 +146,38 @@ double bc_row_terms(const bc_state *s, int64_t k, double *present, double *absen
     return denom_sum(s, n);
 }
 
-/* Add (sign 1) or remove (sign -1) object i to or from row k, recomputing
-   only the terms that change.  A detach from a row that keeps members fills
-   the restore slot with the terms it overwrites; every other move empties
-   it (an attach still writes the terms into the empty slot, which keeps the
-   loop one loop).  A row left empty only updates its counts: the state
-   deletes it next. */
+/* Add (sign 1) or remove (sign -1) object i to or from row k: a row left
+   empty gets its counts only, a return copies the slot's terms back, and any
+   other move takes D logs and saves the terms they overwrite into the slot. */
 static void move(bc_state *s, int64_t i, int64_t k, int64_t sign)
 {
     const int64_t d = s->n_features;
     const uint8_t *x = s->values + i * d;
     int64_t *c = s->counts + k * d;
+    double *present = s->log_present + k * d, *absent = s->log_absent + k * d;
     const int64_t n = (s->sizes[k] += sign);
-    s->returned_object = -1;
+    const int restore = sign > 0 && s->returned_object == i && s->returned_row == k;
+    s->assignments[i] = sign > 0 ? k : -1;
+    s->returned_object = sign < 0 && n > 0 ? i : -1;
+    s->returned_row = k;
     if (n == 0) {
         for (int64_t j = 0; j < d; j++)
             c[j] += sign * x[j];
-        return;
-    }
-    double *present = s->log_present + k * d, *absent = s->log_absent + k * d;
-    if (sign < 0) {
-        s->returned_object = i;
-        s->returned_row = k;
-    }
-    for (int64_t j = 0; j < d; j++) {
-        if (x[j]) {
-            c[j] += sign;
-            s->returned[j] = present[j];
-            present[j] = log(s->a[j] + (double)c[j]);
-        } else {
-            s->returned[j] = absent[j];
-            absent[j] = log(s->b[j] + (double)(n - c[j]));
+    } else if (restore) {
+        for (int64_t j = 0; j < d; j++) {
+            c[j] += x[j];
+            (x[j] ? present : absent)[j] = s->returned[j];
+        }
+    } else {
+        for (int64_t j = 0; j < d; j++) {
+            if (x[j]) {
+                c[j] += sign;
+                s->returned[j] = present[j];
+                present[j] = log(s->a[j] + (double)c[j]);
+            } else {
+                s->returned[j] = absent[j];
+                absent[j] = log(s->b[j] + (double)(n - c[j]));
+            }
         }
     }
 }
@@ -184,29 +185,11 @@ static void move(bc_state *s, int64_t i, int64_t k, int64_t sign)
 void bc_detach(bc_state *s, int64_t i, int64_t k)
 {
     move(s, i, k, -1);
-    s->assignments[i] = -1;
 }
 
-/* Attaching the object the last detach took from the same row copies the
-   slot's terms back: they are the logs the row held before, of the same
-   counts under the same hyperparameters. */
 void bc_attach(bc_state *s, int64_t i, int64_t k)
 {
-    if (s->returned_object == i && s->returned_row == k) {
-        const int64_t d = s->n_features;
-        const uint8_t *x = s->values + i * d;
-        int64_t *c = s->counts + k * d;
-        double *present = s->log_present + k * d, *absent = s->log_absent + k * d;
-        s->sizes[k] += 1;
-        for (int64_t j = 0; j < d; j++) {
-            c[j] += x[j];
-            (x[j] ? present : absent)[j] = s->returned[j];
-        }
-        s->returned_object = -1;
-    } else {
-        move(s, i, k, 1);
-    }
-    s->assignments[i] = k;
+    move(s, i, k, 1);
 }
 
 /* The tempered distribution of detached object i over rows 0 .. top - 1,

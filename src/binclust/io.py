@@ -23,7 +23,6 @@ percentile threshold for real-valued response data.
 """
 
 import json
-import warnings
 
 import numpy as np
 
@@ -103,15 +102,8 @@ def _read_table(path, dtype, delimiter=",", converters=None):
         del lines[0]
     if not lines:
         raise DataFormatError(f"{path}: no data rows")
-    # Before numpy 2, loadtxt passed converters bytes unless given an encoding,
-    # and truncated an integer field that parses only as a float (1.5, 2**63)
-    # with just a DeprecationWarning; as an error it becomes loadtxt's ValueError.
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(
-                lines, dtype=dtype, delimiter=delimiter, converters=converters, comments=None, ndmin=2, encoding=None
-            )
+        return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, converters=converters, comments=None, ndmin=2)
     except ValueError as exc:
         # loadtxt refuses ragged rows too, but counts them from 1.  Splitting
         # every line only once the parse has failed keeps it off a good file.

@@ -120,8 +120,13 @@ def _has_finite_lgamma(x):
 
 
 def _lgamma(x):
-    """``math.lgamma`` of every element of the array ``x``, as float64 of the same shape."""
-    return np.fromiter(map(math.lgamma, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+    """``math.lgamma`` of every element of the array ``x``, as float64 of the same shape.
+
+    Each distinct value is scored once and scattered back: a count table
+    repeats few values, and each call costs more than the sort.
+    """
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.fromiter(map(math.lgamma, values.tolist()), np.float64, values.size)[inverse].reshape(x.shape)
 
 
 class ClusterState:

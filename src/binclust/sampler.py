@@ -124,15 +124,14 @@ def insert_object(state, i, option, data):
     return state
 
 
-def _categorical(probs, rng):
-    """Draw one index from a normalized probability vector.
+def _categorical(probs, u):
+    """The index a uniform draw ``u`` picks from a normalized probability vector.
 
-    The first index whose running sum exceeds a uniform draw, the last where
-    rounding leaves the total at or below it.  The sum runs left to right in
-    float64, as ``np.cumsum`` does, so this is ``searchsorted(cumsum(probs),
-    u, side="right")`` clamped to the last index, bit for bit.
+    The first index whose running sum exceeds ``u``, the last where rounding
+    leaves the total at or below it.  The sum runs left to right in float64,
+    as ``np.cumsum`` does, so this is ``searchsorted(cumsum(probs), u,
+    side="right")`` clamped to the last index, bit for bit.
     """
-    u = rng.random()
     total = 0.0
     for k, p in enumerate(probs.tolist()):
         total += p
@@ -145,7 +144,9 @@ def gibbs_sweep(state, data, hyper, temperature, rng):
     """One full pass over all objects at a fixed temperature, in place.
 
     Every argument is checked before the first object is detached, so a
-    refused call leaves the state as it was.
+    refused call leaves the state as it was.  The sweep's N uniforms are
+    drawn in one block, visit i taking the i-th: the same numbers, and the
+    same generator state after, as one ``rng.random()`` per visit.
     """
     state._check_values(data.values)
     _check_width(hyper, data)
@@ -153,10 +154,10 @@ def gibbs_sweep(state, data, hyper, temperature, rng):
         raise ValueError("temperature must be strictly positive")
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
-    for i in range(data.n_objects):
+    for i, u in enumerate(rng.random(data.n_objects).tolist()):
         remove_object(state, i, data)
         probs = assignment_distribution(i, state, data, hyper, temperature)
-        choice = _categorical(probs, rng)
+        choice = _categorical(probs, u)
         option = NEW_CLUSTER if choice == state.n_clusters else choice
         insert_object(state, i, option, data)
     return state

@@ -1,7 +1,5 @@
 """File formats, round-trips, and the preprocessing transforms."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -363,40 +361,6 @@ class TestReaderContract:
         path.write_text("\n".join(lines[:-1] + [lines[-1][:-1] + "1.0"]) + "\n")
         with pytest.raises(DataFormatError, match="'1.0'"):
             reader(path)
-
-    @pytest.mark.parametrize("name", READERS)
-    def test_numpy_1_loadtxt_defaults(self, tmp_path, monkeypatch, name):
-        """numpy 1.23-1.26 pass converters bytes unless an encoding is given,
-        and read an integer field that only parses as a float by truncating
-        it, with only a DeprecationWarning.  A stand-in for that loadtxt must
-        still load missing tokens and refuse 1.5."""
-        real_loadtxt = np.loadtxt
-
-        def loadtxt_numpy_1(lines, **kwargs):
-            kwargs.setdefault("encoding", "bytes")
-            try:
-                return real_loadtxt(lines, **kwargs)
-            except ValueError:
-                if not np.issubdtype(kwargs["dtype"], np.integer):
-                    raise
-                try:
-                    warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
-                except DeprecationWarning as exc:  # numpy turns it into its parse error
-                    raise ValueError("could not convert string") from exc
-                return real_loadtxt(lines, **{**kwargs, "dtype": np.float64}).astype(kwargs["dtype"])
-
-        monkeypatch.setattr(np, "loadtxt", loadtxt_numpy_1)
-        reader, lines, expected = READERS[name]
-        path = tmp_path / "f"
-        path.write_text("\n".join(lines) + "\n")
-        assert np.array_equal(reader(path), expected)
-        if name == "reals":
-            path.write_text("1.5,,na\nNaN,null,2\n")
-            assert np.array_equal(reader(path), [[1.5, np.nan, np.nan], [np.nan, np.nan, 2.0]], equal_nan=True)
-        else:
-            path.write_text("\n".join(lines[:-1] + [lines[-1][:-1] + "1.5"]) + "\n")
-            with pytest.raises(DataFormatError):
-                reader(path)
 
     def test_label_file_with_two_numbers_per_line_is_refused(self, tmp_path):
         path = tmp_path / "labels.txt"

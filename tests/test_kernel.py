@@ -1,6 +1,8 @@
 """The compiled visit kernel: its build and cache, its fallback, and runs equal to numpy's."""
 
+import ctypes
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -24,6 +26,18 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_the_kernel_builds_and_loads_here():
     assert _kernel.library() is not None
+
+
+def test_the_ctypes_context_mirrors_the_c_struct_field_for_field():
+    body = re.search(r"typedef struct \{(.*?)\} bc_state;", _kernel.SOURCE, re.S).group(1)
+    fields = []
+    for declaration in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+        match = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s*(\*?)\s*(\w+)\s*", declaration)
+        assert match, f"one field per declaration, got {declaration.strip()!r}"
+        c_type, pointer, name = match.groups()
+        fields.append((name, "pointer" if pointer else c_type))
+    c_types = {ctypes.c_int64: "int64_t", ctypes.c_double: "double", ctypes.c_void_p: "pointer"}
+    assert fields == [(name, c_types[field_type]) for name, field_type in _kernel._Context._fields_]
 
 
 def test_a_missing_compiler_warns_once_then_runs_the_numpy_path(monkeypatch, tmp_path):

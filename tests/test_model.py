@@ -18,6 +18,7 @@ from binclust.model import (
     ClusterState,
     Hyperparams,
     _count_table,
+    _lgamma,
     _log_predictives,
     assignment_distribution,
     crp_log_prior,
@@ -467,6 +468,26 @@ class TestJointLogScore:
             bound = 3 * (cells + state.n_clusters * prior)
             expected = joint_log_score_by_betaln(state.sizes, state.feature_counts, hyper)
             assert abs(joint_log_score(state, data, hyper) - expected) <= bound
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([[2.5, 1.0, 2.5], [7.0, 1.0, 1e-300], [2.5, 3.0, 7.0]]),
+            np.array([1.5, 1.5 + 2**-52, 1e300, 0.5, 1e300, 1.5]).reshape(2, 3),
+            np.array([4, 1, 4, 4, 2**53 + 1, 1, 30], dtype=np.int64),
+            np.array([], dtype=np.int64),
+        ],
+        ids=["KxD", "KxD-near-repeats", "1d-int", "empty"],
+    )
+    def test_lgamma_scores_each_distinct_value_once(self, x, monkeypatch):
+        expected = np.array([math.lgamma(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        calls = []
+        lgamma = math.lgamma
+        monkeypatch.setattr(math, "lgamma", lambda v: calls.append(v) or lgamma(v))
+        got = _lgamma(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert got.tobytes() == expected.tobytes()
+        assert sorted(calls) == sorted(set(x.ravel().tolist()))
 
     def test_rejects_incomplete_state(self):
         data = BinaryMatrix([[1], [0]])

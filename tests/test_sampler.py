@@ -549,14 +549,21 @@ def test_a_block_of_uniforms_equals_as_many_single_draws(n):
         assert block_rng.random() == single_rng.random()
 
 
-class _FixedUniform:
-    """Stands in for a generator whose next ``random()`` is ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("n", [1, 7, 200])
+def test_a_sweep_draws_exactly_one_uniform_per_object(path, n):
+    # Each sweep takes exactly its N draws, so the next sweep's uniforms
+    # start where a sweep of one draw per visit would have left them.
+    data, _ = generate(SyntheticSpec(n, 12, 25, 5, k_true=min(n, 3), seed=n))
+    hyper = default_hyperparams(data)
+    for seed in range(3):
+        with visit_path(path):
+            state = ClusterState(data, np.arange(n) % 4)
+            rng = np.random.default_rng(seed)
+            gibbs_sweep(state, data, hyper, 1.0, rng)
+        reference = np.random.default_rng(seed)
+        reference.random(n)
+        assert rng.random() == reference.random()
 
 
 def _categorical_by_searchsorted(probs, u):
@@ -566,7 +573,7 @@ def _categorical_by_searchsorted(probs, u):
 class TestCategorical:
     def _check(self, probs, u):
         probs = np.asarray(probs, dtype=np.float64)
-        got = _categorical(probs, _FixedUniform(u))
+        got = _categorical(probs, u)
         assert type(got) is int
         assert got == _categorical_by_searchsorted(probs, u), (probs.tolist(), u)
 
@@ -594,5 +601,5 @@ class TestCategorical:
         assert total < 1.0
         for u in (total, np.nextafter(1.0, 0.0), np.nextafter(total, 0.0)):
             self._check(probs, u)
-        assert _categorical(probs, _FixedUniform(np.nextafter(1.0, 0.0))) == 9
-        assert _categorical(np.array([0.5, 0.5 - 2**-53, 0.0]), _FixedUniform(np.nextafter(1.0, 0.0))) == 2
+        assert _categorical(probs, np.nextafter(1.0, 0.0)) == 9
+        assert _categorical(np.array([0.5, 0.5 - 2**-53, 0.0]), np.nextafter(1.0, 0.0)) == 2
