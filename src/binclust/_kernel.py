@@ -4,7 +4,8 @@ and its binding to one :class:`~binclust.model.ClusterState`.
 A visit of the annealed Gibbs sampler detaches one object, scores every
 cluster option and attaches the object again.  Here those steps run in C
 over the state's own statistics buffers, one call each, with no copies in or
-out.  The log-term cache is :class:`Visit`'s alone: bound to one state, its
+out.  The log-term cache is :class:`Visit`'s alone: one array whose row k
+holds row k's present terms, then its absent terms, bound to one state, its
 matrix and one set of hyperparameters, and current on every row at all times.
 
 - Detach and attach are one C routine, ``move``, the only code that changes
@@ -13,8 +14,8 @@ matrix and one set of hyperparameters, and current on every row at all times.
   and ``log(b_j + n_k - c_kj)`` only where it has not, so a touched row
   costs D logs.  ``sum_j log(a_j + b_j + n)`` is memoised by the size n, and
   the distribution reads each row's from the memo by the row's size.  A move
-  that empties its row changes only the counts: the state deletes it next.
-- Restore on return, one case of ``move``: a detach from a row that keeps
+  that empties its row takes its D logs too; the state deletes the row next.
+- Restore on return, the other case of ``move``: a detach from a row that keeps
   members saves the D terms it overwrites in one slot keyed by (object,
   row), and an attach of that object into that row copies them back instead
   of taking D logs.  They are the logs of the same counts under the same
@@ -27,15 +28,19 @@ matrix and one set of hyperparameters, and current on every row at all times.
 The C source uses no Python C API.  The first process that needs it compiles
 it with ``gcc`` into ``__pycache__/visit-<hash>.so`` beside this file (the
 hash covers the source, the flags and the machine type), writing a temporary
-file and renaming it into place; every process loads that file with
-:mod:`ctypes`.  If the build or the load fails, one ``RuntimeWarning`` names
-the error and the numpy code in :mod:`binclust.model` runs instead.  That
+file and renaming it into place, then deletes the builds of other sources
+there; every process loads that file with :mod:`ctypes`.  If the build or
+the load fails, one ``RuntimeWarning`` names the error and the numpy code in
+:mod:`binclust.model` runs instead.  That
 code scores with the plain collapsed predictive, the reference the tests hold
 this kernel to: libm's ``log`` and ``exp`` may differ from numpy's in the last
 bit, every other step is the same.
 """
 
+import contextlib
 import ctypes
+import functools
+import glob
 import hashlib
 import os
 import platform
@@ -59,14 +64,13 @@ typedef struct {
     int64_t *assignments;  /* N labels, -1 while detached */
     int64_t *sizes;        /* capacity */
     int64_t *counts;       /* capacity x D */
-    double *log_present;   /* capacity x D: log(a_j + c_kj) */
-    double *log_absent;    /* capacity x D: log(b_j + n_k - c_kj) */
+    double *log_terms;     /* capacity x 2 x D: log(a_j + c_kj), then log(b_j + n_k - c_kj) */
     const double *a;       /* D */
     const double *b;       /* D */
     double alpha;
     double *denom_memo;    /* N + 1: sum_j log(a_j + b_j + n) by n, NaN until computed */
     double *scratch;       /* D */
-    double *probs;         /* capacity: the last distribution */
+    double *probs;         /* N + 1: the last distribution */
     /* The restore slot: the terms the last detach overwrote, one per
        feature, while returned_object may still return to returned_row;
        returned_object is -1 when the slot is empty. */
@@ -132,38 +136,36 @@ static double log_denom(const bc_state *s, int64_t n)
     return s->denom_memo[n];
 }
 
-/* Log terms of row k from its statistics alone, none memoised: what the
-   cache fills its rows with and is checked against.  Returns the
-   denominator sum. */
-double bc_row_terms(const bc_state *s, int64_t k, double *present, double *absent)
+/* Log terms of row k from its statistics alone, none memoised, into the
+   2 x D terms: what the cache fills its rows with and is checked against.
+   Returns the denominator sum. */
+double bc_row_terms(const bc_state *s, int64_t k, double *terms)
 {
     const int64_t d = s->n_features, n = s->sizes[k];
     const int64_t *c = s->counts + k * d;
     for (int64_t j = 0; j < d; j++) {
-        present[j] = log(s->a[j] + (double)c[j]);
-        absent[j] = log(s->b[j] + (double)(n - c[j]));
+        terms[j] = log(s->a[j] + (double)c[j]);
+        terms[d + j] = log(s->b[j] + (double)(n - c[j]));
     }
     return denom_sum(s, n);
 }
 
-/* Add (sign 1) or remove (sign -1) object i to or from row k: a row left
-   empty gets its counts only, a return copies the slot's terms back, and any
-   other move takes D logs and saves the terms they overwrite into the slot. */
+/* Add (sign 1) or remove (sign -1) object i to or from row k: a return
+   copies the slot's terms back, and any other move takes D logs and saves the
+   terms they overwrite into the slot, which stays empty unless the row keeps
+   members. */
 static void move(bc_state *s, int64_t i, int64_t k, int64_t sign)
 {
     const int64_t d = s->n_features;
     const uint8_t *x = s->values + i * d;
     int64_t *c = s->counts + k * d;
-    double *present = s->log_present + k * d, *absent = s->log_absent + k * d;
+    double *present = s->log_terms + 2 * k * d, *absent = present + d;
     const int64_t n = (s->sizes[k] += sign);
     const int restore = sign > 0 && s->returned_object == i && s->returned_row == k;
     s->assignments[i] = sign > 0 ? k : -1;
     s->returned_object = sign < 0 && n > 0 ? i : -1;
     s->returned_row = k;
-    if (n == 0) {
-        for (int64_t j = 0; j < d; j++)
-            c[j] += sign * x[j];
-    } else if (restore) {
+    if (restore) {
         for (int64_t j = 0; j < d; j++) {
             c[j] += x[j];
             (x[j] ? present : absent)[j] = s->returned[j];
@@ -201,7 +203,7 @@ void bc_distribution(bc_state *s, int64_t i, int64_t top, double temperature)
     double *p = s->probs;
     double best = -INFINITY;
     for (int64_t k = 0; k < top; k++) {
-        const double *present = s->log_present + k * d, *absent = s->log_absent + k * d;
+        const double *present = s->log_terms + 2 * k * d, *absent = present + d;
         for (int64_t j = 0; j < d; j++)
             s->scratch[j] = pick(x[j], present[j], absent[j]);
         p[k] = pairwise_sum(s->scratch, d) - log_denom(s, s->sizes[k]);
@@ -259,7 +261,12 @@ def _describe(exc):
 
 
 def _built():
-    """Path of the compiled library, compiled first if no process has yet."""
+    """Path of the compiled library, compiled first if no process has yet.
+
+    A build deletes every other ``visit-*.so`` beside it, the builds of other
+    sources, as far as it can; the temporary files of builds still running
+    are not ``.so`` files and stay.
+    """
     key = hashlib.sha256("\0".join([SOURCE, *_FLAGS, platform.machine()]).encode()).hexdigest()[:16]
     path = os.path.join(_CACHE_DIR, f"visit-{key}.so")
     if not os.path.exists(path):
@@ -275,6 +282,10 @@ def _built():
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for stale in glob.glob(os.path.join(glob.escape(_CACHE_DIR), "visit-*.so")):
+            if stale != path:
+                with contextlib.suppress(OSError):
+                    os.unlink(stale)
     return path
 
 
@@ -285,7 +296,7 @@ def _load(path):
         ("bc_detach", None, (ptr, i64, i64)),
         ("bc_attach", None, (ptr, i64, i64)),
         ("bc_distribution", None, (ptr, i64, i64, ctypes.c_double)),
-        ("bc_row_terms", ctypes.c_double, (ptr, i64, ptr, ptr)),
+        ("bc_row_terms", ctypes.c_double, (ptr, i64, ptr)),
     ):
         fn = getattr(lib, name)
         fn.restype = restype
@@ -303,8 +314,7 @@ class _Context(ctypes.Structure):
         ("assignments", ctypes.c_void_p),
         ("sizes", ctypes.c_void_p),
         ("counts", ctypes.c_void_p),
-        ("log_present", ctypes.c_void_p),
-        ("log_absent", ctypes.c_void_p),
+        ("log_terms", ctypes.c_void_p),
         ("a", ctypes.c_void_p),
         ("b", ctypes.c_void_p),
         ("alpha", ctypes.c_double),
@@ -322,11 +332,12 @@ class Visit:
     ``hyper``, with its log-term cache.
 
     Every cache row, up to the buffers' capacity, holds what ``bc_row_terms``
-    computes from that row's statistics under ``hyper``: detach and attach
-    keep the rows they touch so, and the state calls :meth:`bind_buffers` and
-    :meth:`drop_row` on growth and on a death.  Other hyperparameters take a
-    fresh kernel.  It holds a reference to every array whose address the C
-    side keeps, so none is freed while bound.
+    computes from that row's statistics under ``hyper``: ``detach(i, k)`` and
+    ``attach(i, k)``, the C entries bound to this kernel, keep the rows they
+    touch so, and the state calls :meth:`bind_buffers` and :meth:`drop_row` on
+    growth and on a death.  Other hyperparameters take a fresh kernel.  It
+    holds a reference to every array whose address the C side keeps, so none
+    is freed while bound.
     """
 
     def __init__(self, lib, state, hyper):
@@ -335,48 +346,38 @@ class Visit:
         self.hyper = hyper
         self._ctx = ctx = _Context(n_objects=n, n_features=d, alpha=hyper.alpha, returned_object=-1)
         self._addr = ctypes.addressof(ctx)
+        self.detach = functools.partial(lib.bc_detach, self._addr)
+        self.attach = functools.partial(lib.bc_attach, self._addr)
         self._values, self._assignments = state._values, state.assignments
-        self._memo = np.full(n + 1, np.nan)
-        self._scratch = np.empty(d)
-        self._returned = np.empty(d)
-        ctx.values, ctx.assignments, ctx.a, ctx.b, ctx.denom_memo, ctx.scratch, ctx.returned = (
+        # A detached object has N options at most: probs needs no growth.
+        self._memo, self._probs = np.full(n + 1, np.nan), np.empty(n + 1)
+        self._scratch, self._returned = np.empty(d), np.empty(d)
+        ctx.values, ctx.assignments, ctx.a, ctx.b, ctx.denom_memo, ctx.probs, ctx.scratch, ctx.returned = (
             buf.ctypes.data
-            for buf in (self._values, self._assignments, hyper.a, hyper.b, self._memo, self._scratch, self._returned)
+            for buf in (
+                self._values, self._assignments, hyper.a, hyper.b,
+                self._memo, self._probs, self._scratch, self._returned,
+            )
         )
-        self._present, self._absent = np.empty((0, d)), np.empty((0, d))
+        self._terms = np.empty((0, 2, d))
         self.bind_buffers(state)
 
-    def _recompute(self, present, absent, start=0):
-        """Fill rows ``start`` up of the given cache-shaped arrays from the statistics; return their denominators."""
-        return [
-            self._lib.bc_row_terms(self._addr, k, present[k].ctypes.data, absent[k].ctypes.data)
-            for k in range(start, present.shape[0])
-        ]
+    def _recompute(self, terms, start=0):
+        """Fill rows ``start`` up of the cache-shaped ``terms`` from the statistics; return their denominators."""
+        return [self._lib.bc_row_terms(self._addr, k, terms[k].ctypes.data) for k in range(start, terms.shape[0])]
 
     def bind_buffers(self, state):
         """Bind the state's statistics buffers after it grew them; the rows growth added get their terms."""
         self._sizes, self._counts = state._sizes, state._counts
-        old, capacity = self._present.shape[0], state._sizes.shape[0]
-        self._present, self._absent = grown = [
-            np.concatenate([buf, np.empty((capacity - old, buf.shape[1]))]) for buf in (self._present, self._absent)
-        ]
-        self._probs = np.empty(capacity)
+        old = self._terms.shape[0]
+        self._terms = np.concatenate([self._terms, np.empty((self._sizes.shape[0] - old, *self._terms.shape[1:]))])
         ctx = self._ctx
-        ctx.sizes, ctx.counts, ctx.log_present, ctx.log_absent, ctx.probs = (
-            buf.ctypes.data for buf in (self._sizes, self._counts, *grown, self._probs)
-        )
-        self._recompute(*grown, start=old)
+        ctx.sizes, ctx.counts, ctx.log_terms = (buf.ctypes.data for buf in (self._sizes, self._counts, self._terms))
+        self._recompute(self._terms, start=old)
 
     def drop_row(self, k, top):
         """Delete row ``k`` as the state deletes its statistics: rows ``k + 1 .. top`` shift down one."""
-        for buf in (self._present, self._absent):
-            buf[k:top] = buf[k + 1 : top + 1]
-
-    def detach(self, i, k):
-        self._lib.bc_detach(self._addr, i, k)
-
-    def attach(self, i, k):
-        self._lib.bc_attach(self._addr, i, k)
+        self._terms[k:top] = self._terms[k + 1 : top + 1]
 
     def distribution(self, i, top, temperature):
         """The distribution of detached object ``i`` over rows ``0 .. top - 1``, under the bound matrix."""
@@ -386,10 +387,8 @@ class Visit:
     def check(self):
         """Raise unless every cache row, and the memoised denominator of every row's size once
         computed, equals its recomputation from the statistics."""
-        cache = (self._present, self._absent)
-        fresh = tuple(np.empty_like(buf) for buf in cache)
-        denoms = self._recompute(*fresh)
+        fresh = np.empty_like(self._terms)
+        denoms = self._recompute(fresh)
         memo = self._memo[self._sizes]
-        memo_current = ((memo == denoms) | np.isnan(memo)).all()
-        if not (memo_current and all(np.array_equal(c, f) for c, f in zip(cache, fresh))):
+        if not (((memo == denoms) | np.isnan(memo)).all() and np.array_equal(self._terms, fresh)):
             raise ValueError("cached log terms disagree with a recomputation from the statistics")

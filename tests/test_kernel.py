@@ -40,6 +40,25 @@ def test_the_ctypes_context_mirrors_the_c_struct_field_for_field():
     assert fields == [(name, c_types[field_type]) for name, field_type in _kernel._Context._fields_]
 
 
+def test_the_ctypes_signatures_match_the_c_prototypes():
+    # ctypes checks no arity: a C parameter missing from argtypes is read from a stray register.
+    lib = _kernel.library()
+    c_types = {"void": None, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    prototypes = {}
+    for restype, name, params in re.findall(r"^(\w+)\s+(bc_\w+)\(([^)]*)\)\s*\{", _kernel.SOURCE, re.M):
+        argtypes = []
+        for param in params.split(","):
+            match = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s*(\*?)\s*\w+\s*", param)
+            assert match, f"one named parameter each, got {param.strip()!r} in {name}"
+            argtypes.append(ctypes.c_void_p if match.group(2) else c_types[match.group(1)])
+        prototypes[name] = (c_types[restype], argtypes)
+    bound = {name for name in vars(lib) if name.startswith("bc_")}  # CDLL keeps each function it was asked for
+    assert bound == set(prototypes)
+    for name, (restype, argtypes) in prototypes.items():
+        fn = getattr(lib, name)
+        assert (fn.restype, list(fn.argtypes)) == (restype, argtypes), name
+
+
 def test_a_missing_compiler_warns_once_then_runs_the_numpy_path(monkeypatch, tmp_path):
     data, _ = generate(SyntheticSpec(30, 20, 20, 10, k_true=3, seed=9))
     schedule = AnnealingSchedule(n_sweeps=10)
@@ -92,6 +111,24 @@ def test_the_build_lands_in_pycache_and_a_second_process_loads_it_without_gcc(tm
     assert second.returncode == 0, second.stderr
     assert Path(second.stdout.strip()) == built
     assert built.stat().st_mtime_ns == stamp
+
+
+def test_a_build_deletes_stale_builds_but_not_a_running_builds_file(monkeypatch, tmp_path):
+    stale, running = tmp_path / "visit-0123456789abcdef.so", tmp_path / "visit-fedcba9876543210-x1y2.tmp"
+    for planted in (stale, running):
+        planted.write_bytes(b"")
+    monkeypatch.setattr(_kernel, "_CACHE_DIR", str(tmp_path))
+    built = Path(_kernel._built())
+    assert sorted(tmp_path.iterdir()) == sorted([built, running])
+
+
+def test_the_source_compiles_without_warnings(tmp_path):
+    warned = subprocess.run(
+        [_kernel._CC, *_kernel._FLAGS, "-Wall", "-Wextra", "-Wconversion", "-Werror", "-x", "c", "-",
+         "-o", str(tmp_path / "warnings.so"), "-lm"],
+        input=_kernel.SOURCE, capture_output=True, text=True, timeout=300,
+    )
+    assert warned.returncode == 0, warned.stderr
 
 
 def test_help_and_baseline_never_load_the_kernel(tmp_path):
@@ -162,12 +199,6 @@ def test_the_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizers(
     libasan = subprocess.run([_kernel._CC, "-print-file-name=libasan.so"], capture_output=True, text=True).stdout.strip()
     if not os.path.isabs(libasan):
         pytest.skip("libasan.so, the AddressSanitizer runtime, is not installed")
-    warned = subprocess.run(
-        [_kernel._CC, *_kernel._FLAGS, "-Wall", "-Wextra", "-Wconversion", "-Werror", "-x", "c", "-",
-         "-o", str(tmp_path / "warnings.so"), "-lm"],
-        input=_kernel.SOURCE, capture_output=True, text=True, timeout=300,
-    )
-    assert warned.returncode == 0, warned.stderr
     flags = _kernel._FLAGS + ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
     cache = str(tmp_path / "cache")
     # Built here, outside the sanitized process: gcc need not run under the preloaded runtime.

@@ -549,7 +549,7 @@ class TestClusterState:
             assignment_distribution(2, state, data, _uniform_hyper(2), temperature=1.0)
             insert_object(state, 2, 0, data)
         state.check_consistency(data)
-        state._visit._present[1, 0] += 1e-9
+        state._visit._terms[1, 0, 0] += 1e-9
         with pytest.raises(ValueError, match="cached log terms"):
             state.check_consistency(data)
 
@@ -612,7 +612,7 @@ class TestClusterState:
         spare = state.n_clusters + 2
         assert spare < state._sizes.shape[0]
         state.check_consistency(data)
-        state._visit._absent[spare, 1] += 1e-9
+        state._visit._terms[spare, 1, 1] += 1e-9
         with pytest.raises(ValueError, match="cached log terms"):
             state.check_consistency(data)
 
@@ -832,7 +832,7 @@ class TestLogTermCache:
             state = ClusterState(data, np.arange(12) % 2)
             gibbs_sweep(state, data, hyper, 1.0, rng)
             visit = state._visit
-            cached = [buf.copy() for buf in (visit._present, visit._absent, visit._memo)]
+            cached = [buf.copy() for buf in (visit._terms, visit._memo)]
             twin = copy.deepcopy(state)
             for i in range(12):  # every object into a cluster of its own: deaths, births and growth
                 remove_object(twin, i, data)
@@ -842,5 +842,5 @@ class TestLogTermCache:
         assert twin._visit is not visit and twin.n_clusters == 12
         state.check_consistency(data)
         assert all(
-            np.array_equal(c, b, equal_nan=True) for c, b in zip(cached, (visit._present, visit._absent, visit._memo))
+            np.array_equal(c, b, equal_nan=True) for c, b in zip(cached, (visit._terms, visit._memo))
         )
