@@ -6,7 +6,10 @@ cluster option and attaches the object again.  Here those steps run in C
 over the state's own statistics buffers, one call each, with no copies in or
 out.  The log-term cache is :class:`Visit`'s alone: one array whose row k
 holds row k's present terms, then its absent terms, bound to one state, its
-matrix and one set of hyperparameters, and current on every row at all times.
+matrix, its row buffers and one set of hyperparameters, and current on every
+row at all times.  The state binds a fresh :class:`Visit`, which fills every
+row, at its first scoring, under another set of hyperparameters and after it
+grows its row buffers.
 
 - Detach and attach are one C routine, ``move``, the only code that changes
   a row, a label or the restore slot during a visit.  Adding or removing an
@@ -20,7 +23,7 @@ matrix and one set of hyperparameters, and current on every row at all times.
   row), and an attach of that object into that row copies them back instead
   of taking D logs.  They are the logs of the same counts under the same
   hyperparameters, so the bits are the same.  Every other move empties the
-  slot, and a kernel bound for other hyperparameters starts with it empty.
+  slot, and a fresh kernel starts with it empty.
 - The distribution selects and sums each row's terms in numpy's pairwise
   order, then shifts, tempers, seats and normalises in the steps of
   :func:`binclust.model.assignment_distribution`.
@@ -331,11 +334,11 @@ class Visit:
     """The kernel bound to one state's data matrix and statistics buffers, and to
     ``hyper``, with its log-term cache.
 
-    Every cache row, up to the buffers' capacity, holds what ``bc_row_terms``
-    computes from that row's statistics under ``hyper``: ``detach(i, k)`` and
-    ``attach(i, k)``, the C entries bound to this kernel, keep the rows they
-    touch so, and the state calls :meth:`bind_buffers` and :meth:`drop_row` on
-    growth and on a death.  Other hyperparameters take a fresh kernel.  It
+    Construction fills every cache row, up to the buffers' capacity, with what
+    ``bc_row_terms`` computes from that row's statistics under ``hyper``:
+    ``detach(i, k)`` and ``attach(i, k)``, the C entries bound to this kernel,
+    keep the rows they touch so, and the state calls :meth:`drop_row` on a
+    death.  New buffers and other hyperparameters take a fresh kernel.  It
     holds a reference to every array whose address the C side keeps, so none
     is freed while bound.
     """
@@ -352,28 +355,19 @@ class Visit:
         # A detached object has N options at most: probs needs no growth.
         self._memo, self._probs = np.full(n + 1, np.nan), np.empty(n + 1)
         self._scratch, self._returned = np.empty(d), np.empty(d)
-        ctx.values, ctx.assignments, ctx.a, ctx.b, ctx.denom_memo, ctx.probs, ctx.scratch, ctx.returned = (
-            buf.ctypes.data
-            for buf in (
-                self._values, self._assignments, hyper.a, hyper.b,
-                self._memo, self._probs, self._scratch, self._returned,
-            )
-        )
-        self._terms = np.empty((0, 2, d))
-        self.bind_buffers(state)
-
-    def _recompute(self, terms, start=0):
-        """Fill rows ``start`` up of the cache-shaped ``terms`` from the statistics; return their denominators."""
-        return [self._lib.bc_row_terms(self._addr, k, terms[k].ctypes.data) for k in range(start, terms.shape[0])]
-
-    def bind_buffers(self, state):
-        """Bind the state's statistics buffers after it grew them; the rows growth added get their terms."""
         self._sizes, self._counts = state._sizes, state._counts
-        old = self._terms.shape[0]
-        self._terms = np.concatenate([self._terms, np.empty((self._sizes.shape[0] - old, *self._terms.shape[1:]))])
-        ctx = self._ctx
-        ctx.sizes, ctx.counts, ctx.log_terms = (buf.ctypes.data for buf in (self._sizes, self._counts, self._terms))
-        self._recompute(self._terms, start=old)
+        self._terms = np.empty((self._sizes.shape[0], 2, d))
+        ctx.values, ctx.assignments, ctx.sizes, ctx.counts, ctx.log_terms = (
+            buf.ctypes.data for buf in (self._values, self._assignments, self._sizes, self._counts, self._terms)
+        )
+        ctx.a, ctx.b, ctx.denom_memo, ctx.probs, ctx.scratch, ctx.returned = (
+            buf.ctypes.data for buf in (hyper.a, hyper.b, self._memo, self._probs, self._scratch, self._returned)
+        )
+        self._recompute(self._terms)
+
+    def _recompute(self, terms):
+        """Fill every row of the cache-shaped ``terms`` from the statistics; return their denominators."""
+        return [self._lib.bc_row_terms(self._addr, k, terms[k].ctypes.data) for k in range(terms.shape[0])]
 
     def drop_row(self, k, top):
         """Delete row ``k`` as the state deletes its statistics: rows ``k + 1 .. top`` shift down one."""

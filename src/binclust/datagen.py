@@ -19,12 +19,13 @@ from .model import BinaryMatrix, _is_integer
 _MAX_LABEL_DRAWS = 100
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
     """Shape and difficulty of one planted-cluster instance.
 
     ``info_pct`` is the percentage of feature columns planted as signal per
     cluster; ``noise_pct`` the percentage of all cells toggled afterwards.
+    ``seed``, a non-negative integer, fixes the instance.  Immutable.
     """
 
     n_objects: int
@@ -47,6 +48,8 @@ class SyntheticSpec:
             raise ValueError("noise_pct must lie in [0, 100]")
         if not 1 <= self.k_true <= self.n_objects:
             raise ValueError("k_true must lie in [1, n_objects]")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def generate(spec):

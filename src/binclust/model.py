@@ -148,13 +148,13 @@ class ClusterState:
     buffers with spare capacity; row K is always all-zero, the statistics of
     a brand-new cluster.
 
-    The state keeps statistics only.  Its first scoring, when the
-    hyperparameters are known, chooses how its visits run for the state's
-    life: in the compiled kernel of :mod:`binclust._kernel` where it can be
-    built, otherwise in numpy, which scores with the plain formula.  The
-    kernel keeps a log-term cache beside the row buffers, current on every
-    row at all times; a scoring under another :class:`Hyperparams` object
-    binds a fresh kernel.  Change the statistics only through
+    The state keeps statistics only.  Its visits run in the compiled kernel
+    of :mod:`binclust._kernel` where it can be built, otherwise in numpy,
+    which scores with the plain formula.  The kernel keeps a log-term cache
+    beside the row buffers, current on every row at all times.  The state
+    binds one at its first scoring, when the hyperparameters are known, and
+    a fresh one under another :class:`Hyperparams` object and after growing
+    its row buffers.  Change the statistics only through
     :func:`~binclust.sampler.remove_object` and
     :func:`~binclust.sampler.insert_object`: the kernel updates the rows they
     touch, and an edit made any other way leaves its cache out of step
@@ -180,8 +180,8 @@ class ClusterState:
         self._counts = np.zeros((self._k + 2, d), dtype=np.int64)
         self._sizes[: self._k] = sizes
         self._counts[: self._k] = counts
-        # The compiled kernel bound to these arrays, a _kernel.Visit; False on
-        # the numpy path, None until the first scoring chooses.
+        # The compiled kernel bound to these arrays, a _kernel.Visit; None on
+        # the numpy path and until the first scoring.
         self._visit = None
 
     def __getstate__(self):
@@ -222,23 +222,14 @@ class ClusterState:
         if values is not self._values and not np.array_equal(values, self._values):
             raise ValueError("the data matrix differs from the one the state was counted from")
 
-    def _visit_kernel(self, hyper, data):
-        """This state's compiled visit kernel, bound to ``hyper``; None on the numpy path.
-
-        The first scoring chooses the path, for the state's life.  Hyperparameters
-        of the wrong width are refused; others than the kernel's get a fresh one.
-        """
-        visit = self._visit
-        if visit and hyper is visit.hyper:
-            return visit
-        _check_width(hyper, data)
-        if visit is False:
-            return None
+    def _bind(self, hyper):
+        """Bind a fresh kernel to the current buffers and ``hyper``, where
+        :func:`binclust._kernel.library` gives one; return it, or None."""
         from . import _kernel
 
-        lib = visit._lib if visit else _kernel.library()
-        self._visit = visit = _kernel.Visit(lib, self, hyper) if lib else False
-        return visit or None
+        lib = _kernel.library()
+        self._visit = _kernel.Visit(lib, self, hyper) if lib else None
+        return self._visit
 
     def _detach(self, i):
         """Take object ``i`` out of its cluster; return the old label.
@@ -281,11 +272,11 @@ class ClusterState:
                 self._grow()
 
     def _grow(self):
-        """Double the row capacity; the new rows are zero."""
+        """Double the row capacity; the new rows are zero, and a bound kernel is bound afresh."""
         self._sizes = np.concatenate([self._sizes, np.zeros_like(self._sizes)])
         self._counts = np.concatenate([self._counts, np.zeros_like(self._counts)])
         if self._visit:
-            self._visit.bind_buffers(self)
+            self._bind(self._visit.hyper)
 
     def check_consistency(self, data):
         """Verify every invariant against a from-scratch recount; raise on mismatch.
@@ -467,7 +458,10 @@ def assignment_distribution(i, state, data, hyper, temperature):
         raise ValueError("state statistics must cover exactly the other n - 1 objects")
     if data.values is not state._values:
         state._check_values(data.values)
-    visit = state._visit_kernel(hyper, data)
+    visit = state._visit
+    if not (visit and hyper is visit.hyper):  # no kernel for these hyperparameters yet, or the numpy path
+        _check_width(hyper, data)
+        visit = state._bind(hyper)
     if visit:
         return visit.distribution(i, state.n_clusters + 1, temperature)
     # Rows 0..K-1 are the existing clusters and row K, all-zero, the new one.

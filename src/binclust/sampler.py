@@ -26,10 +26,13 @@ from .model import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnnealingSchedule:
     """Cooling plan: start at ``t_init`` and multiply by ``lam`` after every
-    ``block`` of the ``n_sweeps`` total sweeps."""
+    ``block`` of the ``n_sweeps`` total sweeps.
+
+    Immutable, so a schedule that passed validation stays valid.
+    """
 
     t_init: float = 1.0
     lam: float = 0.9
@@ -41,9 +44,9 @@ class AnnealingSchedule:
             value = getattr(self, name)
             if not (_is_integer(value) and value >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-            setattr(self, name, int(value))
-        self.t_init = float(self.t_init)
-        self.lam = float(self.lam)
+            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "t_init", float(self.t_init))
+        object.__setattr__(self, "lam", float(self.lam))
         if not self.t_init > 0:
             raise ValueError("t_init must be strictly positive")
         if not np.isfinite(self.t_init):

@@ -1,8 +1,10 @@
 """Choose which implementation runs the Gibbs visits: numpy or the compiled kernel.
 
-A :class:`~binclust.model.ClusterState` picks its path at its first scoring,
-from ``binclust._kernel._lib``; :func:`visit_path` sets that attribute for the
-duration of a block, so states first scored inside it take that path.
+A :class:`~binclust.model.ClusterState` asks ``binclust._kernel.library()``
+for its path each time it binds a kernel: at its first scoring, under another
+``Hyperparams`` object and after growing its row buffers.  That function reads
+``binclust._kernel._lib``; :func:`visit_path` sets that attribute for the
+duration of a block, so states scored inside it take that path.
 """
 
 import contextlib
@@ -14,7 +16,7 @@ PATHS = ("numpy", "compiled")
 
 @contextlib.contextmanager
 def visit_path(name):
-    """Run the visits of states first scored in the block on path ``name``.
+    """Run the visits of states scored in the block on path ``name``.
 
     ``"compiled"`` builds or loads the kernel first, and fails where it cannot.
     """

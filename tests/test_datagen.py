@@ -1,5 +1,6 @@
 """Synthetic benchmark generator: exact counts, densities, reproducibility."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,11 +23,20 @@ class TestSyntheticSpec:
             {"n_objects": 5, "n_features": 2.5, "info_pct": 10, "noise_pct": 0},
             {"n_objects": 5, "n_features": 5, "info_pct": 10, "noise_pct": 1, "k_true": 2.5},
             {"n_objects": 5, "n_features": 5, "info_pct": 10, "noise_pct": 1, "k_true": True},
+            {"n_objects": 5, "n_features": 5, "info_pct": 10, "noise_pct": 0, "seed": None},
+            {"n_objects": 5, "n_features": 5, "info_pct": 10, "noise_pct": 0, "seed": True},
+            {"n_objects": 5, "n_features": 5, "info_pct": 10, "noise_pct": 0, "seed": 2.5},
+            {"n_objects": 5, "n_features": 5, "info_pct": 10, "noise_pct": 0, "seed": -1},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SyntheticSpec(**kwargs)
+
+    def test_a_spec_cannot_be_changed(self):
+        spec = SyntheticSpec(n_objects=5, n_features=5, info_pct=10, noise_pct=0, seed=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.seed = None
 
 
 class TestGenerate:

@@ -124,7 +124,8 @@ def test_a_build_deletes_stale_builds_but_not_a_running_builds_file(monkeypatch,
 
 def test_the_source_compiles_without_warnings(tmp_path):
     warned = subprocess.run(
-        [_kernel._CC, *_kernel._FLAGS, "-Wall", "-Wextra", "-Wconversion", "-Werror", "-x", "c", "-",
+        [_kernel._CC, *_kernel._FLAGS, "-Wall", "-Wextra", "-Wconversion", "-Wpedantic", "-Wshadow", "-Wcast-qual",
+         "-Wdouble-promotion", "-Wstrict-prototypes", "-Werror", "-x", "c", "-",
          "-o", str(tmp_path / "warnings.so"), "-lm"],
         input=_kernel.SOURCE, capture_output=True, text=True, timeout=300,
     )

@@ -576,7 +576,7 @@ class TestClusterState:
             remove_object(state, 2, data)
             assignment_distribution(2, state, data, hyper, temperature=1.0)
             insert_object(state, 2, 0, data)
-            assert state._visit is False  # no kernel, so no cache to read
+            assert state._visit is None  # no kernel, so no cache to read
             state.check_consistency(data)
             remove_object(state, 2, data)
             got = assignment_distribution(2, state, data, hyper, temperature=0.5)
@@ -591,7 +591,7 @@ class TestClusterState:
                 assignment_distribution(2, state, data, _uniform_hyper(2), temperature=1.0)
                 insert_object(state, 2, NEW_CLUSTER, data)
             assert set(vars(state)) == {"assignments", "_values", "_k", "_sizes", "_counts", "_visit"}
-            assert (state._visit is False) == (path == "numpy")
+            assert (state._visit is None) == (path == "numpy")
 
     @pytest.mark.parametrize("event", ["growth", "death"])
     def test_check_consistency_detects_a_corrupted_spare_row_of_the_cache(self, event):
@@ -604,7 +604,11 @@ class TestClusterState:
             if event == "growth":  # two births need a sixth row
                 insert_object(state, 0, NEW_CLUSTER, data)
                 remove_object(state, 1, data)
+                visit = state._visit
                 insert_object(state, 1, NEW_CLUSTER, data)
+                # Growth binds a fresh kernel to the new buffers, under the same hyperparameters.
+                assert state._visit is not visit and state._visit.hyper is hyper
+                state.check_consistency(data)
             else:  # the singleton's death leaves K = 2 in 5 rows
                 insert_object(state, 0, 0, data)
                 remove_object(state, 5, data)
@@ -722,7 +726,7 @@ def _walk_the_cache(shape, n_labels, n_steps, check):
 
 _WALKS = pytest.mark.parametrize(
     "shape, n_labels, n_steps",
-    [((14, 5), 3, 60), ((14, 5), 2, 60), ((9, 1), 3, 40), ((1, 6), 1, 40)],
+    [((14, 5), 3, 60), ((14, 5), 2, 60), ((9, 1), 3, 40), ((1, 6), 1, 40), ((12, 300), 3, 40)],
 )
 
 

@@ -1,6 +1,7 @@
 """Annealed Gibbs sampler: state bookkeeping, sweeps, cooling, determinism."""
 
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -70,6 +71,15 @@ class TestAnnealingSchedule:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             AnnealingSchedule(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [("block", 0), ("lam", 0.0), ("lam", 1.5), ("n_sweeps", 0)])
+    def test_a_validated_schedule_cannot_be_changed(self, field, value):
+        # Each of these would break a run: a division by zero, a mid-run
+        # refusal, heating instead of cooling, or empty traces.
+        sched = AnnealingSchedule(n_sweeps=40, block=5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sched, field, value)
+        assert (sched.lam, sched.block, sched.n_sweeps) == (0.9, 5, 40)
 
 
 class TestInitState:
