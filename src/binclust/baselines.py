@@ -27,48 +27,85 @@ class GapResult:
     dispersion_curve: np.ndarray
 
 
-def _squared_distances(points, norms, table, sizes):
+def _gram(points):
+    """The Gram matrix ``points @ points.T`` when N <= D, else None.
+
+    With it a Lloyd step's products are one N x N x K product instead of two
+    N x K x D ones.  When N > D that trade loses, and the N x N matrix would
+    outgrow the rows themselves, so it is not built.
+    """
+    n, d = points.shape
+    return points @ points.T if n <= d else None
+
+
+def _row_products(points, gram, rows):
+    """``x_i . x_j`` of every row i with each row j of ``rows``: those columns of the Gram matrix."""
+    return gram[:, rows] if gram is not None else points @ points[rows].T
+
+
+def _cluster_products(points, gram, onehot):
+    """``(cross, q)`` of the clusters of the one-hot labels: ``cross[i, k] = x_i . C_k``, ``q[k] = |C_k|^2``.
+
+    ``C = onehot.T @ points`` is the K x D feature-count table.  With the
+    Gram matrix ``cross`` is ``gram @ onehot``, without it ``points @ C.T``:
+    one product in two association orders.  ``q`` sums ``cross`` over each
+    cluster's members.  On {0,1} rows every partial sum is an integer of at
+    most N^2 D, so both orders give the same bits while N^2 D < 2^53.
+    """
+    cross = gram @ onehot if gram is not None else points @ (onehot.T @ points).T
+    return cross, (onehot * cross).sum(axis=0)
+
+
+def _squared_distances(norms, cross, q, sizes):
     """Squared Euclidean distances, shape (n, k), of the rows to the clusters' mean rows.
 
-    Cluster k is its feature-count row ``table[k]`` over its size ``sizes[k]``,
-    and ``norms`` are the rows' squared norms.  On {0,1} rows the products and
-    sums are exact integers, so only the divisions by the sizes and the sum of
-    the three terms round; against one row as a cluster of size 1 nothing
-    does, and the result equals ``((points - row) ** 2).sum(axis=1)`` bit for bit.
+    Cluster k is a count row ``C_k`` over its size ``sizes[k]``; ``norms`` are
+    the rows' squared norms, ``cross[i, k] = x_i . C_k`` and ``q[k] = |C_k|^2``.
+    On {0,1} rows these are exact integers while N^2 D < 2^53, so only the
+    divisions by the sizes and the sum of the three terms round; against one
+    row as a cluster of size 1 nothing does, and the result equals
+    ``((points - row) ** 2).sum(axis=1)`` bit for bit.
     """
-    d2 = norms[:, None] - 2.0 * (points @ table.T) / sizes + (table * table).sum(axis=1) / (sizes * sizes)
+    d2 = norms[:, None] - 2.0 * cross / sizes + q / (sizes * sizes)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def _plusplus_seeds(points, norms, k, rng):
-    """Greedy k-means++ seeding: the indices of k rows spread apart."""
-    n = points.shape[0]
+def _plusplus_seeds(points, norms, gram, k, rng):
+    """Greedy k-means++ seeding: the indices of k rows spread apart, each a cluster of size 1."""
+    n = norms.shape[0]
+
+    def distances_to(rows):
+        return _squared_distances(norms, _row_products(points, gram, rows), norms[rows], 1)[:, 0]
+
     seeds = [rng.integers(n)]
-    d2 = _squared_distances(points, norms, points[seeds], 1)[:, 0]
+    d2 = distances_to(seeds)
     for _ in range(1, k):
         total = d2.sum()
         seeds.append(rng.choice(n, p=d2 / total) if total > 0 else rng.integers(n))
-        np.minimum(d2, _squared_distances(points, norms, points[seeds[-1:]], 1)[:, 0], out=d2)
+        np.minimum(d2, distances_to(seeds[-1:]), out=d2)
     return seeds
 
 
-def _lloyd(points, norms, k, max_iters, rng):
+def _lloyd(points, norms, gram, k, max_iters, rng):
     """One seeded Lloyd run; returns (labels, WCSS).
 
-    A cluster is its row of a K x D feature-count table and its size.  The
-    seeds start as clusters of one row each; each step counts the table as
-    the one-hot labels times the {0,1} rows, exact in float64.  The WCSS is
-    ``sum_k (sum_j C_kj (n_k - C_kj)) / n_k``, its cluster terms summed in
-    sorted order so that a relabeled run ties exactly: within K 2^-52
-    relative of the exact value while D N^2 / 4 < 2^53.
+    A cluster is its count row ``C_k`` and its size ``n_k``, known only
+    through ``cross = x . C_k`` and ``q = |C_k|^2``.  The seeds start as
+    clusters of one row each, ``C_k = x_seed``; each step takes ``cross`` and
+    ``q`` from the one-hot labels (``_cluster_products``).  The WCSS is
+    ``sum_k (n_k sum_{i in k} |x_i|^2 - q_k) / n_k``, its cluster terms
+    summed in sorted order so that a relabeled run ties exactly.  Every
+    count is an exact integer while N^2 D < 2^53, so the WCSS is within
+    K 2^-52 relative of the exact value and the same on either route.
     """
-    n = points.shape[0]
-    table = points[_plusplus_seeds(points, norms, k, rng)]
+    n = norms.shape[0]
+    seeds = _plusplus_seeds(points, norms, gram, k, rng)
+    cross, q = _row_products(points, gram, seeds), norms[seeds]
     sizes = np.ones(k, dtype=np.int64)
     labels = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iters):
-        d2 = _squared_distances(points, norms, table, sizes)
+        d2 = _squared_distances(norms, cross, q, sizes)
         new_labels = d2.argmin(axis=1)
         # Revive empty clusters with the worst-fit point (farthest from its
         # own cluster's mean); repeat until every cluster has a member.
@@ -82,24 +119,26 @@ def _lloyd(points, norms, k, max_iters, rng):
             new_labels[worst] = empty
             sizes[empty] += 1
             d2[worst, :] = 0.0  # it is now its cluster's only member
-        table = np.eye(k)[new_labels].T @ points
+        cross, q = _cluster_products(points, gram, np.eye(k)[new_labels])
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    wcss = np.sort((table * (sizes[:, None] - table)).sum(axis=1) / sizes).sum()
+    wcss = np.sort((sizes * np.bincount(labels, weights=norms, minlength=k) - q) / sizes).sum()
     return labels, float(wcss)
 
 
 def _best_fits(data, ks, rng):
     """Best of ``_N_RESTARTS`` seeded Lloyd runs for each k, as ``(labels, wcss)``.
 
-    The {0,1} rows are converted to float64, and their squared norms taken,
-    once for all k.  On a WCSS tie the earlier run is kept.
+    The {0,1} rows are converted to float64, and their squared norms and
+    (when N <= D) their Gram matrix taken, once for all k.  On a WCSS tie
+    the earlier run is kept.
     """
     points = data.values.astype(np.float64)
     norms = (points * points).sum(axis=1)
+    gram = _gram(points)
     return [
-        min((_lloyd(points, norms, k, _MAX_ITERS, rng) for _ in range(_N_RESTARTS)), key=lambda fit: fit[1])
+        min((_lloyd(points, norms, gram, k, _MAX_ITERS, rng) for _ in range(_N_RESTARTS)), key=lambda fit: fit[1])
         for k in ks
     ]
 

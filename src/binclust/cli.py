@@ -129,6 +129,8 @@ def _cmd_evaluate(args):
 
 
 def _cmd_baseline(args):
+    if args.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
     data = io.load_matrix(args.in_path)
     rng = np.random.default_rng(args.seed)
     result = baselines.gap_statistic(data, k_max=args.k_max, n_refs=args.n_refs, rng=rng)

@@ -1,13 +1,25 @@
 """K-means on binary rows and the gap statistic."""
 
 import copy
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binclust import baselines
-from binclust.baselines import _lloyd, _plusplus_seeds, _squared_distances, gap_statistic, kmeans_binary
+from binclust.baselines import (
+    _cluster_products,
+    _gram,
+    _lloyd,
+    _plusplus_seeds,
+    _row_products,
+    _squared_distances,
+    gap_statistic,
+    kmeans_binary,
+)
 from binclust.datagen import SyntheticSpec, generate
 from binclust.evaluate import matched_accuracy
 from binclust.model import BinaryMatrix
@@ -98,7 +110,7 @@ class TestKmeansBinary:
             trace = []
             for max_iters in range(1, 51):
                 run_rng = copy.deepcopy(rng)
-                trace.append(_lloyd(data, norms, k, max_iters=max_iters, rng=run_rng)[1])
+                trace.append(_lloyd(data, norms, _gram(data), k, max_iters=max_iters, rng=run_rng)[1])
             rng = run_rng
             assert (np.diff(trace) <= 1e-9).all()
 
@@ -108,10 +120,10 @@ class TestKmeansBinary:
         norms = (points * points).sum(axis=1)
         for c in points:
             direct = ((points - c) ** 2).sum(axis=1)
-            assert np.array_equal(_squared_distances(points, norms, c[None, :], 1)[:, 0], direct)
+            assert np.array_equal(_squared_distances(norms, (points @ c)[:, None], np.array([c @ c]), 1)[:, 0], direct)
         for seed in range(10):
             k = 1 + seed % 6
-            seeds = _plusplus_seeds(points, norms, k, np.random.default_rng(seed))
+            seeds = _plusplus_seeds(points, norms, _gram(points), k, np.random.default_rng(seed))
             assert np.array_equal(seeds, _plusplus_by_direct_distances(points, k, np.random.default_rng(seed)))
 
     def test_labels_are_exactly_0_to_k_minus_1(self):
@@ -157,10 +169,55 @@ class TestKmeansBinary:
         cases += [(duplicates, k) for k in (1, 3, 4, 6, 15)]
         for values, k in cases:
             points = values.astype(np.float64)
-            labels, wcss = _lloyd(points, (points * points).sum(axis=1), k, 100, rng)
+            labels, wcss = _lloyd(points, (points * points).sum(axis=1), _gram(points), k, 100, rng)
             exact = _exact_wcss(values, labels)
             assert abs(Fraction(wcss) - exact) <= Fraction(k, 2**52) * exact
             assert np.array_equal(np.unique(labels), np.arange(k))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_the_gram_and_points_routes_give_the_same_bits(self, data):
+        # N < D, N = D and N > D; a few distinct rows, each repeated; some
+        # columns held at 0 or 1.  Both routes are forced, whatever the N <= D
+        # rule would pick, and their products are checked against the count table.
+        n = data.draw(st.integers(1, 14), label="n")
+        d = data.draw(st.sampled_from([max(1, n - 5), n, n + 7]), label="d")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        distinct = rng.integers(0, 2, size=(data.draw(st.integers(1, n), label="distinct"), d))
+        values = distinct[rng.integers(0, len(distinct), size=n)]
+        constant = rng.random(d) < 0.3
+        values[:, constant] = rng.integers(0, 2, size=constant.sum())
+        points = values.astype(np.float64)
+        norms = (points * points).sum(axis=1)
+        gram = points @ points.T
+        k = data.draw(st.integers(1, n), label="k")
+
+        onehot = np.eye(k)[rng.integers(0, k, size=n)]
+        table = onehot.T @ points
+        for cross, q in (_cluster_products(points, gram, onehot), _cluster_products(points, None, onehot)):
+            assert np.array_equal(cross, points @ table.T)
+            assert np.array_equal(q, (table * table).sum(axis=1))
+        rows = list(rng.integers(0, n, size=k))
+        assert np.array_equal(_row_products(points, gram, rows), _row_products(points, None, rows))
+
+        seed = int(rng.integers(2**32))
+        labels, wcss = _lloyd(points, norms, gram, k, 100, np.random.default_rng(seed))
+        want_labels, want_wcss = _lloyd(points, norms, None, k, 100, np.random.default_rng(seed))
+        assert np.array_equal(labels, want_labels)
+        assert np.float64(wcss).tobytes() == np.float64(want_wcss).tobytes()
+
+    def test_a_fit_with_more_rows_than_columns_builds_no_n_by_n_array(self):
+        # numpy reports its array allocations to tracemalloc: the peak holds
+        # the float64 rows, but nothing near one N x N float64 array.
+        n, d = 1500, 4
+        data = BinaryMatrix(np.random.default_rng(0).integers(0, 2, size=(n, d)).astype(np.uint8))
+        tracemalloc.start()
+        try:
+            kmeans_binary(data, 3, rng=np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n * d * 8 <= peak < n * n * 8
 
     def test_every_cluster_nonempty(self):
         rng = np.random.default_rng(5)

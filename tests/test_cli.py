@@ -243,6 +243,22 @@ class TestClusterEvaluatePipeline:
         assert err.strip() != ""
 
 
+@pytest.mark.parametrize("command", ["generate", "cluster", "baseline"])
+def test_a_negative_seed_exit_2_naming_the_seed(tmp_path, capsys, command):
+    data_path, out_path = tmp_path / "data.csv", tmp_path / "out"
+    data_path.write_text("0,1\n1,0\n1,1\n")
+    flags = {
+        "generate": ("--n", "6", "--d", "4", "--sd", "20", "--sn", "5", "--k-true", "2",
+                     "--out", str(out_path), "--labels-out", str(tmp_path / "t.txt")),
+        "cluster": ("--in", str(data_path), "--k-init", "2", "--report", str(out_path)),
+        "baseline": ("--in", str(data_path), "--k-max", "2", "--report", str(out_path)),
+    }[command]
+    code, _, err = _run(capsys, command, *flags, "--seed", "-1")
+    assert code == 2
+    assert f"binclust {command}: seed must be a non-negative integer, got -1" in err
+    assert not out_path.exists()
+
+
 def test_importing_the_cli_loads_no_scipy_module_it_does_not_call(tmp_path):
     done = _python("-c", "import json, sys, binclust.cli; print(json.dumps(sorted(sys.modules)))", timeout=60)
     assert done.returncode == 0, done.stderr
