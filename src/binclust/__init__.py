@@ -19,18 +19,12 @@ from .model import (
     assignment_distribution,
     crp_log_prior,
     default_hyperparams,
+    insert_object,
     joint_log_score,
     log_predictive,
-)
-from .sampler import (
-    AnnealingSchedule,
-    RunReport,
-    gibbs_sweep,
-    init_state,
-    insert_object,
     remove_object,
-    run,
 )
+from .sampler import AnnealingSchedule, RunReport, gibbs_sweep, init_state, run
 
 __version__ = "0.1.0"
 

@@ -154,8 +154,11 @@ def _cmd_summarize(args):
         table = np.asarray(report.get("feature_frequencies"))
     except ValueError:  # a ragged table
         table = np.empty(0)
-    if table.ndim != 2 or table.size == 0 or table.dtype.kind not in "iuf":
-        raise io.DataFormatError(f"{args.report}: feature_frequencies must be a non-empty 2-d numeric table")
+    # NaN compares false, and JSON's 1e400 parses to inf: both fall outside [0, 1].
+    if table.ndim != 2 or table.size == 0 or table.dtype.kind not in "iuf" or not ((table >= 0) & (table <= 1)).all():
+        raise io.DataFormatError(
+            f"{args.report}: feature_frequencies must be a non-empty 2-d numeric table with entries in [0, 1]"
+        )
     io.save_csv_matrix(args.out, table.astype(np.float64))
     return 0
 
@@ -203,6 +206,9 @@ def cli_main(argv):
         return _COMMANDS[args.command](args)
     except (io.DataFormatError, ValueError, OSError) as exc:
         print(f"binclust {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's says what it could not allocate
+        print(f"binclust {args.command}: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -6,7 +6,8 @@ restaurant process priors over cluster choices, tempered assignment
 distributions, and a joint partition score.
 
 Everything in this module is a pure function of its inputs, apart from the
-mutable :class:`ClusterState` a sampler run owns.
+mutable :class:`ClusterState` a sampler run owns and the two visit steps
+that change it, :func:`remove_object` and :func:`insert_object`.
 """
 
 import copy
@@ -154,11 +155,10 @@ class ClusterState:
     beside the row buffers, current on every row at all times.  The state
     binds one at its first scoring, when the hyperparameters are known, and
     a fresh one under another :class:`Hyperparams` object and after growing
-    its row buffers.  Change the statistics only through
-    :func:`~binclust.sampler.remove_object` and
-    :func:`~binclust.sampler.insert_object`: the kernel updates the rows they
-    touch, and an edit made any other way leaves its cache out of step
-    (which :meth:`check_consistency` reports).
+    its row buffers.  Change the statistics only through :func:`remove_object`
+    and :func:`insert_object`, the visit steps below: the kernel updates the
+    rows they touch, and an edit made any other way leaves its cache out of
+    step (which :meth:`check_consistency` reports).
     """
 
     def __init__(self, data, assignments):
@@ -230,53 +230,6 @@ class ClusterState:
         lib = _kernel.library()
         self._visit = _kernel.Visit(lib, self, hyper) if lib else None
         return self._visit
-
-    def _detach(self, i):
-        """Take object ``i`` out of its cluster; return the old label.
-
-        A cluster left empty is deleted: rows above it, the zero row
-        included, shift down one place, and labels above it drop by one.
-        """
-        k = int(self.assignments[i])
-        # A label outside 0..K-1 would send the update past the live rows.
-        if not 0 <= k < self._k:
-            raise ValueError(f"object {i} carries label {k}, outside 0..{self._k - 1}")
-        if self._visit:
-            self._visit.detach(i, k)
-        else:
-            self._sizes[k] -= 1
-            self._counts[k] -= self._values[i]
-            self.assignments[i] = UNASSIGNED
-        if self._sizes[k] == 0:
-            top = self._k
-            for buf in (self._sizes, self._counts):
-                buf[k:top] = buf[k + 1 : top + 1]
-            if self._visit:
-                self._visit.drop_row(k, top)
-            self._k = top - 1
-            self.assignments[self.assignments > k] -= 1
-        return k
-
-    def _attach(self, i, k):
-        """Put detached object ``i`` into cluster ``k``; ``k == n_clusters``
-        fills the zero row, opening a new cluster."""
-        if self._visit:
-            self._visit.attach(i, k)
-        else:
-            self._sizes[k] += 1
-            self._counts[k] += self._values[i]
-            self.assignments[i] = k
-        if k == self._k:
-            self._k = k + 1
-            if k + 2 > self._sizes.shape[0]:
-                self._grow()
-
-    def _grow(self):
-        """Double the row capacity; the new rows are zero, and a bound kernel is bound afresh."""
-        self._sizes = np.concatenate([self._sizes, np.zeros_like(self._sizes)])
-        self._counts = np.concatenate([self._counts, np.zeros_like(self._counts)])
-        if self._visit:
-            self._bind(self._visit.hyper)
 
     def check_consistency(self, data):
         """Verify every invariant against a from-scratch recount; raise on mismatch.
@@ -476,6 +429,71 @@ def assignment_distribution(i, state, data, hyper, temperature):
     probs = np.exp(log_weights)
     probs /= probs.sum()
     return probs
+
+
+def remove_object(state, i, data):
+    """Detach object ``i`` from the state, in place; returns its old label.
+
+    If the source cluster becomes empty it is deleted: rows above it, the
+    zero row included, shift down one place, and labels above it drop by
+    one, keeping the label set compact.
+    """
+    i = _check_object(i, state)
+    k = int(state.assignments[i])
+    if k == UNASSIGNED:
+        raise ValueError(f"object {i} is already detached")
+    if data.values is not state._values:
+        state._check_values(data.values)
+    # A label outside 0..K-1 would send the update past the live rows.
+    if not 0 <= k < state._k:
+        raise ValueError(f"object {i} carries label {k}, outside 0..{state._k - 1}")
+    visit = state._visit
+    if visit:
+        visit.detach(i, k)
+    else:
+        state._sizes[k] -= 1
+        state._counts[k] -= state._values[i]
+        state.assignments[i] = UNASSIGNED
+    if state._sizes[k] == 0:
+        top = state._k
+        for buf in (state._sizes, state._counts):
+            buf[k:top] = buf[k + 1 : top + 1]
+        if visit:
+            visit.drop_row(k, top)
+        state._k = top - 1
+        state.assignments[state.assignments > k] -= 1
+    return k
+
+
+def insert_object(state, i, option, data):
+    """Attach detached object ``i`` to an existing cluster or a new one, in place.
+
+    ``option`` is an existing cluster index or ``NEW_CLUSTER``; a new cluster
+    takes the next free label (the current cluster count) and fills the zero
+    row.  When no zero row is left above it, the row capacity doubles and a
+    bound kernel is bound afresh.
+    """
+    i = _check_object(i, state)
+    if state.assignments[i] != UNASSIGNED:
+        raise ValueError(f"object {i} is already assigned")
+    k = _check_option(option, state._k)
+    if data.values is not state._values:
+        state._check_values(data.values)
+    visit = state._visit
+    if visit:
+        visit.attach(i, k)
+    else:
+        state._sizes[k] += 1
+        state._counts[k] += state._values[i]
+        state.assignments[i] = k
+    if k == state._k:
+        state._k = k + 1
+        if k + 2 > state._sizes.shape[0]:
+            state._sizes = np.concatenate([state._sizes, np.zeros_like(state._sizes)])
+            state._counts = np.concatenate([state._counts, np.zeros_like(state._counts)])
+            if visit:
+                state._bind(visit.hyper)
+    return state
 
 
 def joint_log_score(state, data, hyper):

@@ -3,9 +3,10 @@
 A run owns one mutable :class:`~binclust.model.ClusterState` and sweeps the
 objects in index order.  Each visit detaches the object, scores every
 existing cluster plus a fresh one under the tempered collapsed posterior,
-draws one option, and reattaches.  The temperature is multiplied by the
-cooling factor after every ``block`` sweeps, so the chain starts as an exact
-Gibbs sampler and ends close to greedy ascent on the partition score.
+draws one option, and reattaches; :mod:`binclust.model` owns the three
+steps.  The temperature is multiplied by the cooling factor after every
+``block`` sweeps, so the chain starts as an exact Gibbs sampler and ends
+close to greedy ascent on the partition score.
 """
 
 from dataclasses import dataclass
@@ -14,15 +15,14 @@ import numpy as np
 
 from .model import (
     NEW_CLUSTER,
-    UNASSIGNED,
     ClusterState,
-    _check_object,
-    _check_option,
     _check_width,
     _is_integer,
     assignment_distribution,
     default_hyperparams,
+    insert_object,
     joint_log_score,
+    remove_object,
 )
 
 
@@ -53,7 +53,8 @@ class AnnealingSchedule:
             raise ValueError("t_init must be finite")
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lam must lie strictly between 0 and 1")
-        if not min(self._temperatures()) > 0:
+        # The temperatures never rise, so the first 0 settles it.
+        if not all(t > 0 for t in self._temperatures()):
             raise ValueError("the schedule cools to a temperature of 0: raise t_init or lam, or lower n_sweeps/block")
 
     def _temperatures(self):
@@ -97,36 +98,6 @@ def init_state(data, k_init, rng):
     return ClusterState(data, labels)
 
 
-def remove_object(state, i, data):
-    """Detach object ``i`` from the state, in place; returns its old label.
-
-    If the source cluster becomes empty it is deleted and the labels above
-    it shift down by one, keeping the label set compact.
-    """
-    i = _check_object(i, state)
-    if state.assignments[i] == UNASSIGNED:
-        raise ValueError(f"object {i} is already detached")
-    if data.values is not state._values:
-        state._check_values(data.values)
-    return state._detach(i)
-
-
-def insert_object(state, i, option, data):
-    """Attach detached object ``i`` to an existing cluster or a new one, in place.
-
-    ``option`` is an existing cluster index or ``NEW_CLUSTER``; a new cluster
-    takes the next free label (the current cluster count).
-    """
-    i = _check_object(i, state)
-    if state.assignments[i] != UNASSIGNED:
-        raise ValueError(f"object {i} is already assigned")
-    k = _check_option(option, state.n_clusters)
-    if data.values is not state._values:
-        state._check_values(data.values)
-    state._attach(i, k)
-    return state
-
-
 def _categorical(probs, u):
     """The index a uniform draw ``u`` picks from a normalized probability vector.
 
@@ -146,10 +117,11 @@ def _categorical(probs, u):
 def gibbs_sweep(state, data, hyper, temperature, rng):
     """One full pass over all objects at a fixed temperature, in place.
 
-    Every argument is checked before the first object is detached, so a
-    refused call leaves the state as it was.  The sweep's N uniforms are
-    drawn in one block, visit i taking the i-th: the same numbers, and the
-    same generator state after, as one ``rng.random()`` per visit.
+    Every argument is checked, and every label held to 0..K-1, before the
+    first object is detached, so a refused call leaves the state as it was.
+    The sweep's N uniforms are drawn in one block, visit i taking the i-th:
+    the same numbers, and the same generator state after, as one
+    ``rng.random()`` per visit.
     """
     state._check_values(data.values)
     _check_width(hyper, data)
@@ -157,6 +129,10 @@ def gibbs_sweep(state, data, hyper, temperature, rng):
         raise ValueError("temperature must be strictly positive")
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
+    labels, k = state.assignments, state.n_clusters
+    if labels.min() < 0 or labels.max() >= k:  # UNASSIGNED included: a detached object is refused
+        i = int(np.flatnonzero((labels < 0) | (labels >= k))[0])
+        raise ValueError(f"object {i} carries label {labels[i]}, outside 0..{k - 1}")
     for i, u in enumerate(rng.random(data.n_objects).tolist()):
         remove_object(state, i, data)
         probs = assignment_distribution(i, state, data, hyper, temperature)

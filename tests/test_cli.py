@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from binclust import baselines
+from binclust import baselines, datagen
 from binclust.cli import cli_main
 from binclust.evaluate import matched_accuracy
 from binclust.io import load_dense, load_labels, load_report
@@ -284,6 +284,26 @@ def test_importing_the_cli_loads_no_scipy_module_it_does_not_call(tmp_path):
     assert [name for name in loaded if name.startswith("scipy")] == []
 
 
+def test_a_failed_allocation_exit_2_in_one_line(tmp_path, capsys, monkeypatch):
+    # numpy's wording; the test allocates nothing.
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
+
+    def refuse(spec):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(datagen, "generate", refuse)
+    out = tmp_path / "data.csv"
+    code, stdout, err = _run(
+        capsys,
+        "generate", "--n", "1000000", "--d", "1000000", "--sd", "10", "--sn", "10",
+        "--k-true", "2", "--seed", "0", "--out", str(out), "--labels-out", str(tmp_path / "t.txt"),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == f"binclust generate: out of memory: {message}\n"
+    assert not out.exists()
+
+
 class TestUsageErrors:
     def test_unknown_flag_exit_1(self, tmp_path, capsys):
         code, _, err = _run(capsys, "generate", "--bogus", "1")
@@ -417,10 +437,18 @@ class TestSummarizeCommand:
         got = np.asarray(rows, dtype=np.float64)
         np.testing.assert_array_equal(got, np.asarray(report["feature_frequencies"]))
 
-    @pytest.mark.parametrize("frequencies", [5, [0.1, 0.2], [[0.1], [0.2, 0.3]], [[]], None, [["a"]]])
+    @pytest.mark.parametrize(
+        "frequencies",
+        [
+            5, [0.1, 0.2], [[0.1], [0.2, 0.3]], [[]], None, [["a"]],
+            # Entries outside [0, 1]; a string is written as raw JSON text.
+            "[[NaN, 0.5], [Infinity, 1]]", "[[1e400, 0.5]]", "[[-Infinity]]", [[1.5, 0.5]], [[-0.25]], [[2]],
+        ],
+    )
     def test_malformed_frequencies_exit_2_without_output(self, tmp_path, capsys, frequencies):
         report_path = tmp_path / "report.json"
-        report_path.write_text(json.dumps({"feature_frequencies": frequencies}))
+        text = frequencies if isinstance(frequencies, str) else json.dumps(frequencies)
+        report_path.write_text(f'{{"feature_frequencies": {text}}}')
         out_path = tmp_path / "freq.csv"
         code, _, err = _run(capsys, "summarize", "--report", str(report_path), "--out", str(out_path))
         assert code == 2

@@ -7,7 +7,8 @@ import pickle
 import numpy as np
 import pytest
 
-from binclust import sampler
+import binclust
+from binclust import model, sampler
 from binclust.datagen import SyntheticSpec, generate
 from binclust.evaluate import matched_accuracy
 from binclust.model import (
@@ -71,6 +72,23 @@ class TestAnnealingSchedule:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             AnnealingSchedule(**kwargs)
+
+    def test_a_schedule_that_cools_to_0_is_refused_at_its_first_0(self, monkeypatch):
+        # T = 0.5**s reaches 0 at about sweep 1075 of the 20 million.
+        temperatures = AnnealingSchedule._temperatures
+        seen = {"yields": 0, "last": None}
+
+        def counted(schedule):
+            for t in temperatures(schedule):
+                seen["yields"] += 1
+                seen["last"] = t
+                yield t
+
+        monkeypatch.setattr(AnnealingSchedule, "_temperatures", counted)
+        with pytest.raises(ValueError, match="the schedule cools to a temperature of 0"):
+            AnnealingSchedule(lam=0.5, block=1, n_sweeps=20_000_000)
+        assert seen["last"] == 0.0
+        assert seen["yields"] < 1100
 
     @pytest.mark.parametrize("field, value", [("block", 0), ("lam", 0.0), ("lam", 1.5), ("n_sweeps", 0)])
     def test_a_validated_schedule_cannot_be_changed(self, field, value):
@@ -226,6 +244,10 @@ class TestRemoveInsert:
                     remove_object(state, 2, data)
                 assert np.array_equal(state._sizes, [2, 1, 0, 0])
                 assert not state._counts[2:].any()
+
+    def test_the_visit_steps_are_the_models_functions(self):
+        for name in ("remove_object", "insert_object"):
+            assert getattr(binclust, name) is getattr(sampler, name) is getattr(model, name)
 
     def test_a_deep_copy_visits_its_own_arrays(self):
         data = BinaryMatrix([[1, 0], [0, 1], [1, 1], [1, 0]])
@@ -409,6 +431,33 @@ class TestGibbsSweep:
                 state.check_consistency(data)
                 gibbs_sweep(state, data, hyper, 1.0, np.random.default_rng(1))
                 joint_log_score(state, data, hyper)
+
+    @pytest.mark.parametrize("case", ["detached", "beyond-the-last-cluster"])
+    def test_refuses_a_label_outside_the_clusters_before_moving_anything(self, case):
+        data = _two_block_data(d=6)
+        hyper = default_hyperparams(data)
+        for path in PATHS:
+            with visit_path(path):
+                state = ClusterState(data, [0, 1] * 6)
+                gibbs_sweep(state, data, hyper, 1.0, np.random.default_rng(0))
+                if case == "detached":
+                    i, label = 5, remove_object(state, 5, data)
+                    message = r"object 5 carries label -1, outside 0\.\.1"
+                else:
+                    i, label = 7, state.assignments[7]
+                    state.assignments[7] = 2
+                    message = r"object 7 carries label 2, outside 0\.\.1"
+                before = copy.deepcopy(state)
+                with pytest.raises(ValueError, match=message):
+                    gibbs_sweep(state, data, hyper, 1.0, np.random.default_rng(1))
+                for name in ("assignments", "_sizes", "_counts"):
+                    assert np.array_equal(getattr(state, name), getattr(before, name))
+                if case == "detached":
+                    insert_object(state, i, label, data)
+                else:
+                    state.assignments[i] = label
+                state.check_consistency(data)
+                gibbs_sweep(state, data, hyper, 1.0, np.random.default_rng(1))
 
     def test_preserves_invariants_on_random_data(self):
         rng = np.random.default_rng(13)
