@@ -5,25 +5,26 @@ A visit of the annealed Gibbs sampler detaches one object, scores every
 cluster option and attaches the object again.  Here those steps run in C
 over the state's own statistics buffers, one call each, with no copies in or
 out.  The log-term cache is :class:`Visit`'s alone: one array whose row k
-holds row k's present terms, then its absent terms, bound to one state, its
-matrix, its row buffers and one set of hyperparameters, and current on every
-row at all times.  The state binds a fresh :class:`Visit`, which fills every
-row, at its first scoring, under another set of hyperparameters and after it
-grows its row buffers.
+holds four planes of D terms from the row's size n and counts c_j, present
+``log(a_j + c_j)`` and absent ``log(b_j + n - c_j)``, then both with one
+member left out, ``log(a_j + c_j - 1)`` and ``log(b_j + n - 1 - c_j)`` (0
+where nothing is left to leave out; no distribution reads those).  It is
+bound to one state, its matrix, its row buffers and one set of
+hyperparameters, and current on every row at all times.  The state binds a
+fresh :class:`Visit`, which fills every row, at its first scoring, under
+another set of hyperparameters and after it grows its row buffers.
 
-- Detach and attach are one C routine, ``move``, the only code that changes
-  a row, a label or the restore slot during a visit.  Adding or removing an
-  object changes ``log(a_j + c_kj)`` only where the object has feature j
-  and ``log(b_j + n_k - c_kj)`` only where it has not, so a touched row
-  costs D logs.  ``sum_j log(a_j + b_j + n)`` is memoised by the size n, and
-  the distribution reads each row's from the memo by the row's size.  A move
-  that empties its row takes its D logs too; the state deletes the row next.
-- Restore on return, the other case of ``move``: a detach from a row that keeps
-  members saves the D terms it overwrites in one slot keyed by (object,
-  row), and an attach of that object into that row copies them back instead
-  of taking D logs.  They are the logs of the same counts under the same
-  hyperparameters, so the bits are the same.  Every other move empties the
-  slot, and a fresh kernel starts with it empty.
+- A detach from a row that keeps members changes only the integer sizes,
+  counts and label: the row keeps its terms with the object in and is
+  pending for it, and the distribution scores it from its leave-one-out
+  planes.  An attach back into it changes no term, so a visit whose object
+  stays takes no log.  ``sum_j log(a_j + b_j + n)`` is memoised by n.
+- Any other attach, or a second detach, first settles the pending row: each
+  feature moves one term between planes and takes one log, D in all.  The
+  attach does the same at its own row, so a move takes 2·D logs and a
+  birth after a death D.  A detach that empties its row changes no term;
+  the state deletes the row next.  A moved term is the log of the same
+  count under the same hyperparameters as a recomputation: same bits.
 - The distribution selects and sums each row's terms in numpy's pairwise
   order, then shifts, tempers, seats and normalises in the steps of
   :func:`binclust.model.assignment_distribution`.
@@ -67,19 +68,19 @@ typedef struct {
     int64_t *assignments;  /* N labels, -1 while detached */
     int64_t *sizes;        /* capacity */
     int64_t *counts;       /* capacity x D */
-    double *log_terms;     /* capacity x 2 x D: log(a_j + c_kj), then log(b_j + n_k - c_kj) */
+    double *log_terms;     /* capacity x 4 x D: by a row's size n and counts c_j, log(a_j + c_j),
+                              log(b_j + n - c_j), then with one member left out,
+                              log(a_j + c_j - 1) and log(b_j + n - 1 - c_j) */
     const double *a;       /* D */
     const double *b;       /* D */
     double alpha;
     double *denom_memo;    /* N + 1: sum_j log(a_j + b_j + n) by n, NaN until computed */
     double *scratch;       /* D */
     double *probs;         /* N + 1: the last distribution */
-    /* The restore slot: the terms the last detach overwrote, one per
-       feature, while returned_object may still return to returned_row;
-       returned_object is -1 when the slot is empty. */
-    int64_t returned_object;
-    int64_t returned_row;
-    double *returned;      /* D */
+    /* The pending row: its statistics left out pending_object at its detach,
+       its log terms still count it in.  Both -1 when no row is pending. */
+    int64_t pending_object;
+    int64_t pending_row;
 } bc_state;
 
 /* numpy's pairwise summation, as its add.reduce runs along a contiguous
@@ -139,62 +140,102 @@ static double log_denom(const bc_state *s, int64_t n)
     return s->denom_memo[n];
 }
 
-/* Log terms of row k from its statistics alone, none memoised, into the
-   2 x D terms: what the cache fills its rows with and is checked against.
-   Returns the denominator sum. */
-double bc_row_terms(const bc_state *s, int64_t k, double *terms)
+/* log(shape + m - 1), a term with one of m members left out; 0, which no
+   distribution reads, where m = 0. */
+static double left_out(double shape, int64_t m)
 {
-    const int64_t d = s->n_features, n = s->sizes[k];
-    const int64_t *c = s->counts + k * d;
-    for (int64_t j = 0; j < d; j++) {
-        terms[j] = log(s->a[j] + (double)c[j]);
-        terms[d + j] = log(s->b[j] + (double)(n - c[j]));
-    }
-    return denom_sum(s, n);
+    return m > 0 ? log(shape + (double)(m - 1)) : 0.0;
 }
 
-/* Add (sign 1) or remove (sign -1) object i to or from row k: a return
-   copies the slot's terms back, and any other move takes D logs and saves the
-   terms they overwrite into the slot, which stays empty unless the row keeps
-   members. */
-static void move(bc_state *s, int64_t i, int64_t k, int64_t sign)
+/* Log terms of row k from its statistics alone, none memoised, into the
+   4 x D terms: what the cache fills its rows with and is checked against.
+   The pending row's terms count its object in.  Returns the denominator sum the
+   distribution reads for the row, that of its size. */
+double bc_row_terms(const bc_state *s, int64_t k, double *terms)
+{
+    const int64_t d = s->n_features, pending = k == s->pending_row, n = s->sizes[k] + pending;
+    const int64_t *c = s->counts + k * d;
+    const uint8_t *x = s->values + (pending ? s->pending_object : 0) * d;
+    for (int64_t j = 0; j < d; j++) {
+        const int64_t m = c[j] + (pending ? x[j] : 0);
+        terms[j] = log(s->a[j] + (double)m);
+        terms[d + j] = log(s->b[j] + (double)(n - m));
+        terms[2 * d + j] = left_out(s->a[j], m);
+        terms[3 * d + j] = left_out(s->b[j], n - m);
+    }
+    return denom_sum(s, s->sizes[k]);
+}
+
+/* Bring the pending row's terms to its statistics, which left its object
+   out, in D logs, one per feature; then no row is pending. */
+static void settle(bc_state *s)
+{
+    const int64_t k = s->pending_row, d = s->n_features;
+    if (k < 0)
+        return;
+    const uint8_t *x = s->values + s->pending_object * d;
+    const int64_t n = s->sizes[k], *c = s->counts + k * d;
+    double *t = s->log_terms + 4 * k * d;
+    for (int64_t j = 0; j < d; j++) {
+        if (x[j]) {
+            t[j] = t[2 * d + j];
+            t[2 * d + j] = left_out(s->a[j], c[j]);
+        } else {
+            t[d + j] = t[3 * d + j];
+            t[3 * d + j] = left_out(s->b[j], n - c[j]);
+        }
+    }
+    s->pending_object = s->pending_row = -1;
+}
+
+/* Object i's counts into (sign 1) or out of (sign -1) row k, and its
+   label; returns the row's new size. */
+static int64_t recount(bc_state *s, int64_t i, int64_t k, int64_t sign)
 {
     const int64_t d = s->n_features;
     const uint8_t *x = s->values + i * d;
     int64_t *c = s->counts + k * d;
-    double *present = s->log_terms + 2 * k * d, *absent = present + d;
-    const int64_t n = (s->sizes[k] += sign);
-    const int restore = sign > 0 && s->returned_object == i && s->returned_row == k;
+    for (int64_t j = 0; j < d; j++)
+        c[j] += sign * x[j];
     s->assignments[i] = sign > 0 ? k : -1;
-    s->returned_object = sign < 0 && n > 0 ? i : -1;
-    s->returned_row = k;
-    if (restore) {
-        for (int64_t j = 0; j < d; j++) {
-            c[j] += x[j];
-            (x[j] ? present : absent)[j] = s->returned[j];
-        }
-    } else {
-        for (int64_t j = 0; j < d; j++) {
-            if (x[j]) {
-                c[j] += sign;
-                s->returned[j] = present[j];
-                present[j] = log(s->a[j] + (double)c[j]);
-            } else {
-                s->returned[j] = absent[j];
-                absent[j] = log(s->b[j] + (double)(n - c[j]));
-            }
-        }
+    return s->sizes[k] += sign;
+}
+
+/* Remove object i from row k, settling any pending row first.  The row's
+   log terms stay as they are: a row that keeps members becomes the pending
+   row, and the state deletes a row left empty next. */
+void bc_detach(bc_state *s, int64_t i, int64_t k)
+{
+    settle(s);
+    if (recount(s, i, k, -1) > 0) {
+        s->pending_object = i;
+        s->pending_row = k;
     }
 }
 
-void bc_detach(bc_state *s, int64_t i, int64_t k)
-{
-    move(s, i, k, -1);
-}
-
+/* Add object i to row k: back into the pending row it left, with no log;
+   anywhere else, after settling the pending row, with D logs. */
 void bc_attach(bc_state *s, int64_t i, int64_t k)
 {
-    move(s, i, k, 1);
+    if (s->pending_object == i && s->pending_row == k) {
+        s->pending_object = s->pending_row = -1;
+        recount(s, i, k, 1);
+        return;
+    }
+    settle(s);
+    const int64_t d = s->n_features, n = recount(s, i, k, 1);
+    const uint8_t *x = s->values + i * d;
+    const int64_t *c = s->counts + k * d;
+    double *t = s->log_terms + 4 * k * d;
+    for (int64_t j = 0; j < d; j++) {
+        if (x[j]) {
+            t[2 * d + j] = t[j];
+            t[j] = log(s->a[j] + (double)c[j]);
+        } else {
+            t[3 * d + j] = t[d + j];
+            t[d + j] = log(s->b[j] + (double)(n - c[j]));
+        }
+    }
 }
 
 /* The tempered distribution of detached object i over rows 0 .. top - 1,
@@ -206,7 +247,9 @@ void bc_distribution(bc_state *s, int64_t i, int64_t top, double temperature)
     double *p = s->probs;
     double best = -INFINITY;
     for (int64_t k = 0; k < top; k++) {
-        const double *present = s->log_terms + 2 * k * d, *absent = present + d;
+        /* The pending row, the one object i left, scores from its leave-one-out planes. */
+        const double *present = s->log_terms + (4 * k + (k == s->pending_row ? 2 : 0)) * d;
+        const double *absent = present + d;
         for (int64_t j = 0; j < d; j++)
             s->scratch[j] = pick(x[j], present[j], absent[j]);
         p[k] = pairwise_sum(s->scratch, d) - log_denom(s, s->sizes[k]);
@@ -324,9 +367,8 @@ class _Context(ctypes.Structure):
         ("denom_memo", ctypes.c_void_p),
         ("scratch", ctypes.c_void_p),
         ("probs", ctypes.c_void_p),
-        ("returned_object", ctypes.c_int64),
-        ("returned_row", ctypes.c_int64),
-        ("returned", ctypes.c_void_p),
+        ("pending_object", ctypes.c_int64),
+        ("pending_row", ctypes.c_int64),
     ]
 
 
@@ -335,33 +377,33 @@ class Visit:
     ``hyper``, with its log-term cache.
 
     Construction fills every cache row, up to the buffers' capacity, with what
-    ``bc_row_terms`` computes from that row's statistics under ``hyper``:
-    ``detach(i, k)`` and ``attach(i, k)``, the C entries bound to this kernel,
-    keep the rows they touch so, and the state calls :meth:`drop_row` on a
-    death.  New buffers and other hyperparameters take a fresh kernel.  It
-    holds a reference to every array whose address the C side keeps, so none
-    is freed while bound.
+    ``bc_row_terms`` computes from that row's statistics under ``hyper``, and
+    leaves no row pending: ``detach(i, k)`` and ``attach(i, k)``, the C entries
+    bound to this kernel, keep the rows they touch so, the pending row as the
+    row with its object in, and the state calls :meth:`drop_row` on a death.
+    New buffers and other hyperparameters take a fresh kernel.  It holds a
+    reference to every array whose address the C side keeps, so none is freed
+    while bound.
     """
 
     def __init__(self, lib, state, hyper):
         n, d = state._values.shape
         self._lib = lib
         self.hyper = hyper
-        self._ctx = ctx = _Context(n_objects=n, n_features=d, alpha=hyper.alpha, returned_object=-1)
+        self._ctx = ctx = _Context(n_objects=n, n_features=d, alpha=hyper.alpha, pending_object=-1, pending_row=-1)
         self._addr = ctypes.addressof(ctx)
         self.detach = functools.partial(lib.bc_detach, self._addr)
         self.attach = functools.partial(lib.bc_attach, self._addr)
         self._values, self._assignments = state._values, state.assignments
         # A detached object has N options at most: probs needs no growth.
-        self._memo, self._probs = np.full(n + 1, np.nan), np.empty(n + 1)
-        self._scratch, self._returned = np.empty(d), np.empty(d)
+        self._memo, self._probs, self._scratch = np.full(n + 1, np.nan), np.empty(n + 1), np.empty(d)
         self._sizes, self._counts = state._sizes, state._counts
-        self._terms = np.empty((self._sizes.shape[0], 2, d))
+        self._terms = np.empty((self._sizes.shape[0], 4, d))
         ctx.values, ctx.assignments, ctx.sizes, ctx.counts, ctx.log_terms = (
             buf.ctypes.data for buf in (self._values, self._assignments, self._sizes, self._counts, self._terms)
         )
-        ctx.a, ctx.b, ctx.denom_memo, ctx.probs, ctx.scratch, ctx.returned = (
-            buf.ctypes.data for buf in (hyper.a, hyper.b, self._memo, self._probs, self._scratch, self._returned)
+        ctx.a, ctx.b, ctx.denom_memo, ctx.probs, ctx.scratch = (
+            buf.ctypes.data for buf in (hyper.a, hyper.b, self._memo, self._probs, self._scratch)
         )
         self._recompute(self._terms)
 

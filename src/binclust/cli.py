@@ -10,6 +10,7 @@ Exit codes: 0 on success, 1 on usage errors, 2 on data/format errors.
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -103,7 +104,23 @@ def _cmd_generate(args):
     return 0
 
 
+def _check_writable(*paths):
+    """Refuse an output path that cannot be written, before any work is done:
+    a directory, a file not writable, or one in a missing or read-only directory."""
+    for path in paths:
+        if path is None:
+            continue
+        directory = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            raise ValueError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(directory):
+            raise ValueError(f"cannot write {path}: directory {directory} does not exist")
+        if not os.access(path if os.path.exists(path) else directory, os.W_OK):
+            raise ValueError(f"cannot write {path}: permission denied")
+
+
 def _cmd_cluster(args):
+    _check_writable(args.report, args.order_out)
     data = io.load_matrix(args.in_path)
     hyper = default_hyperparams(data, alpha=args.alpha)
     schedule = sampler.AnnealingSchedule(
@@ -131,6 +148,7 @@ def _cmd_evaluate(args):
 def _cmd_baseline(args):
     if args.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
+    _check_writable(args.report)
     data = io.load_matrix(args.in_path)
     rng = np.random.default_rng(args.seed)
     result = baselines.gap_statistic(data, k_max=args.k_max, n_refs=args.n_refs, rng=rng)

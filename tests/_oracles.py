@@ -6,6 +6,7 @@ the closed-form/assignment paths they check.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.integrate import quad
@@ -28,10 +29,15 @@ def joint_log_score_by_betaln(sizes, counts, hyper):
     per_cluster = gammaln(sizes) + betaln(hyper.a + counts, hyper.b + (sizes[:, None] - counts)).sum(axis=1)
     return float(
         sizes.shape[0] * np.log(alpha)
-        - (gammaln(n + alpha) - gammaln(alpha))
+        - log_rising_by_fsum(alpha, n)
         - sizes.shape[0] * betaln(hyper.a, hyper.b).sum()
         + np.sort(per_cluster).sum()
     )
+
+
+def log_rising_by_fsum(x, n):
+    """``lgamma(x + n) - lgamma(x)`` as the exactly rounded sum of the logs of x, x + 1, ..., x + n - 1."""
+    return math.fsum(math.log(x + m) for m in range(int(n)))
 
 
 def predictive_by_quadrature(a, b, size, fcount, x):

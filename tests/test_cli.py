@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from binclust import baselines, datagen
+from binclust import baselines, datagen, io
 from binclust.cli import cli_main
 from binclust.evaluate import matched_accuracy
 from binclust.io import load_dense, load_labels, load_report
@@ -257,6 +257,35 @@ def test_a_negative_seed_exit_2_naming_the_seed(tmp_path, capsys, command):
     assert code == 2
     assert f"binclust {command}: seed must be a non-negative integer, got -1" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [("cluster", "missing-dir"), ("cluster", "is-a-dir"), ("cluster", "order-out"),
+     ("baseline", "missing-dir"), ("baseline", "is-a-dir")],
+)
+def test_an_output_path_that_cannot_be_written_exit_2_before_loading(tmp_path, capsys, monkeypatch, command, bad):
+    # Before the checks, the whole run went by and then exited 2, having
+    # written the report when only --order-out was bad.
+    data_path, report_path = tmp_path / "data.csv", tmp_path / "r.json"
+    data_path.write_text("0,1\n1,0\n1,1\n")
+    (tmp_path / "sub").mkdir()
+    flags = ["--in", str(data_path), "--report", str(report_path)]
+    target = {"missing-dir": tmp_path / "absent" / "r.json", "is-a-dir": tmp_path / "sub", "order-out": None}[bad]
+    if target is None:
+        flags += ["--order-out", str(tmp_path / "absent" / "x.csv")]
+    else:
+        flags[-1] = str(target)
+
+    def no_load(path):
+        raise AssertionError("loaded the matrix before checking the output paths")
+
+    monkeypatch.setattr(io, "load_matrix", no_load)
+    code, _, err = _run(capsys, command, *flags)
+    assert code == 2
+    assert f"binclust {command}: cannot write " in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "sub"]
+    assert list((tmp_path / "sub").iterdir()) == []
 
 
 def test_importing_the_cli_loads_no_scipy_module_it_does_not_call(tmp_path):

@@ -154,7 +154,8 @@ def test_help_and_baseline_never_load_the_kernel(tmp_path):
 # Sweeps one state through births that outgrow its row buffers and through
 # deaths, checking the kernel's cache after every sweep; visits objects that
 # return to their own row, some of them scored under another hyperparameter
-# object between detach and attach; then runs from the coldest start there is.
+# object between detach and attach; detaches two objects at once and swaps
+# them; then runs from the coldest start there is.
 _SANITIZED_RUN = """
 import numpy as np
 from binclust import _kernel
@@ -185,13 +186,20 @@ for i in range(data.n_objects):
     k = remove_object(state, i, data)
     switch = i % 3 == 0
     assignment_distribution(i, state, data, other if switch else hyper, 0.5)
-    if state._visit._ctx.returned_object == i:
+    if state._visit._ctx.pending_object == i:  # a return into the row it left
         restored += 1
     else:
         switched += switch
     insert_object(state, i, k, data)
     state.check_consistency(data)
 assert restored and switched, (restored, switched)
+for i in range(0, data.n_objects - 1, 2):  # two objects out: the second detach settles the first's row
+    k_first = remove_object(state, i, data)
+    k_second = remove_object(state, i + 1, data)
+    state.check_consistency(data)
+    insert_object(state, i + 1, k_first, data)
+    insert_object(state, i, k_second, data)
+    state.check_consistency(data)
 run(data, schedule=AnnealingSchedule(t_init=5e-324, n_sweeps=5), k_init=8, seed=1)
 """
 

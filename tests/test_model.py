@@ -20,17 +20,19 @@ from binclust.model import (
     _count_table,
     _lgamma,
     _log_predictives,
+    _log_rising,
     assignment_distribution,
     crp_log_prior,
     default_hyperparams,
     joint_log_score,
     log_predictive,
 )
-from binclust.sampler import gibbs_sweep, insert_object, remove_object
+from binclust.sampler import AnnealingSchedule, gibbs_sweep, insert_object, remove_object, run
 
 from _oracles import (
     joint_log_score_by_betaln,
     log_ratio_by_betaln,
+    log_rising_by_fsum,
     predictive_by_quadrature,
     seating_weights_by_raw_beta,
 )
@@ -469,6 +471,28 @@ class TestJointLogScore:
             expected = joint_log_score_by_betaln(state.sizes, state.feature_counts, hyper)
             assert abs(joint_log_score(state, data, hyper) - expected) <= bound
 
+    @pytest.mark.parametrize("alpha", [1.0, 1e15, 1e300])
+    @pytest.mark.parametrize("n", [1, 200, 2000])
+    def test_seating_prior_agrees_with_the_sum_of_its_logs(self, alpha, n):
+        assert _log_rising(alpha, n) == pytest.approx(log_rising_by_fsum(alpha, n), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1e15, 1e300])
+    def test_agrees_with_scipy_betaln_at_any_alpha(self, alpha):
+        data, truth = generate(SyntheticSpec(200, 50, 20, 10, k_true=5))
+        state = ClusterState(data, truth)
+        hyper = default_hyperparams(data, alpha=alpha)
+        expected = joint_log_score_by_betaln(state.sizes, state.feature_counts, hyper)
+        assert joint_log_score(state, data, hyper) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    def test_a_run_at_the_largest_alpha_scores_at_most_zero(self):
+        # At alpha = 1e300 every object takes a cluster of its own.  The score is
+        # the log of a probability; cancelling log-gammas read +81710.6 here.
+        data, _ = generate(SyntheticSpec(200, 500, 10, 20, k_true=5, seed=1000))
+        hyper = default_hyperparams(data, alpha=1e300)
+        report = run(data, hyper=hyper, schedule=AnnealingSchedule(n_sweeps=2), seed=0)
+        assert report.n_clusters == 200
+        assert (report.score_trace <= 0).all()
+
     @pytest.mark.parametrize(
         "x",
         [
@@ -541,7 +565,8 @@ class TestClusterState:
         with pytest.raises(ValueError):
             state.check_consistency(data)
 
-    def test_check_consistency_detects_a_corrupted_log_term_cache(self):
+    @pytest.mark.parametrize("plane", [0, 1, 2, 3])
+    def test_check_consistency_detects_a_corrupted_log_term_cache(self, plane):
         data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
         with visit_path("compiled"):
             state = ClusterState(data, [0, 1, 0])
@@ -549,7 +574,7 @@ class TestClusterState:
             assignment_distribution(2, state, data, _uniform_hyper(2), temperature=1.0)
             insert_object(state, 2, 0, data)
         state.check_consistency(data)
-        state._visit._terms[1, 0, 0] += 1e-9
+        state._visit._terms[1, plane, 0] += 1e-9
         with pytest.raises(ValueError, match="cached log terms"):
             state.check_consistency(data)
 
@@ -751,11 +776,12 @@ class TestLogTermCache:
         with visit_path("compiled"):
             _walk_the_cache(shape, n_labels, n_steps, check)
 
-    def test_restore_on_return_keeps_the_compiled_cache_exact(self):
-        # Detach/attach orders around the kernel's restore slot: a plain return,
+    def test_a_pending_row_keeps_the_compiled_cache_exact(self):
+        # Detach/attach orders around the kernel's pending row: a plain return,
         # a return after a hyperparameter switch, two objects out at once and
         # re-attached in both orders, and another object attached into the
-        # row the slot was saved from.  The cache is checked after every step.
+        # row the first left.  The cache is checked after every step, the
+        # pending row as the row with its object still in it.
         rng = np.random.default_rng(17)
         data = BinaryMatrix(rng.integers(0, 2, size=(12, 7)).astype(np.uint8))
         hypers = (
@@ -764,11 +790,14 @@ class TestLogTermCache:
         )
         with visit_path("compiled"):
             state = ClusterState(data, np.arange(12) % 3)
-            restored = []  # whether each attach found its own terms in the slot
+            stayed = []  # whether each attach went back into its object's pending row
+
+            def pending():
+                return state._visit._ctx.pending_object, state._visit._ctx.pending_row
 
             def out(i, hyper=None):
                 k = remove_object(state, i, data)
-                assert slot.returned_object == i and slot.returned_row == k
+                assert pending() == (i, k)  # a second detach settles the row pending before
                 if hyper is not None:  # scored only while it is the one object out
                     probs = assignment_distribution(i, state, data, hyper, 0.5)
                     plain = _distribution_by_plain_formula(i, state, data, hyper, 0.5)
@@ -777,25 +806,23 @@ class TestLogTermCache:
                 return k
 
             def back(i, k):
-                restored.append(slot.returned_object == i and slot.returned_row == k)
+                stayed.append(pending() == (i, k))
                 insert_object(state, i, k, data)
-                assert slot.returned_object == -1
+                assert pending() == (-1, -1)
                 state.check_consistency(data)
 
-            # The first visit detaches before its scoring binds the kernel, so it saves nothing.
+            # The first visit detaches before its scoring binds the kernel, so no row is pending.
             remove_object(state, 0, data)
             assignment_distribution(0, state, data, hypers[0], 0.5)
-            slot = state._visit._ctx
-            assert slot.returned_object == -1
+            assert pending() == (-1, -1)
             back(0, 0)
             k = out(0, hypers[0])
-            back(0, k)  # restored
+            back(0, k)  # a stay
             k = out(1, hypers[0])
-            assert slot.returned_object == 1  # the distribution left the slot filled
+            assert pending() == (1, k)  # the distribution left the row pending
             # A new hyperparameter object arrives between detach and attach: a fresh kernel.
             assignment_distribution(1, state, data, hypers[1], 0.5)
-            slot = state._visit._ctx
-            assert slot.returned_object == -1
+            assert pending() == (-1, -1)
             back(1, k)
             for first, second in ((3, 6), (6, 3), (4, 5), (5, 4)):  # same cluster, then different ones
                 k_first = out(first, hypers[1])
@@ -807,10 +834,10 @@ class TestLogTermCache:
             k_i = out(7)
             back(2, k_i)
             back(7, k_j)
-            assert restored == [False, True, False] + [True, False] * 4 + [False, False]
+            assert stayed == [False, True, False] + [True, False] * 4 + [False, False]
             np.testing.assert_array_equal(state.assignments[[2, 7]], [k_i, k_j])
 
-    def test_new_hyperparameters_between_detach_and_attach_leave_nothing_to_restore(self):
+    def test_new_hyperparameters_between_detach_and_attach_leave_no_row_pending(self):
         rng = np.random.default_rng(8)
         data = BinaryMatrix(rng.integers(0, 2, size=(9, 6)).astype(np.uint8))
         first = default_hyperparams(data)
@@ -821,12 +848,32 @@ class TestLogTermCache:
             assignment_distribution(0, state, data, first, 1.0)
             insert_object(state, 0, 0, data)
             k = remove_object(state, 4, data)
-            assert (state._visit._ctx.returned_object, state._visit._ctx.returned_row) == (4, k)
+            assert (state._visit._ctx.pending_object, state._visit._ctx.pending_row) == (4, k)
             assignment_distribution(4, state, data, second, 1.0)
-            assert state._visit._ctx.returned_object == -1
+            assert (state._visit._ctx.pending_object, state._visit._ctx.pending_row) == (-1, -1)
             insert_object(state, 4, k, data)
-        # A restoring attach would have put back terms taken under ``first``.
+        # A return into a pending row would have kept terms taken under ``first``.
         state.check_consistency(data)
+
+    def test_a_visit_that_stays_writes_no_log_term(self):
+        rng = np.random.default_rng(23)
+        data = BinaryMatrix(rng.integers(0, 2, size=(15, 40)).astype(np.uint8))
+        hyper = default_hyperparams(data)
+        with visit_path("compiled"):
+            state = ClusterState(data, np.arange(15) % 3)
+            remove_object(state, 0, data)
+            assignment_distribution(0, state, data, hyper, 0.5)  # binds the kernel
+            insert_object(state, 0, 0, data)
+            terms = state._visit._terms
+            for i in range(15):
+                before = terms.tobytes()
+                k = remove_object(state, i, data)
+                assert terms.tobytes() == before
+                assignment_distribution(i, state, data, hyper, 0.5)
+                insert_object(state, i, k, data)
+                assert terms.tobytes() == before
+                state.check_consistency(data)
+            assert state._visit._terms is terms
 
     def test_a_deep_copy_leaves_the_cache_of_the_original_current(self):
         rng = np.random.default_rng(5)
