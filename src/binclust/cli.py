@@ -77,19 +77,20 @@ def build_parser():
     q = psub.add_parser("term-filter", help="binarize a document-term count matrix")
     q.add_argument("--in", dest="in_path", required=True, help="CSV of non-negative counts")
     q.add_argument("--out", required=True, help="dense CSV output path")
-    q.add_argument("--cols-out", default=None, help="optional file of kept column indices")
+    q.add_argument("--cols-out", dest="kept_out", default=None, help="optional file of kept column indices")
 
     q = psub.add_parser("percentile", help="binarize a real matrix at per-column percentiles")
     q.add_argument("--in", dest="in_path", required=True, help="CSV of reals; blank/na/nan cells are missing")
     q.add_argument("--pct", type=float, default=20.0, help="percentile threshold per column")
     q.add_argument("--direction", choices=("below", "above"), default="below")
     q.add_argument("--out", required=True, help="dense CSV output path (rows with missing values dropped)")
-    q.add_argument("--rows-out", default=None, help="optional file of kept row indices")
+    q.add_argument("--rows-out", dest="kept_out", default=None, help="optional file of kept row indices")
 
     return parser
 
 
 def _cmd_generate(args):
+    _check_writable(args.out, args.labels_out)
     spec = datagen.SyntheticSpec(
         n_objects=args.n,
         n_features=args.d,
@@ -167,6 +168,7 @@ def _cmd_baseline(args):
 
 
 def _cmd_summarize(args):
+    _check_writable(args.out)
     report = io.load_report(args.report)
     try:
         table = np.asarray(report.get("feature_frequencies"))
@@ -182,21 +184,19 @@ def _cmd_summarize(args):
 
 
 def _cmd_preprocess(args):
+    _check_writable(args.out, args.kept_out)
     if args.transform == "term-filter":
-        counts = io.load_count_csv(args.in_path)
-        data, kept = io.term_filter(counts)
-        io.save_dense(args.out, data)
-        if args.cols_out is not None:
-            io.save_labels(args.cols_out, kept)
+        data, kept = io.term_filter(io.load_count_csv(args.in_path))
     else:
         values = io.load_real_csv(args.in_path)
         data, missing_rows = io.percentile_binarize(values, args.pct, args.direction)
-        keep = ~missing_rows
-        if not keep.any():
+        if missing_rows.all():
             raise io.DataFormatError(f"{args.in_path}: every row has missing values")
-        io.save_dense(args.out, BinaryMatrix(data.values[keep]))
-        if args.rows_out is not None:
-            io.save_labels(args.rows_out, np.flatnonzero(keep))
+        kept = np.flatnonzero(~missing_rows)
+        data = BinaryMatrix(data.values[kept])
+    io.save_dense(args.out, data)
+    if args.kept_out is not None:
+        io.save_labels(args.kept_out, kept)
     return 0
 
 

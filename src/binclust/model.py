@@ -84,23 +84,13 @@ class Hyperparams:
             raise ValueError("a and b must be 1-d vectors of equal length")
         if not ((a > 0).all() and (b > 0).all()):
             raise ValueError("Beta shape parameters must be strictly positive")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ValueError("Beta shape parameters must be finite")
-        if not alpha > 0:
-            raise ValueError("alpha must be strictly positive")
-        # joint_log_score takes the log-gamma of alpha, N + alpha and every
-        # a_j + b_j + size_k, and math.lgamma overflows past ~2.5e305.  Adding a
-        # count does not move a float that large, and log-gamma only grows above
-        # 2, so the largest a_j + b_j is the one to check.
-        if not _has_finite_lgamma(alpha):
-            raise ValueError(f"alpha must be finite, with a finite log-gamma (below about 2.5e305), got {alpha}")
-        with np.errstate(over="ignore"):  # a sum past the float range is inf, refused below
-            total = a + b
-        if total.size and not _has_finite_lgamma(total.max()):
-            j = int(total.argmax())
-            raise ValueError(
-                f"a_j + b_j must have a finite log-gamma (below about 2.5e305), got {total[j]} for feature {j}"
-            )
+        if not 0 < alpha < math.inf:
+            raise ValueError(f"alpha must be finite and strictly positive, got {alpha}")
+        with np.errstate(over="ignore"):  # an infinite shape, or a sum past the float range
+            finite_sums = np.isfinite(a + b)
+        if not finite_sums.all():
+            j = int(finite_sums.argmin())
+            raise ValueError(f"a_j + b_j must be finite, got {a[j]} + {b[j]} for feature {j}")
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -112,34 +102,49 @@ class Hyperparams:
         return self.a.shape[0]
 
 
-def _has_finite_lgamma(x):
-    """Whether ``math.lgamma(x)`` is finite; it raises ``OverflowError`` past about 2.5e305."""
-    try:
-        return math.isfinite(math.lgamma(x))
-    except OverflowError:
-        return False
+# Where _log_rising turns from two log-gammas to their Stirling difference.
+_STIRLING_FROM = 2.0**7
 
 
-def _log_rising(x, n):
-    """``lgamma(x + n) - lgamma(x)``, the log of ``x (x + 1) ... (x + n - 1)``.
+def _log_rising(x, m):
+    """``lgamma(x + m) - lgamma(x)``, the log of ``x (x + 1) ... (x + m - 1)``, for
+    positive ``x`` and integer counts ``m >= 0``, broadcast; a float where both are 0-d.
 
-    Up to ``x = n``, as at the default alpha of 1, the difference of the two
-    log-gammas, within about ``(1 + x / n)`` ulps of the result.  Above that
-    the two cancel (at ``x = 1e300`` both round to one float, and 200 objects
-    read 0.0 where the value is 138155.1), so the ``n`` logs are summed exactly
-    instead, each rounded once.
+    Below ``_STIRLING_FROM`` it takes the two log-gammas, each distinct value
+    scored once.  From there up, where they would cancel (at ``x = 1e300`` both
+    round to one float), it takes the difference of their Stirling series,
+    ``(x - 1/2) log1p(m / x) + m log(x + m) - m + c(1 / (x + m)) - c(1 / x)``
+    with ``c(t) = t / 12 - t**3 / 360``.  The error is below ``2**-48 s + t``:
+    ``s`` is the size of the terms formed, ``|lgamma(x)| + |lgamma(x + m)| + 2``
+    below the switch (``math.lgamma`` is within 11 ulps of ``|lgamma| + 1``
+    against a 40-digit reference) and ``m (log(x + m) + 1)`` from it up; ``t``,
+    the truncation, is 0 below and under ``1 / (1260 x**5)`` from it up.  The
+    switch sits where the two errors meet: an ulp of ``lgamma(2**7)`` is 5.7e-14,
+    and the truncation there is below 2.3e-14.
     """
-    if x <= n:
-        return math.lgamma(n + x) - math.lgamma(x)
-    return math.fsum(math.log(x + m) for m in range(n))
+    x = np.asarray(x, dtype=np.float64)
+    if (x < _STIRLING_FROM).all():
+        return (_lgamma(x + m) - _lgamma(x))[()]
+    x, m = np.broadcast_arrays(x, m)
+    low = x < _STIRLING_FROM
+    rise = np.empty(x.shape)
+    rise[low] = _lgamma(x[low] + m[low]) - _lgamma(x[low])
+    x, m = x[~low], m[~low]
+    y = x + m
+    tail = (1 / y - 1 / x) / 12 - (y**-3 - x**-3) / 360
+    rise[~low] = (x - 0.5) * np.log1p(m / x) + m * np.log(y) - m + tail
+    return rise[()]
 
 
 def _lgamma(x):
     """``math.lgamma`` of every element of the array ``x``, as float64 of the same shape.
 
     Each distinct value is scored once and scattered back: a count table
-    repeats few values, and each call costs more than the sort.
+    repeats few values, and each call costs more than the sort.  A 0-d ``x``,
+    as in the seating prior's bracket, is scored directly, without the sort.
     """
+    if np.ndim(x) == 0:
+        return np.float64(math.lgamma(x))
     values, inverse = np.unique(x, return_inverse=True)
     return np.fromiter(map(math.lgamma, values.tolist()), np.float64, values.size)[inverse].reshape(x.shape)
 
@@ -521,33 +526,25 @@ def joint_log_score(state, data, hyper):
     partitions of the same data, which is what makes it usable both as an
     annealing monitor and as an exhaustive-search oracle.
 
-    Each log-Beta is expanded into three stdlib ``math.lgamma`` terms,
-    ``log B(x, y) = lgamma(x) + lgamma(y) - lgamma(x + y)``.  At the default
-    shapes (``a = 1``, ``b <= N``) the score matches scipy's ``betaln`` to
-    about 1e-16 relative.  At large shapes, where ``betaln`` cancels the
-    large terms analytically, each cell's error stays within three ulps of
-    ``lgamma(a_j + b_j + size_k)`` (two rounded log-gammas and their rounded
-    sum; one ulp is 3.9e-3 at ``a = 1e12``, ``b = 1``), and the score's within
-    that summed over its K x D cells plus the K x D prior terms, three ulps
-    of ``lgamma(a_j + b_j)`` each.  The seating prior's log-gamma ratio
-    comes from :func:`_log_rising`, which does not cancel at large alpha.
+    Every log-gamma ratio in it is a bracket ``rise(x, m) = lgamma(x + m) -
+    lgamma(x)`` of :func:`_log_rising`: the score is ``K log(alpha) - rise(alpha, N)
+    + sum_k [lgamma(size_k) + sum_j (rise(a_j, n_jk) + rise(b_j, size_k - n_jk)
+    - rise(a_j + b_j, size_k))]``, and no log-gamma of alpha or of a large shape
+    is formed.  Each bracket is within ``2**-48 s + t``, ``t`` being 0 below the
+    switch point ``_STIRLING_FROM = 2**7``, so the score is within ``2**-45 S + T``
+    (the factor of 8 covers the sums): ``S`` adds every ``s``, ``|lgamma(size_k)|
+    + 1`` per cluster and ``K |log(alpha)|``, and ``T`` every ``t``.  Relative to
+    ``S`` that is 2.8e-14, at any shapes and alpha that :class:`Hyperparams` accepts.
     """
     state._check_values(data.values)
     if state.sizes.sum() != data.n_objects:
         raise ValueError("state must cover every object")
     _check_width(hyper, data)
-    sizes = state.sizes
-    counts = state.feature_counts
-    a, b = hyper.a, hyper.b
-    k = state.n_clusters
-    alpha = hyper.alpha
-    n = data.n_objects
-    evidence = _lgamma(a + counts) + _lgamma(b + (sizes[:, None] - counts)) - _lgamma(a + b + sizes[:, None])
-    per_cluster = _lgamma(sizes) + evidence.sum(axis=1)
+    a, b, counts = hyper.a, hyper.b, state.feature_counts
+    sizes = state.sizes[:, None]
+    evidence = _log_rising(a, counts) + _log_rising(b, sizes - counts) - _log_rising(a + b, sizes)
+    per_cluster = _lgamma(state.sizes) + evidence.sum(axis=1)
     # Summing in sorted order makes the result bit-identical under any
     # relabeling of the clusters.
     cluster_total = np.sort(per_cluster).sum()
-    log_beta_prior = (_lgamma(a) + _lgamma(b) - _lgamma(a + b)).sum()
-    return float(
-        k * math.log(alpha) - _log_rising(alpha, n) - k * log_beta_prior + cluster_total
-    )
+    return float(state.n_clusters * math.log(hyper.alpha) - _log_rising(hyper.alpha, data.n_objects) + cluster_total)

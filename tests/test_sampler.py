@@ -545,11 +545,11 @@ class TestRun:
         with pytest.raises(ValueError, match="hyperparameters cover 9 features, the data has 8"):
             run(data, hyper=hyper, k_init=2, seed=0, schedule=AnnealingSchedule(n_sweeps=5))
 
-    def test_refuses_shapes_whose_log_gamma_overflows_before_any_sweep(self, monkeypatch):
+    def test_refuses_shapes_whose_sum_overflows_before_any_sweep(self, monkeypatch):
         swept = []
         monkeypatch.setattr(sampler, "gibbs_sweep", lambda *args: swept.append(args))
-        with pytest.raises(ValueError, match="a_j \\+ b_j must have a finite log-gamma"):
-            run(_two_block_data(d=2), hyper=Hyperparams(a=[1e307, 1], b=[1, 1], alpha=1), k_init=2, seed=0)
+        with pytest.raises(ValueError, match="a_j \\+ b_j must be finite"):
+            run(_two_block_data(d=2), hyper=Hyperparams(a=[1e308, 1], b=[1e308, 1], alpha=1), k_init=2, seed=0)
         assert swept == []
 
     def test_score_trace_equals_the_score_recomputed_after_every_sweep(self, monkeypatch):
