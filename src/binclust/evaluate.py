@@ -16,7 +16,7 @@ def contingency(pred, truth):
     if pred.ndim != 1 or truth.ndim != 1:
         raise ValueError(f"labels must be 1-d vectors, got ndim {pred.ndim} (predicted) and {truth.ndim} (true)")
     if pred.shape != truth.shape:
-        raise ValueError(f"label vectors differ in length: {pred.shape[0]} vs {truth.shape[0]}")
+        raise ValueError(f"label vectors differ in length: {pred.shape[0]} (predicted) vs {truth.shape[0]} (true)")
     if pred.size == 0:
         raise ValueError("label vectors are empty")
     # Per predicted cluster, the count table of the one-hot rows of the true labels.

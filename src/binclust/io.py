@@ -201,8 +201,7 @@ def load_matrix(path):
 
 def save_labels(path, labels):
     """Write one non-negative integer label per line."""
-    with open(path, "w") as fh:
-        fh.writelines(f"{value}\n" for value in np.asarray(labels, dtype=np.int64).tolist())
+    save_csv_matrix(path, np.asarray(labels, dtype=np.int64)[:, None])
 
 
 def load_labels(path):

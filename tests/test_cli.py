@@ -282,19 +282,33 @@ _WRITERS = {
      ("generate", "missing-dir"), ("generate", "is-a-dir"), ("generate", "labels-out"),
      ("summarize", "missing-dir"), ("summarize", "is-a-dir"),
      ("term-filter", "missing-dir"), ("term-filter", "is-a-dir"), ("term-filter", "cols-out"),
-     ("percentile", "missing-dir"), ("percentile", "is-a-dir"), ("percentile", "rows-out")],
+     ("percentile", "missing-dir"), ("percentile", "is-a-dir"), ("percentile", "rows-out")]
+    # Both outputs one file: the same spelling, another spelling, a symlink.
+    + [(command, bad) for command in ("cluster", "generate", "term-filter", "percentile")
+       for bad in ("same", "dot-slash", "symlink")]
+    # An output that is the input.
+    + [(command, "input") for command in ("cluster", "baseline", "summarize", "term-filter", "percentile")]
+    # An output with no file name.
+    + [(command, bad) for command in _WRITERS for bad in ("empty", "sub/", "new/")],
 )
 def test_an_output_path_that_cannot_be_written_exit_2_before_loading(tmp_path, capsys, monkeypatch, command, bad):
-    # No file may appear: a bad second output must not leave the first written.
+    # No file may appear, and the input keeps its bytes: a bad second output must not
+    # leave the first written.
+    monkeypatch.chdir(tmp_path)
     data_path = tmp_path / "data.csv"
     data_path.write_text("0,1\n1,0\n1,1\n")
     (tmp_path / "sub").mkdir()
+    (tmp_path / "link.out").symlink_to("first.out")
     args, first, second, (module, work) = _WRITERS[command]
     absent = tmp_path / "absent" / "x.csv"
     argv = [arg.format(data=data_path) for arg in args]
-    argv += [first, str({"missing-dir": absent, "is-a-dir": tmp_path / "sub"}.get(bad, tmp_path / "first.out"))]
+    first_paths = {
+        "missing-dir": absent, "is-a-dir": tmp_path / "sub", "input": "./data.csv", "empty": "", "sub/": "sub/", "new/": "new/",
+    }
+    argv += [first, str(first_paths.get(bad, tmp_path / "first.out"))]
     if second is not None:
-        argv += [second, str(absent if second == f"--{bad}" else tmp_path / "second.out")]
+        second_paths = {"same": tmp_path / "first.out", "dot-slash": "./first.out", "symlink": "link.out"}
+        argv += [second, str(absent if second == f"--{bad}" else second_paths.get(bad, tmp_path / "second.out"))]
 
     def no_work(*args):
         raise AssertionError("worked before checking the output paths")
@@ -303,8 +317,21 @@ def test_an_output_path_that_cannot_be_written_exit_2_before_loading(tmp_path, c
     code, _, err = _run(capsys, *argv)
     assert code == 2
     assert f"binclust {argv[0]}: cannot write " in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "sub"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "link.out", "sub"]
     assert list((tmp_path / "sub").iterdir()) == []
+    assert data_path.read_bytes() == b"0,1\n1,0\n1,1\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_dev_null_may_take_every_output(tmp_path, capsys):
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("0,1\n1,0\n1,1\n")
+    code, out, _ = _run(
+        capsys, "cluster", "--in", str(data_path), "--k-init", "2", "--sweeps", "2", "--block", "1",
+        "--report", "/dev/null", "--order-out", "/dev/null",
+    )
+    assert (code, out) == (0, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 
 def test_importing_the_cli_loads_no_scipy_module_it_does_not_call(tmp_path):

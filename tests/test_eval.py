@@ -91,6 +91,10 @@ class TestContingency:
         with pytest.raises(ValueError, match="empty"):
             contingency([], [])
 
+    def test_a_length_mismatch_names_both_sides(self):
+        with pytest.raises(ValueError, match=r"differ in length: 2 \(predicted\) vs 3 \(true\)"):
+            contingency([0, 1], [0, 1, 1])
+
 
 class TestClusterFeatureFrequencies:
     def test_identical_rows_reproduce_the_row(self):
