@@ -11,6 +11,7 @@ Exit codes: 0 on success, 1 on usage errors, 2 on data/format errors.
 import argparse
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -180,13 +181,24 @@ def _cmd_preprocess(args):
 _OUTPUTS = ("out", "labels_out", "report", "order_out", "kept_out")
 
 
+def _identity(path):
+    """Which file ``path`` is, equal for every spelling, symlink and hard link of
+    one file: its ``(st_dev, st_ino)`` where it exists, else its resolved path;
+    and whether other paths may share it, as a special file such as /dev/null may."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path), False
+    return (st.st_dev, st.st_ino), not stat.S_ISREG(st.st_mode)
+
+
 def _check_outputs(args):
     """Refuse, before any work, an output path that cannot be written, or that is
     the input or another output and not a special file such as /dev/null."""
     given = vars(args)
-    taken = {os.path.realpath(given["in_path"]): f"the input {given['in_path']}"} if "in_path" in given else {}
+    taken = {_identity(given["in_path"])[0]: f"the input {given['in_path']}"} if "in_path" in given else {}
     for path in [given[name] for name in _OUTPUTS if given.get(name) is not None]:
-        directory, real = os.path.dirname(os.path.abspath(path)), os.path.realpath(path)
+        directory, (key, shared) = os.path.dirname(os.path.abspath(path)), _identity(path)
         if os.path.isdir(path):
             raise ValueError(f"cannot write {path}: it is a directory")
         if not os.path.basename(path):
@@ -195,9 +207,9 @@ def _check_outputs(args):
             raise ValueError(f"cannot write {path}: directory {directory} does not exist")
         if not os.access(path if os.path.exists(path) else directory, os.W_OK):
             raise ValueError(f"cannot write {path}: permission denied")
-        if real in taken and (os.path.isfile(real) or not os.path.exists(real)):
-            raise ValueError(f"cannot write {path}: it is the same file as {taken[real]}")
-        taken[real] = f"the output {path}"
+        if key in taken and not shared:
+            raise ValueError(f"cannot write {path}: it is the same file as {taken[key]}")
+        taken[key] = f"the output {path}"
 
 
 _COMMANDS = {

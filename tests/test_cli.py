@@ -275,6 +275,9 @@ _WRITERS = {
 }
 
 
+_NEEDS_HARD_LINKS = pytest.mark.skipif(not hasattr(os, "link"), reason="os.link is unavailable")
+
+
 @pytest.mark.parametrize(
     "command, bad",
     [("cluster", "missing-dir"), ("cluster", "is-a-dir"), ("cluster", "order-out"),
@@ -289,25 +292,40 @@ _WRITERS = {
     # An output that is the input.
     + [(command, "input") for command in ("cluster", "baseline", "summarize", "term-filter", "percentile")]
     # An output with no file name.
-    + [(command, bad) for command in _WRITERS for bad in ("empty", "sub/", "new/")],
+    + [(command, bad) for command in _WRITERS for bad in ("empty", "sub/", "new/")]
+    # An output hard-linked to the input, and two outputs hard-linked to each other.
+    + [pytest.param(command, "hard-link-input", marks=_NEEDS_HARD_LINKS)
+       for command in ("cluster", "baseline", "summarize", "term-filter", "percentile")]
+    + [pytest.param(command, "hard-links", marks=_NEEDS_HARD_LINKS)
+       for command in ("cluster", "generate", "term-filter", "percentile")],
 )
 def test_an_output_path_that_cannot_be_written_exit_2_before_loading(tmp_path, capsys, monkeypatch, command, bad):
-    # No file may appear, and the input keeps its bytes: a bad second output must not
-    # leave the first written.
+    # No file may appear, and the input and every file planted for the case keep
+    # their bytes: a bad second output must not leave the first written.
     monkeypatch.chdir(tmp_path)
     data_path = tmp_path / "data.csv"
     data_path.write_text("0,1\n1,0\n1,1\n")
     (tmp_path / "sub").mkdir()
     (tmp_path / "link.out").symlink_to("first.out")
+    hard_links = {"hard-link-input": ("data.csv", "hard.csv"), "hard-links": ("first.out", "second.out")}
+    if bad in hard_links:
+        target, link = (tmp_path / name for name in hard_links[bad])
+        if not target.exists():
+            target.write_text("kept\n")
+        os.link(target, link)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
     args, first, second, (module, work) = _WRITERS[command]
     absent = tmp_path / "absent" / "x.csv"
     argv = [arg.format(data=data_path) for arg in args]
     first_paths = {
         "missing-dir": absent, "is-a-dir": tmp_path / "sub", "input": "./data.csv", "empty": "", "sub/": "sub/", "new/": "new/",
+        "hard-link-input": "hard.csv",
     }
     argv += [first, str(first_paths.get(bad, tmp_path / "first.out"))]
     if second is not None:
-        second_paths = {"same": tmp_path / "first.out", "dot-slash": "./first.out", "symlink": "link.out"}
+        second_paths = {
+            "same": tmp_path / "first.out", "dot-slash": "./first.out", "symlink": "link.out", "hard-links": "second.out",
+        }
         argv += [second, str(absent if second == f"--{bad}" else second_paths.get(bad, tmp_path / "second.out"))]
 
     def no_work(*args):
@@ -317,9 +335,9 @@ def test_an_output_path_that_cannot_be_written_exit_2_before_loading(tmp_path, c
     code, _, err = _run(capsys, *argv)
     assert code == 2
     assert f"binclust {argv[0]}: cannot write " in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "link.out", "sub"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"link.out", "sub", *before})
     assert list((tmp_path / "sub").iterdir()) == []
-    assert data_path.read_bytes() == b"0,1\n1,0\n1,1\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")

@@ -193,6 +193,14 @@ for i in range(data.n_objects):
     insert_object(state, i, k, data)
     state.check_consistency(data)
 assert restored and switched, (restored, switched)
+clock = state._visit._ctx.clock
+for sweep in range(2):  # stays: the second sweep scores every row from the memo, and neither ticks
+    for i in range(data.n_objects):
+        k = remove_object(state, i, data)
+        assignment_distribution(i, state, data, hyper, 0.5)
+        insert_object(state, i, k, data)
+    state.check_consistency(data)
+assert state._visit._ctx.clock == clock, "a stay ticked"
 for i in range(0, data.n_objects - 1, 2):  # two objects out: the second detach settles the first's row
     k_first = remove_object(state, i, data)
     k_second = remove_object(state, i + 1, data)
@@ -232,8 +240,8 @@ def test_the_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizers(
 
 # Detaches, births, deaths and growth before a state's first scoring binds its
 # kernel; a switch of hyperparameters before every birth, some of which grow
-# the buffers; and deaths of the top live row.  The cache is checked after
-# every step.
+# the buffers; deaths of the top live row; moves and moves back, and a death
+# in the middle, scored from the memo.  The cache is checked after every step.
 _SANITIZED_EDGES = """
 import numpy as np
 from binclust import _kernel
@@ -273,6 +281,22 @@ for i in range(n):
     assignment_distribution(i, state, data, hypers[1], 0.5)
     insert_object(state, i, 0, data)
     state.check_consistency(data)
+state = ClusterState(data, np.arange(n) % 5)
+for i in range(n):
+    k = remove_object(state, i, data)
+    assignment_distribution(i, state, data, hypers[0], 0.5)
+    insert_object(state, i, (k + 1) % 5, data)
+    state.check_consistency(data)
+    remove_object(state, i, data)
+    assignment_distribution(i, state, data, hypers[0], 0.5)
+    insert_object(state, i, k, data)
+    state.check_consistency(data)
+for i in range(1, n, 5):  # row 1 empties into row 0
+    remove_object(state, i, data)
+    assignment_distribution(i, state, data, hypers[0], 0.5)
+    insert_object(state, i, 0, data)
+    state.check_consistency(data)
+assert state.n_clusters == 4, "no death in the middle"
 """
 
 

@@ -948,7 +948,8 @@ class TestLogTermCache:
             state = ClusterState(data, np.arange(12) % 2)
             gibbs_sweep(state, data, hyper, 1.0, rng)
             visit = state._visit
-            cached = [buf.copy() for buf in (visit._terms, visit._memo)]
+            buffers = (visit._terms, visit._memo, visit._changed, visit._scores, visit._scored_at)
+            cached = [buf.copy() for buf in buffers]
             twin = copy.deepcopy(state)
             for i in range(12):  # every object into a cluster of its own: deaths, births and growth
                 remove_object(twin, i, data)
@@ -957,6 +958,94 @@ class TestLogTermCache:
             twin.check_consistency(data)
         assert twin._visit is not visit and twin.n_clusters == 12
         state.check_consistency(data)
-        assert all(
-            np.array_equal(c, b, equal_nan=True) for c, b in zip(cached, (visit._terms, visit._memo))
-        )
+        assert all(np.array_equal(c, b, equal_nan=True) for c, b in zip(cached, buffers))
+
+
+class TestScoreMemo:
+    """The compiled kernel's memo of each object's scores, held to a freshly bound kernel."""
+
+    def test_every_memoised_distribution_equals_a_fresh_kernels(self):
+        # Births, growth, deaths of a middle and of the top row, a hyperparameter
+        # switch, and a move followed by a move back, each followed by a sweep in
+        # which every object stays, reading its memo.  A deep copy binds a kernel
+        # of its own, whose memo is empty.
+        rng = np.random.default_rng(31)
+        data = BinaryMatrix(rng.integers(0, 2, size=(10, 6)).astype(np.uint8))
+        hypers = (default_hyperparams(data), Hyperparams(a=rng.random(6) + 0.1, b=np.full(6, 2.5), alpha=3.0))
+        events = []
+        with visit_path("compiled"):
+            state = ClusterState(data, [0, 0, 0, 1, 1, 1, 2, 2, 3, 3])
+
+            def visit(i, where, hyper=hypers[0]):
+                k_before, capacity = state.n_clusters, state._sizes.shape[0]
+                k = remove_object(state, i, data)
+                died = state.n_clusters < k_before
+                if died:
+                    events.append("top death" if k == k_before - 1 else "middle death")
+                twin = copy.deepcopy(state)
+                memo = state._visit
+                if memo and memo.hyper is hyper:
+                    top = state.n_clusters + 1
+                    events.extend(["read"] * int((memo._changed[:top] <= memo._scored_at[i]).sum()))
+                for temperature in (1.0, 0.3):
+                    probs = assignment_distribution(i, state, data, hyper, temperature)
+                    assert np.array_equal(probs, assignment_distribution(i, twin, data, hyper, temperature))
+                insert_object(state, i, where(k, died), data)
+                if state._sizes.shape[0] > capacity:
+                    events.append("growth")
+                state.check_consistency(data)
+
+            def stays(hyper=hypers[0]):
+                for i in range(10):
+                    visit(i, lambda k, died: NEW_CLUSTER if died else k, hyper)
+
+            stays()
+            visit(0, lambda k, died: 1)  # a move
+            visit(0, lambda k, died: 0)  # and a move back
+            stays()
+            visit(0, lambda k, died: NEW_CLUSTER)  # a birth
+            stays()  # object 0 dies at the top row and is born again
+            visit(1, lambda k, died: NEW_CLUSTER)  # a birth that grows the buffers
+            stays()  # object 0 dies in the middle
+            visit(8, lambda k, died: 2)
+            visit(9, lambda k, died: 2)  # row 3 dies in the middle
+            stays(hypers[1])  # a fresh kernel
+            stays(hypers[1])
+        assert {"top death", "middle death", "growth"} <= set(events)
+        assert events.count("read") >= 100  # rows scored from the memo
+
+    def test_a_sweep_that_moves_nothing_ticks_nothing_and_leaves_every_score_covered(self):
+        data, truth = generate(SyntheticSpec(40, 60, 30, 5, k_true=3, seed=2))
+        hyper = default_hyperparams(data)
+        rng = np.random.default_rng(0)
+        with visit_path("compiled"):
+            state = ClusterState(data, truth)
+            gibbs_sweep(state, data, hyper, 0.1, rng)  # binds the kernel and scores every object
+            labels, clock = state.assignments.copy(), state._visit._ctx.clock
+            gibbs_sweep(state, data, hyper, 0.1, rng)
+        visit = state._visit
+        assert np.array_equal(state.assignments, labels)
+        assert visit._ctx.clock == clock
+        assert (visit._changed[: state.n_clusters + 1].max() <= visit._scored_at).all()
+        state.check_consistency(data)
+
+    @pytest.mark.parametrize("fault", ["score", "new-cluster score", "tick moved back"])
+    def test_check_consistency_detects_a_wrong_memo(self, fault):
+        data = BinaryMatrix([[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        hyper = Hyperparams(a=[0.5, 1.0, 2.0], b=[1.5, 1.0, 3.0], alpha=1.0)
+        with visit_path("compiled"):
+            state = ClusterState(data, [0, 0, 1, 1, 2, 2])
+            for i, where in [*((i, i // 2) for i in range(6)), (0, 1)]:  # every object scores, then 0 moves to row 1
+                remove_object(state, i, data)
+                assignment_distribution(i, state, data, hyper, 1.0)
+                insert_object(state, i, where, data)
+        visit = state._visit
+        # Object 3's scores at row 2 and at the new-cluster row 3 are covered, at row 1 not.
+        assert max(visit._changed[2:4]) <= visit._scored_at[3] < visit._changed[1]
+        state.check_consistency(data)
+        if fault in ("score", "new-cluster score"):
+            visit._scores[3, 2 if fault == "score" else 3] += 1e-9
+        else:  # object 3's score at row 1 predates object 0's arrival there
+            visit._changed[1] = visit._scored_at[3]
+        with pytest.raises(ValueError, match="memoised score of object"):
+            state.check_consistency(data)
