@@ -10,9 +10,13 @@ holds four planes of D terms from the row's size n and counts c_j, present
 member left out, ``log(a_j + c_j - 1)`` and ``log(b_j + n - 1 - c_j)`` (0
 where nothing is left to leave out; no distribution reads those).  It is
 bound to one state, its matrix, its row buffers and one set of
-hyperparameters, and current on every row at all times.  The state binds a
-fresh :class:`Visit`, which fills every row, at its first scoring, under
-another set of hyperparameters and after it grows its row buffers.
+hyperparameters, and current on every row at all times.  Only
+:func:`binclust.model.assignment_distribution` binds one, filling every row,
+when the state holds none or one bound under another ``Hyperparams`` object.
+A state holds none before its first scoring and after growth: a birth into
+the last row of the buffers first doubles them, drops the kernel and attaches
+in numpy.  So no birth reaches the kernel without a spare row above it, and
+every row from K up holds a zero row's terms.
 
 - A detach from a row that keeps members changes only the integer sizes,
   counts and label: the row keeps its terms with the object in and is
@@ -22,9 +26,10 @@ another set of hyperparameters and after it grows its row buffers.
 - Any other attach, or a second detach, first settles the pending row: each
   feature moves one term between planes and takes one log, D in all.  The
   attach does the same at its own row, so a move takes 2·D logs and a
-  birth after a death D.  A detach that empties its row changes no term;
-  the state deletes the row next.  A moved term is the log of the same
-  count under the same hyperparameters as a recomputation: same bits.
+  birth after a death D.  A detach that empties its row moves the terms of
+  every row above down one, the top row keeping its zero row's terms.  A
+  moved term is the log of the same count under the same hyperparameters as
+  a recomputation: same bits.
 - The distribution selects and sums each row's terms in numpy's pairwise
   order, then shifts, tempers, seats and normalises in the steps of
   :func:`binclust.model.assignment_distribution`.
@@ -254,10 +259,10 @@ static int64_t recount(bc_state *s, int64_t i, int64_t k, int64_t sign)
     return s->sizes[k] += sign;
 }
 
-/* Remove object i from row k, settling any pending row first.  The row's
-   log terms stay as they are: a row that keeps members becomes the pending
-   row, and the state deletes a row left empty next, moving every row above
-   it down one. */
+/* Remove object i from row k, settling any pending row first.  A row that
+   keeps members keeps its log terms and becomes the pending row.  A row left
+   empty dies: the terms above it move down one row, and the state moves the
+   statistics next; the top row keeps a zero row's terms. */
 void bc_detach(bc_state *s, int64_t i, int64_t k)
 {
     settle(s);
@@ -265,13 +270,17 @@ void bc_detach(bc_state *s, int64_t i, int64_t k)
         s->pending_object = i;
         s->pending_row = k;
     } else {
+        const int64_t row = 4 * s->n_features;
+        memmove(s->log_terms + k * row, s->log_terms + (k + 1) * row,
+                (size_t)(s->capacity - 1 - k) * (size_t)row * sizeof *s->log_terms);
         touch(s, k, s->capacity);
     }
 }
 
 /* Add object i to row k: back into the pending row it left, with no log and
    no tick; anywhere else, after settling the pending row, with D logs.  A
-   birth also ticks the row above, where the new-cluster row now stands. */
+   birth also ticks the row above, where the new-cluster row now stands: the
+   state grows its buffers before a birth that would take the last row. */
 void bc_attach(bc_state *s, int64_t i, int64_t k)
 {
     if (s->pending_object == i && s->pending_row == k) {
@@ -293,8 +302,7 @@ void bc_attach(bc_state *s, int64_t i, int64_t k)
             t[d + j] = log(s->b[j] + (double)(n - c[j]));
         }
     }
-    /* Where a birth fills the last row, the state grows its buffers and binds afresh. */
-    touch(s, k, n == 1 && k + 1 < s->capacity ? k + 2 : k + 1);
+    touch(s, k, n == 1 ? k + 2 : k + 1);
 }
 
 /* The tempered distribution of detached object i over rows 0 .. top - 1,
@@ -450,11 +458,10 @@ class Visit:
     ``bc_row_terms`` computes from that row's statistics under ``hyper``, and
     leaves no row pending: ``detach(i, k)`` and ``attach(i, k)``, the C entries
     bound to this kernel, keep the rows they touch so, the pending row as the
-    row with its object in, and the state calls :meth:`drop_row` on a death.
-    The score memo starts empty, at tick 0, and the C entries tick the rows
-    they change.  New buffers and other hyperparameters take a fresh kernel.
-    It holds a reference to every array whose address the C side keeps, so
-    none is freed while bound.
+    row with its object in.  The score memo starts empty, at tick 0, and the
+    C entries tick the rows they change.  Scoring binds a kernel, and growth
+    drops it (the module docstring gives the rule).  It holds a reference to
+    every array whose address the C side keeps, so none is freed while bound.
     """
 
     def __init__(self, lib, state, hyper):
@@ -490,10 +497,6 @@ class Visit:
     def _recompute(self, terms):
         """Fill every row of the cache-shaped ``terms`` from the statistics; return their denominators."""
         return [self._lib.bc_row_terms(self._addr, k, terms[k].ctypes.data) for k in range(terms.shape[0])]
-
-    def drop_row(self, k, top):
-        """Delete row ``k`` as the state deletes its statistics: rows ``k + 1 .. top`` shift down one."""
-        self._terms[k:top] = self._terms[k + 1 : top + 1]
 
     def distribution(self, i, top, temperature):
         """The distribution of detached object ``i`` over rows ``0 .. top - 1``, under the bound matrix."""

@@ -171,13 +171,12 @@ class ClusterState:
     The state keeps statistics only.  Its visits run in the compiled kernel
     of :mod:`binclust._kernel` where it can be built, otherwise in numpy,
     which scores with the plain formula.  The kernel keeps a log-term cache
-    beside the row buffers, current on every row at all times.  The state
-    binds one at its first scoring, when the hyperparameters are known, and
-    a fresh one under another :class:`Hyperparams` object and after growing
-    its row buffers.  Change the statistics only through :func:`remove_object`
-    and :func:`insert_object`, the visit steps below: the kernel updates the
-    rows they touch, and an edit made any other way leaves its cache out of
-    step (which :meth:`check_consistency` reports).
+    beside the row buffers, current on every row at all times.  Scoring binds
+    it, and growth drops it (:mod:`binclust._kernel` gives the rule).  Change
+    the statistics only through :func:`remove_object` and
+    :func:`insert_object`, the visit steps below: the kernel updates the rows
+    they touch, and an edit made any other way leaves its cache out of step
+    (which :meth:`check_consistency` reports).
     """
 
     def __init__(self, data, assignments):
@@ -241,15 +240,6 @@ class ClusterState:
         if values is not self._values and not np.array_equal(values, self._values):
             raise ValueError("the data matrix differs from the one the state was counted from")
 
-    def _bind(self, hyper):
-        """Bind a fresh kernel to the current buffers and ``hyper``, where
-        :func:`binclust._kernel.library` gives one; return it, or None."""
-        from . import _kernel
-
-        lib = _kernel.library()
-        self._visit = _kernel.Visit(lib, self, hyper) if lib else None
-        return self._visit
-
     def check_consistency(self, data):
         """Verify every invariant against a from-scratch recount; raise on mismatch.
 
@@ -266,10 +256,10 @@ class ClusterState:
         _, sizes, counts = _count_table(self.assignments[assigned], self._values[assigned])
         if not np.array_equal(sizes, self.sizes):
             raise ValueError("sizes disagree with a recount over assignments")
-        if not np.array_equal(counts, self.feature_counts):
-            raise ValueError("feature counts disagree with a recount over assignments")
         if (self.feature_counts < 0).any() or (self.feature_counts > self.sizes[:, None]).any():
             raise ValueError("feature counts outside [0, cluster size]")
+        if not np.array_equal(counts, self.feature_counts):
+            raise ValueError("feature counts disagree with a recount over assignments")
         if self._sizes[self._k :].any() or self._counts[self._k :].any():
             raise ValueError("statistics rows from n_clusters up must be zero")
         if self._visit:
@@ -431,9 +421,12 @@ def assignment_distribution(i, state, data, hyper, temperature):
     if data.values is not state._values:
         state._check_values(data.values)
     visit = state._visit
-    if not (visit and hyper is visit.hyper):  # no kernel for these hyperparameters yet, or the numpy path
+    if not (visit and hyper is visit.hyper):  # no kernel for these hyperparameters and buffers yet, or the numpy path
         _check_width(hyper, data)
-        visit = state._bind(hyper)
+        from . import _kernel
+
+        lib = _kernel.library()
+        visit = state._visit = _kernel.Visit(lib, state, hyper) if lib else None
     if visit:
         return visit.distribution(i, state.n_clusters + 1, temperature)
     # Rows 0..K-1 are the existing clusters and row K, all-zero, the new one.
@@ -477,8 +470,6 @@ def remove_object(state, i, data):
         top = state._k
         for buf in (state._sizes, state._counts):
             buf[k:top] = buf[k + 1 : top + 1]
-        if visit:
-            visit.drop_row(k, top)
         state._k = top - 1
         state.assignments[state.assignments > k] -= 1
     return k
@@ -489,8 +480,8 @@ def insert_object(state, i, option, data):
 
     ``option`` is an existing cluster index or ``NEW_CLUSTER``; a new cluster
     takes the next free label (the current cluster count) and fills the zero
-    row.  When no zero row is left above it, the row capacity doubles and a
-    bound kernel is bound afresh.
+    row.  A birth that would leave no zero row above it first doubles the
+    row capacity, and the state drops its kernel.
     """
     i = _check_object(i, state)
     if state.assignments[i] != UNASSIGNED:
@@ -498,6 +489,10 @@ def insert_object(state, i, option, data):
     k = _check_option(option, state._k)
     if data.values is not state._values:
         state._check_values(data.values)
+    if k + 2 > state._sizes.shape[0]:  # only a birth into the last row leaves no zero row above it
+        state._sizes = np.concatenate([state._sizes, np.zeros_like(state._sizes)])
+        state._counts = np.concatenate([state._counts, np.zeros_like(state._counts)])
+        state._visit = None
     visit = state._visit
     if visit:
         visit.attach(i, k)
@@ -507,11 +502,6 @@ def insert_object(state, i, option, data):
         state.assignments[i] = k
     if k == state._k:
         state._k = k + 1
-        if k + 2 > state._sizes.shape[0]:
-            state._sizes = np.concatenate([state._sizes, np.zeros_like(state._sizes)])
-            state._counts = np.concatenate([state._counts, np.zeros_like(state._counts)])
-            if visit:
-                state._bind(visit.hyper)
     return state
 
 

@@ -276,6 +276,8 @@ _WRITERS = {
 
 
 _NEEDS_HARD_LINKS = pytest.mark.skipif(not hasattr(os, "link"), reason="os.link is unavailable")
+# Root passes os.access on any directory, so a read-only one refuses no one there.
+_NOT_ROOT = pytest.mark.skipif(getattr(os, "geteuid", lambda: -1)() == 0, reason="root may write any directory")
 
 
 @pytest.mark.parametrize(
@@ -297,7 +299,9 @@ _NEEDS_HARD_LINKS = pytest.mark.skipif(not hasattr(os, "link"), reason="os.link 
     + [pytest.param(command, "hard-link-input", marks=_NEEDS_HARD_LINKS)
        for command in ("cluster", "baseline", "summarize", "term-filter", "percentile")]
     + [pytest.param(command, "hard-links", marks=_NEEDS_HARD_LINKS)
-       for command in ("cluster", "generate", "term-filter", "percentile")],
+       for command in ("cluster", "generate", "term-filter", "percentile")]
+    # An output in a directory that may not be written.
+    + [pytest.param(command, "read-only-dir", marks=_NOT_ROOT) for command in _WRITERS],
 )
 def test_an_output_path_that_cannot_be_written_exit_2_before_loading(tmp_path, capsys, monkeypatch, command, bad):
     # No file may appear, and the input and every file planted for the case keep
@@ -313,13 +317,15 @@ def test_an_output_path_that_cannot_be_written_exit_2_before_loading(tmp_path, c
         if not target.exists():
             target.write_text("kept\n")
         os.link(target, link)
+    if bad == "read-only-dir":
+        (tmp_path / "sub").chmod(0o555)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
     args, first, second, (module, work) = _WRITERS[command]
     absent = tmp_path / "absent" / "x.csv"
     argv = [arg.format(data=data_path) for arg in args]
     first_paths = {
         "missing-dir": absent, "is-a-dir": tmp_path / "sub", "input": "./data.csv", "empty": "", "sub/": "sub/", "new/": "new/",
-        "hard-link-input": "hard.csv",
+        "hard-link-input": "hard.csv", "read-only-dir": "sub/r.out",
     }
     argv += [first, str(first_paths.get(bad, tmp_path / "first.out"))]
     if second is not None:
@@ -586,6 +592,15 @@ class TestPreprocessCommands:
         assert kept_rows == [0, 2, 3, 4, 5]
         data = load_dense(out_path)
         assert data.n_objects == 5 and data.n_features == 2
+
+    def test_percentile_with_a_missing_cell_in_every_row_exit_2(self, tmp_path, capsys):
+        in_path = tmp_path / "vals.csv"
+        in_path.write_text("1.0,\n2.0,na\n,3.0\nnan,4.0\n")  # two values in each column, none in a full row
+        out_path = tmp_path / "binary.csv"
+        code, _, err = _run(capsys, "preprocess", "percentile", "--in", str(in_path), "--out", str(out_path))
+        assert code == 2
+        assert "every row has missing values" in err
+        assert not out_path.exists()
 
     def test_bad_count_csv_exit_2(self, tmp_path, capsys):
         in_path = tmp_path / "counts.csv"

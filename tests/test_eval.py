@@ -91,6 +91,10 @@ class TestContingency:
         with pytest.raises(ValueError, match="empty"):
             contingency([], [])
 
+    def test_rejects_labels_that_are_not_1d(self):
+        with pytest.raises(ValueError, match=r"labels must be 1-d vectors, got ndim 2 \(predicted\) and 1 \(true\)"):
+            contingency([[0, 1], [1, 0]], [0, 1, 1, 0])
+
     def test_a_length_mismatch_names_both_sides(self):
         with pytest.raises(ValueError, match=r"differ in length: 2 \(predicted\) vs 3 \(true\)"):
             contingency([0, 1], [0, 1, 1])

@@ -102,6 +102,20 @@ class TestSparseFormat:
         with pytest.raises(DataFormatError, match=r"a (\d+) x \1 matrix does not fit in memory"):
             load_sparse(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 2 1\n0 1 1\n", r"header must be 'N D', got 3 values"),
+            ("0 5\n", "dimensions must be positive, got 0 x 5"),
+        ],
+        ids=["three-fields", "zero-rows"],
+    )
+    def test_a_bad_header_is_refused(self, tmp_path, text, message):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=message):
+            load_sparse(path)
+
     def test_round_trip_random_matrices(self, tmp_path):
         rng = np.random.default_rng(1)
         path = tmp_path / "m.txt"
@@ -149,10 +163,11 @@ class TestFormatDetection:
         assert detect_format(path) == "dense"
         assert np.array_equal(load_matrix(path).values, data.values)
 
-    def test_unrecognized_rejected(self, tmp_path):
+    @pytest.mark.parametrize("first", ["what is this", "a b"], ids=["three-words", "two-words"])
+    def test_unrecognized_rejected(self, tmp_path, first):
         path = tmp_path / "m"
-        path.write_text("what is this\n")
-        with pytest.raises(DataFormatError):
+        path.write_text(first + "\n")
+        with pytest.raises(DataFormatError, match=f"cannot detect matrix format from first non-blank line '{first}'"):
             detect_format(path)
 
 
@@ -247,10 +262,15 @@ class TestReportFormat:
         assert len(loaded["feature_frequencies"]) == report.n_clusters
         assert all(len(row) == 4 for row in loaded["feature_frequencies"])
 
-    def test_invalid_json_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{not json", "invalid JSON"), ("[1, 2]", "report must be a JSON object")],
+        ids=["syntax", "list"],
+    )
+    def test_invalid_json_rejected(self, tmp_path, text, message):
         path = tmp_path / "report.json"
-        path.write_text("{not json")
-        with pytest.raises(DataFormatError):
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=message):
             load_report(path)
 
     def test_dict_round_trip(self, tmp_path):
@@ -346,6 +366,13 @@ class TestReaderContract:
         with pytest.raises(DataFormatError, match="empty file"):
             READERS[name][0](path)
 
+    @pytest.mark.parametrize("name", ["dense", "counts", "reals"])
+    def test_a_csv_of_only_a_header_has_no_data_rows(self, tmp_path, name):
+        path = tmp_path / "f"
+        path.write_text("x,y\n\n")
+        with pytest.raises(DataFormatError, match="no data rows"):
+            READERS[name][0](path)
+
     @pytest.mark.parametrize("name", ["dense", "counts", "sparse", "labels"])
     def test_count_above_int64_is_refused(self, tmp_path, name):
         reader, lines, _ = READERS[name]
@@ -367,6 +394,16 @@ class TestReaderContract:
         path.write_text("0 1\n2 3\n")
         with pytest.raises(DataFormatError, match="2 values, expected 1"):
             load_labels(path)
+
+
+@pytest.mark.parametrize(
+    "transform",
+    [term_filter, lambda values: percentile_binarize(values, 20.0, "below")],
+    ids=["term-filter", "percentile"],
+)
+def test_a_transform_refuses_a_1d_input(transform):
+    with pytest.raises(ValueError, match="must be 2-d"):
+        transform(np.arange(6))
 
 
 class TestTermFilter:

@@ -59,20 +59,28 @@ def test_the_ctypes_signatures_match_the_c_prototypes():
         assert (fn.restype, list(fn.argtypes)) == (restype, argtypes), name
 
 
-def test_a_missing_compiler_warns_once_then_runs_the_numpy_path(monkeypatch, tmp_path):
+@pytest.mark.parametrize("compiler", ["missing", "failing"])
+def test_a_missing_or_failing_compiler_warns_once_then_runs_the_numpy_path(monkeypatch, tmp_path, compiler):
     data, _ = generate(SyntheticSpec(30, 20, 20, 10, k_true=3, seed=9))
     schedule = AnnealingSchedule(n_sweeps=10)
     with visit_path("numpy"):
         expected = run(data, schedule=schedule, seed=4)
-    cache = tmp_path / "cache"
+    cache, cc = tmp_path / "cache", tmp_path / f"{compiler}-cc"
+    if compiler == "failing":
+        cc.write_text("#!/bin/sh\necho 'error: boom' >&2\nexit 1\n")
+        cc.chmod(0o755)
+        reason = f"{cc} exited with status 1: error: boom"
+    else:
+        reason = f"No such file or directory: '{cc}'"
     monkeypatch.setattr(_kernel, "_lib", None)
-    monkeypatch.setattr(_kernel, "_CC", str(tmp_path / "no-such-compiler"))
+    monkeypatch.setattr(_kernel, "_CC", str(cc))
     monkeypatch.setattr(_kernel, "_CACHE_DIR", str(cache))
     with pytest.warns(RuntimeWarning) as caught:
         report = run(data, schedule=schedule, seed=4)
     assert len(caught) == 1
-    assert str(caught[0].message).startswith("binclust: the compiled visit kernel is unavailable")
-    assert "no-such-compiler" in str(caught[0].message)
+    message = str(caught[0].message)
+    assert message.startswith("binclust: the compiled visit kernel is unavailable, the numpy path runs instead: ")
+    assert message.endswith(reason)
     assert _kernel._lib is False
     assert np.array_equal(report.assignments, expected.assignments)
     assert np.array_equal(report.score_trace, expected.score_trace)
@@ -151,6 +159,52 @@ def test_help_and_baseline_never_load_the_kernel(tmp_path):
     assert done.stdout.strip().splitlines()[-1] == "False"
 
 
+# Appended to both sanitized scripts below.  With the zero row as the top row
+# of the buffers: a death of the row just below it, whose terms move one row;
+# a growth right after a death, with no scoring between; and a growth while
+# another object's row is pending.  Every step is checked, and a scoring
+# after each growth binds a fresh kernel.
+_SANITIZED_TOP_ROW = """
+from binclust.model import NEW_CLUSTER, ClusterState, assignment_distribution, default_hyperparams
+from binclust.sampler import insert_object, remove_object
+
+top_hyper = default_hyperparams(data)
+for growth in ("after a death", "with a row pending"):
+    state = ClusterState(data, np.arange(data.n_objects) % 3)  # K = 3 in 5 rows
+    remove_object(state, 0, data)
+    assignment_distribution(0, state, data, top_hyper, 0.5)  # binds the kernel
+    insert_object(state, 0, NEW_CLUSTER, data)  # object 0 alone in row 3, the zero row in row 4
+    state.check_consistency(data)
+    rows = state._sizes.shape[0]
+    assert state._visit and state.n_clusters == rows - 1, "no full buffers"
+    if growth == "after a death":
+        k1 = remove_object(state, 1, data)
+        state.check_consistency(data)
+        assert remove_object(state, 0, data) == rows - 2, "no death just below the top row"
+        state.check_consistency(data)
+        insert_object(state, 1, NEW_CLUSTER, data)  # the buffers are full again
+        state.check_consistency(data)
+        insert_object(state, 0, NEW_CLUSTER, data)
+    else:
+        remove_object(state, 2, data)
+        state.check_consistency(data)
+        k1 = remove_object(state, 1, data)
+        assert state._visit._ctx.pending_object == 1, "no pending row"
+        state.check_consistency(data)
+        insert_object(state, 2, NEW_CLUSTER, data)
+        state.check_consistency(data)
+        insert_object(state, 1, k1, data)
+    assert state._visit is None and state._sizes.shape[0] > rows, "no growth " + growth
+    state.check_consistency(data)
+    remove_object(state, 3, data)
+    assignment_distribution(3, state, data, top_hyper, 0.5)
+    assert state._visit, "no kernel bound after growth"
+    state.check_consistency(data)
+    insert_object(state, 3, 0, data)
+    state.check_consistency(data)
+"""
+
+
 # Sweeps one state through births that outgrow its row buffers and through
 # deaths, checking the kernel's cache after every sweep; visits objects that
 # return to their own row, some of them scored under another hyperparameter
@@ -209,7 +263,7 @@ for i in range(0, data.n_objects - 1, 2):  # two objects out: the second detach 
     insert_object(state, i, k_second, data)
     state.check_consistency(data)
 run(data, schedule=AnnealingSchedule(t_init=5e-324, n_sweeps=5), k_init=8, seed=1)
-"""
+""" + _SANITIZED_TOP_ROW
 
 
 def test_the_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizers(tmp_path):
@@ -297,7 +351,7 @@ for i in range(1, n, 5):  # row 1 empties into row 0
     insert_object(state, i, 0, data)
     state.check_consistency(data)
 assert state.n_clusters == 4, "no death in the middle"
-"""
+""" + _SANITIZED_TOP_ROW
 
 
 def test_the_kernel_runs_its_edge_cases_clean_under_sanitizers(tmp_path, monkeypatch):

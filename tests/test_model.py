@@ -411,6 +411,16 @@ class TestAssignmentDistribution:
         with pytest.raises(ValueError):
             assignment_distribution(0, state, data, _uniform_hyper(1), temperature=1.0)
 
+    def test_rejects_a_state_with_a_second_object_detached(self):
+        data = BinaryMatrix([[1], [0], [1]])
+        for path in PATHS:
+            with visit_path(path):
+                state = ClusterState(data, [0, 0, 1])
+                remove_object(state, 0, data)
+                remove_object(state, 2, data)
+                with pytest.raises(ValueError, match="must cover exactly the other n - 1 objects"):
+                    assignment_distribution(0, state, data, _uniform_hyper(1), temperature=1.0)
+
     @pytest.mark.parametrize("width", [1, 3])
     def test_rejects_hyperparams_of_another_width(self, width):
         data = BinaryMatrix([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]])
@@ -611,6 +621,35 @@ class TestClusterState:
         with pytest.raises(ValueError, match="labels must be integers, got dtype"):
             ClusterState(data, labels)
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([0, 1], r"expected 3 labels, got shape \(2,\)"),
+            ([[0, 1, 0]], r"expected 3 labels, got shape \(1, 3\)"),
+            ([0, -1, 0], r"all objects must be assigned \(labels >= 0\)"),
+        ],
+        ids=["too-few", "2-d", "negative"],
+    )
+    def test_constructor_refuses_labels_of_another_shape_or_a_negative_label(self, labels, message):
+        data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
+        with pytest.raises(ValueError, match=message):
+            ClusterState(data, labels)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64),
+            np.asfortranarray([[1, 0], [0, 1], [1, 1]], dtype=np.uint8),
+        ],
+        ids=["int64", "fortran-order"],
+    )
+    def test_constructor_refuses_a_matrix_the_kernel_cannot_read(self, values):
+        # BinaryMatrix stores C-contiguous uint8; a matrix swapped in afterwards is refused.
+        data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
+        data.values = values
+        with pytest.raises(ValueError, match="expected a C-contiguous uint8 matrix"):
+            ClusterState(data, [0, 1, 0])
+
     @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
     def test_constructor_takes_labels_of_any_integer_dtype(self, dtype):
         data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
@@ -623,11 +662,26 @@ class TestClusterState:
         state = ClusterState(data, rng.integers(0, 4, size=20))
         state.check_consistency(data)
 
-    def test_check_consistency_detects_corruption(self):
-        data = BinaryMatrix([[1, 0], [0, 1]])
-        state = ClusterState(data, [0, 1])
-        state.feature_counts[0, 0] += 1
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "name, index, value, message",
+        [
+            ("feature_counts", (0, 1), 0, "feature counts disagree with a recount"),
+            ("assignments", 2, 2, "assignment label out of range"),
+            ("sizes", 0, 3, "do not sum to the number of assigned objects"),
+            ("sizes", slice(None), [0, 3], "empty cluster present"),
+            ("sizes", slice(None), [1, 2], "sizes disagree with a recount"),
+            ("feature_counts", (1, 0), -1, r"feature counts outside \[0, cluster size\]"),
+            ("feature_counts", (0, 0), 3, r"feature counts outside \[0, cluster size\]"),
+        ],
+        ids=["counts-recount", "label-range", "size-sum", "empty-cluster", "sizes-recount", "count-negative",
+             "count-above-size"],
+    )
+    def test_check_consistency_detects_corruption(self, name, index, value, message):
+        data = BinaryMatrix([[1, 0], [1, 1], [0, 1]])
+        state = ClusterState(data, [0, 0, 1])
+        state.check_consistency(data)
+        getattr(state, name)[index] = value
+        with pytest.raises(ValueError, match=message):
             state.check_consistency(data)
 
     @pytest.mark.parametrize("plane", [0, 1, 2, 3])
@@ -694,11 +748,14 @@ class TestClusterState:
             if event == "growth":  # two births need a sixth row
                 insert_object(state, 0, NEW_CLUSTER, data)
                 remove_object(state, 1, data)
-                visit = state._visit
                 insert_object(state, 1, NEW_CLUSTER, data)
-                # Growth binds a fresh kernel to the new buffers, under the same hyperparameters.
-                assert state._visit is not visit and state._visit.hyper is hyper
+                # Growth drops the kernel; the next scoring binds a fresh one to the new buffers.
+                assert state._visit is None
                 state.check_consistency(data)
+                remove_object(state, 3, data)
+                assignment_distribution(3, state, data, hyper, temperature=1.0)
+                assert state._visit.hyper is hyper
+                insert_object(state, 3, 1, data)
             else:  # the singleton's death leaves K = 2 in 5 rows
                 insert_object(state, 0, 0, data)
                 remove_object(state, 5, data)

@@ -197,8 +197,10 @@ class TestRemoveInsert:
         data = BinaryMatrix([[1, 0], [0, 1]])
         state = ClusterState(data, [0, 0])
         remove_object(state, 0, data)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="object 0 is already detached"):
             remove_object(state, 0, data)
+        with pytest.raises(ValueError, match="object 1 is already assigned"):
+            insert_object(state, 1, 0, data)
         with pytest.raises(ValueError):
             insert_object(state, 0, 5, data)
         with pytest.raises(ValueError):
