@@ -9,8 +9,11 @@ format is told from its first non-blank line: a comma or a single field
 means dense, two integers mean sparse.
 
 Every reader parses its file with numpy's ``loadtxt`` through one table
-reader.  CSV inputs (binary matrices, word counts, real-valued tables) share
-one header rule: the first row is a header iff none of its cells is a number
+reader, the one general parser.  ``load_matrix`` first takes a file in the
+exact layout ``save_dense`` writes as one byte view, and gives any other file
+to that reader; both read the same matrix from a file in that layout.  A file
+whose bytes are not UTF-8 is refused by name.  CSV inputs (binary matrices,
+word counts, real-valued tables) share one header rule: the first row is a header iff none of its cells is a number
 and some cell is not a missing token (empty, na, nan, null).  Otherwise it is
 data, and a bad cell in it is reported like any other: a cell that is not a
 number with numpy's message, which counts the row from 0 among the data rows
@@ -22,6 +25,7 @@ matrices: a document-frequency filter for word-count data and a per-column
 percentile threshold for real-valued response data.
 """
 
+import contextlib
 import json
 
 import numpy as np
@@ -30,10 +34,23 @@ from .evaluate import cluster_feature_frequencies
 from .model import BinaryMatrix
 
 _MISSING_TOKENS = {"", "na", "nan", "null"}
+_BLOCK_BYTES = 1 << 20  # bytes of whole lines that save_dense writes per call
 
 
 class DataFormatError(ValueError):
     """Malformed matrix, labels, or report file content."""
+
+
+@contextlib.contextmanager
+def _open_text(path):
+    """Open ``path`` as UTF-8 text for a ``with`` block; a byte that does not
+    decode, wherever in the block it is read, raises a ``DataFormatError``
+    naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason} {exc.object[exc.start : exc.end]!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -49,15 +66,37 @@ def save_csv_matrix(path, matrix):
 
 
 def save_dense(path, data):
-    """Write a binary matrix as dense CSV, one row per line, no header."""
-    # Every cell is one digit, so each line is the same 2 * D bytes with only
-    # the digits changing: fill one reusable line per row.
-    line = np.full(2 * data.n_features, ord(","), dtype=np.uint8)
-    line[-1] = ord("\n")
+    """Write a binary matrix as dense CSV, one row per line, no header.
+
+    Each line is 2 * D bytes: a digit at every even offset, a comma at every
+    odd offset but the last, and a newline last.  Lines are written in blocks
+    of at most ``_BLOCK_BYTES`` (or one line), one call each.
+    """
+    width = 2 * data.n_features
+    block = np.full((min(data.n_objects, max(1, _BLOCK_BYTES // width)), width), ord(","), dtype=np.uint8)
+    block[:, -1] = ord("\n")
     with open(path, "wb") as fh:
-        for row in data.values:
-            np.add(row, ord("0"), out=line[::2])
-            fh.write(line)
+        for start in range(0, data.n_objects, len(block)):
+            rows = data.values[start : start + len(block)]
+            np.add(rows, ord("0"), out=block[: len(rows), ::2])
+            fh.write(block[: len(rows)])
+
+
+def _saved_dense(raw):
+    """The ``uint8`` matrix in ``raw`` if ``raw`` is byte for byte what
+    ``save_dense`` writes, else None.  ``_read_table`` reads the same matrix
+    from such bytes: they hold no header, blank line, space or carriage return.
+    """
+    width = raw.find(b"\n") + 1
+    if width < 2 or len(raw) % width:
+        return None
+    lines = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
+    # A byte below "0" wraps above 1.  An odd width puts each newline at an
+    # even offset, so it fails this digit test.
+    values = lines[:, ::2] - np.uint8(ord("0"))
+    if (values > 1).any() or (lines[:, 1:-1:2] != ord(",")).any() or (lines[:, -1] != ord("\n")).any():
+        return None
+    return values
 
 
 def load_dense(path):
@@ -94,7 +133,7 @@ def _read_table(path, dtype, delimiter=",", converters=None):
     a ragged row is reported ahead of a bad cell.  ``#`` starts no comment: a
     cell holding it is a bad cell.
     """
-    with open(path) as fh:
+    with _open_text(path) as fh:
         lines = [line for line in fh.read().split("\n") if line.strip()]
     if not lines:
         raise DataFormatError(f"{path}: empty file")
@@ -176,7 +215,7 @@ def detect_format(path):
     """Classify a matrix file by its first non-blank line: one with a comma, or
     with a single field (a one-column matrix), means dense; a two-integer
     header means sparse."""
-    with open(path) as fh:
+    with _open_text(path) as fh:
         first = next((line.strip() for line in fh if line.strip()), "")
     fields = first.split()
     if "," in first or len(fields) == 1:
@@ -191,7 +230,13 @@ def detect_format(path):
 
 
 def load_matrix(path):
-    """Load a binary matrix in either format, auto-detected."""
+    """Load a binary matrix in either format, auto-detected.  A file in
+    ``save_dense``'s exact layout is read as one byte view, any other by the
+    table reader."""
+    with open(path, "rb") as fh:
+        values = _saved_dense(fh.read())  # the bytes are freed before any fallback parse
+    if values is not None:
+        return BinaryMatrix(values)
     return load_dense(path) if detect_format(path) == "dense" else load_sparse(path)
 
 
@@ -245,7 +290,7 @@ def save_report_dict(path, report_dict):
 
 def load_report(path):
     """Read a report JSON back into a plain dict."""
-    with open(path) as fh:
+    with _open_text(path) as fh:
         try:
             report = json.load(fh)
         except json.JSONDecodeError as exc:

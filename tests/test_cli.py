@@ -243,6 +243,25 @@ class TestClusterEvaluatePipeline:
         assert err.strip() != ""
 
 
+@pytest.mark.parametrize("command", ["evaluate", "cluster", "baseline", "summarize", "term-filter", "percentile"])
+def test_an_input_that_is_not_utf8_exit_2_naming_it(tmp_path, capsys, command):
+    bad, good, out = tmp_path / "bad.txt", tmp_path / "good.txt", tmp_path / "out"
+    bad.write_bytes(b"\xff0\n1\n")
+    good.write_text("0\n1\n")
+    argv = {
+        "evaluate": ("evaluate", "--pred", str(bad), "--truth", str(good)),
+        "cluster": ("cluster", "--in", str(bad), "--report", str(out)),
+        "baseline": ("baseline", "--in", str(bad), "--report", str(out)),
+        "summarize": ("summarize", "--report", str(bad), "--out", str(out)),
+        "term-filter": ("preprocess", "term-filter", "--in", str(bad), "--out", str(out)),
+        "percentile": ("preprocess", "percentile", "--in", str(bad), "--out", str(out)),
+    }[command]
+    code, _, err = _run(capsys, *argv)
+    assert code == 2
+    assert err == f"binclust {argv[0]}: {bad}: not UTF-8 text: invalid start byte b'\\xff'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "cluster", "baseline"])
 def test_a_negative_seed_exit_2_naming_the_seed(tmp_path, capsys, command):
     data_path, out_path = tmp_path / "data.csv", tmp_path / "out"

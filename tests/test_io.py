@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from binclust import io
 from binclust.io import (
     DataFormatError,
     detect_format,
@@ -171,6 +175,77 @@ class TestFormatDetection:
             detect_format(path)
 
 
+def _loaded(load, path):
+    """A loader's outcome: its matrix as a uint8 array, or its error message."""
+    try:
+        return load(path).values
+    except DataFormatError as exc:
+        return str(exc)
+
+
+def _parsed(path):
+    """``load_matrix`` without the byte view: format detection and the table reader."""
+    return load_dense(path) if detect_format(path) == "dense" else load_sparse(path)
+
+
+def _same(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestSavedLayoutFastPath:
+    """``load_matrix`` reads ``save_dense``'s exact layout as one byte view; any
+    other file, however close, gets the table reader's matrix or error."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12), elements=st.integers(0, 1)))
+    @example(np.array([[1], [0], [1]], dtype=np.uint8))
+    @example(np.array([[0, 1, 1, 0, 1]], dtype=np.uint8))
+    def test_every_saved_matrix_reads_as_the_table_reader_reads_it(self, tmp_path, values):
+        path = tmp_path / "m.csv"
+        save_dense(path, BinaryMatrix(values))
+        assert np.array_equal(io._saved_dense(path.read_bytes()), values)
+        assert _same(load_matrix(path).values, BinaryMatrix(io._read_table(path, np.uint8)).values)
+
+    # The 4 x 3 matrix SAVED, whose file has lines of 6 bytes, changed in one
+    # place; None expects SAVED back, a string the table reader's error.
+    SAVED = [[0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 0, 1]]
+    MUTATIONS = {
+        "2-first-cell": (lambda b: b"2" + b[1:], "non-binary value 2 at row 0, column 0"),
+        "2-last-cell": (lambda b: b[:-2] + b"2\n", "non-binary value 2 at row 3, column 2"),
+        "slash-below-0": (lambda b: b"/" + b[1:], "could not convert string '/' to uint8 at row 0, column 1."),
+        "space-first": (lambda b: b" " + b, None),
+        "space-after-comma": (lambda b: b[:2] + b" " + b[2:], None),
+        "space-before-newline": (lambda b: b[:5] + b" " + b[5:], None),
+        "cr-first-line": (lambda b: b[:5] + b"\r" + b[5:], None),
+        "cr-last-line": (lambda b: b[:-1] + b"\r\n", None),
+        "blank-line-first": (lambda b: b"\n" + b, None),
+        "blank-line-middle": (lambda b: b[:12] + b"\n" + b[12:], None),
+        "blank-line-last": (lambda b: b + b"\n", None),
+        "no-last-newline": (lambda b: b[:-1], None),
+        "comma-for-last-newline": (lambda b: b[:-1] + b",", "row 3 has 4 values, expected 3"),
+        "comma-for-a-newline": (lambda b: b[:11] + b"," + b[12:], "row 1 has 6 values, expected 3"),
+        "semicolon-first-line": (lambda b: b[:1] + b";" + b[2:], "row 1 has 3 values, expected 2"),
+        "semicolon-last-line": (lambda b: b[:-3] + b";" + b[-2:], "row 3 has 2 values, expected 3"),
+        "header": (lambda b: b"f0,f1,f2\n" + b, None),
+    }
+
+    @pytest.mark.parametrize("name", MUTATIONS)
+    def test_a_changed_byte_gives_the_table_readers_matrix_or_error(self, tmp_path, name):
+        mutate, expected = self.MUTATIONS[name]
+        path = tmp_path / "m.csv"
+        save_dense(path, BinaryMatrix(np.array(self.SAVED, dtype=np.uint8)))
+        path.write_bytes(mutate(path.read_bytes()))
+        assert io._saved_dense(path.read_bytes()) is None
+        loaded = _loaded(load_matrix, path)
+        assert _same(loaded, _loaded(_parsed, path))
+        if expected is None:
+            assert _same(loaded, np.array(self.SAVED, dtype=np.uint8))
+        else:
+            assert loaded == f"{path}: {expected}"
+
+
 class TestLabelsFormat:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -203,6 +278,17 @@ class TestWriterBytes:
         path = tmp_path / "m.csv"
         save_dense(path, BinaryMatrix(values))
         assert path.read_text() == "".join(",".join(str(v) for v in row) + "\n" for row in values)
+
+    @pytest.mark.parametrize("block_bytes", [1, 40, 1000])
+    def test_dense_in_blocks_of_lines(self, tmp_path, monkeypatch, block_bytes):
+        """Random shapes written in blocks of one line, of a few lines, and of many."""
+        monkeypatch.setattr(io, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(block_bytes)
+        path = tmp_path / "m.csv"
+        for _ in range(40):
+            values = rng.integers(0, 2, size=rng.integers(1, 60, size=2)).astype(np.uint8)
+            save_dense(path, BinaryMatrix(values))
+            assert path.read_text() == "".join(",".join(map(str, row)) + "\n" for row in values.tolist())
 
     @pytest.mark.parametrize("shape", _WRITER_SHAPES)
     @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.float32])
@@ -332,6 +418,15 @@ READERS = {
     "labels": (load_labels, ["0", "2"], [0, 2]),
 }
 
+# Every reader that decodes text: the table readers, format detection, and the
+# matrix and report loaders.
+TEXT_READERS = {
+    **{name: reader for name, (reader, _, _) in READERS.items()},
+    "detect_format": detect_format,
+    "matrix": lambda path: load_matrix(path).values,
+    "report": load_report,
+}
+
 
 class TestReaderContract:
     """What every reader does with blank lines, line endings, comments and
@@ -388,6 +483,20 @@ class TestReaderContract:
         path.write_text("\n".join(lines[:-1] + [lines[-1][:-1] + "1.0"]) + "\n")
         with pytest.raises(DataFormatError, match="'1.0'"):
             reader(path)
+
+    @pytest.mark.parametrize(
+        "name, where",
+        [(name, "first-byte") for name in TEXT_READERS]
+        + [(name, "late-byte") for name in TEXT_READERS if name != "detect_format"],  # it reads one line
+    )
+    def test_bytes_that_are_not_utf8_are_refused_naming_the_file(self, tmp_path, name, where):
+        good = ("\n".join(READERS.get(name, READERS["dense"])[1]) + "\n").encode()
+        path = tmp_path / "f"
+        # The late byte lies well past the first block a text file is decoded in.
+        path.write_bytes(b"\xff" + good if where == "first-byte" else good + b"0" * 70000 + b"\xff\n")
+        with pytest.raises(DataFormatError) as raised:
+            TEXT_READERS[name](path)
+        assert str(raised.value) == f"{path}: not UTF-8 text: invalid start byte b'\\xff'"
 
     def test_label_file_with_two_numbers_per_line_is_refused(self, tmp_path):
         path = tmp_path / "labels.txt"
