@@ -39,7 +39,11 @@ def _gram(points):
 
 
 def _row_products(points, gram, rows):
-    """``x_i . x_j`` of every row i with each row j of ``rows``: those columns of the Gram matrix."""
+    """``x_i . x_j`` of every row i with each row j of ``rows``: those columns of the Gram matrix.
+
+    ``rows`` is a list of indices, giving an (N, len(rows)) array, or one
+    index, giving a length-N vector.
+    """
     return gram[:, rows] if gram is not None else points @ points[rows].T
 
 
@@ -62,28 +66,42 @@ def _squared_distances(norms, cross, q, sizes):
     Cluster k is a count row ``C_k`` over its size ``sizes[k]``; ``norms`` are
     the rows' squared norms, ``cross[i, k] = x_i . C_k`` and ``q[k] = |C_k|^2``.
     On {0,1} rows these are exact integers while N^2 D < 2^53, so only the
-    divisions by the sizes and the sum of the three terms round; against one
-    row as a cluster of size 1 nothing does, and the result equals
-    ``((points - row) ** 2).sum(axis=1)`` bit for bit.
+    divisions by the sizes and the sum of the three terms round.
     """
     d2 = norms[:, None] - 2.0 * cross / sizes + q / (sizes * sizes)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
+def _choice(p, rng):
+    """The index ``rng.choice(len(p), p=p)`` draws, from the same one uniform.
+
+    These are ``Generator.choice``'s own steps for weights ``p`` that sum to
+    1, without its checks of them.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _plusplus_seeds(points, norms, gram, k, rng):
-    """Greedy k-means++ seeding: the indices of k rows spread apart, each a cluster of size 1."""
+    """Greedy k-means++ seeding: the indices of k rows spread apart, each a cluster of size 1.
+
+    A seed row r's squared distances are ``_squared_distances`` at one row as
+    a cluster of size 1, written out on one vector.  Every term is an exact
+    integer on {0,1} rows, so they are the Hamming distances.
+    """
     n = norms.shape[0]
 
-    def distances_to(rows):
-        return _squared_distances(norms, _row_products(points, gram, rows), norms[rows], 1)[:, 0]
+    def distances_to(r):
+        return norms + norms[r] - 2.0 * _row_products(points, gram, r)
 
     seeds = [rng.integers(n)]
-    d2 = distances_to(seeds)
+    d2 = distances_to(seeds[0])
     for _ in range(1, k):
         total = d2.sum()
-        seeds.append(rng.choice(n, p=d2 / total) if total > 0 else rng.integers(n))
-        np.minimum(d2, distances_to(seeds[-1:]), out=d2)
+        seeds.append(_choice(d2 / total, rng) if total > 0 else rng.integers(n))
+        np.minimum(d2, distances_to(seeds[-1]), out=d2)
     return seeds
 
 

@@ -12,7 +12,8 @@ Every reader parses its file with numpy's ``loadtxt`` through one table
 reader, the one general parser.  ``load_matrix`` first takes a file in the
 exact layout ``save_dense`` writes as one byte view, and gives any other file
 to that reader; both read the same matrix from a file in that layout.  A file
-whose bytes are not UTF-8 is refused by name.  CSV inputs (binary matrices,
+whose bytes are not UTF-8 is refused by name; a leading UTF-8 byte-order mark,
+as spreadsheet "CSV UTF-8" exports write, is dropped.  CSV inputs (binary matrices,
 word counts, real-valued tables) share one header rule: the first row is a header iff none of its cells is a number
 and some cell is not a missing token (empty, na, nan, null).  Otherwise it is
 data, and a bad cell in it is reported like any other: a cell that is not a
@@ -43,11 +44,11 @@ class DataFormatError(ValueError):
 
 @contextlib.contextmanager
 def _open_text(path):
-    """Open ``path`` as UTF-8 text for a ``with`` block; a byte that does not
-    decode, wherever in the block it is read, raises a ``DataFormatError``
-    naming the file."""
+    """Open ``path`` as UTF-8 text for a ``with`` block, dropping a leading
+    byte-order mark; a byte that does not decode, wherever in the block it is
+    read, raises a ``DataFormatError`` naming the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason} {exc.object[exc.start : exc.end]!r}") from None

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from binclust import baselines
 from binclust.baselines import (
+    _choice,
     _cluster_products,
     _gram,
     _lloyd,
@@ -125,6 +126,51 @@ class TestKmeansBinary:
             k = 1 + seed % 6
             seeds = _plusplus_seeds(points, norms, _gram(points), k, np.random.default_rng(seed))
             assert np.array_equal(seeds, _plusplus_by_direct_distances(points, k, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize(
+        "shape, distinct",
+        [((9, 40), 9), ((12, 30), 3), ((12, 4), 3)],
+        ids=["gram-route", "gram-route-duplicates", "points-route-duplicates"],
+    )
+    def test_seeding_on_either_route_equals_the_direct_formula(self, shape, distinct):
+        # With k above the number of distinct rows every distance reaches 0,
+        # and the seeding falls back to a uniform index.
+        n, d = shape
+        rng = np.random.default_rng(5)
+        points = rng.integers(0, 2, size=(distinct, d)).astype(np.float64)[np.arange(n) % distinct]
+        assert len(np.unique(points, axis=0)) == distinct
+        norms = (points * points).sum(axis=1)
+        gram = _gram(points)
+        assert (gram is not None) == (n <= d)
+        for seed in range(20):
+            k = 1 + seed % n
+            ours, direct = np.random.default_rng(seed), np.random.default_rng(seed)
+            seeds = _plusplus_seeds(points, norms, gram, k, ours)
+            assert np.array_equal(seeds, _plusplus_by_direct_distances(points, k, direct))
+            assert ours.random() == direct.random()
+
+    @pytest.mark.parametrize(
+        "case",
+        [f"zeros-{seed}" for seed in range(40)] + ["trailing-zeros", "one-nonzero-first", "one-nonzero-last", "length-1"],
+    )
+    def test_the_seed_draw_equals_rng_choice(self, case):
+        rng = np.random.default_rng(sum(map(ord, case)))
+        if case.startswith("zeros"):
+            weights = rng.integers(0, 4, size=int(rng.integers(1, 401))).astype(np.float64)
+            weights[rng.integers(weights.size)] = 0.0
+            weights[rng.integers(weights.size)] = 3.0
+        elif case == "trailing-zeros":
+            weights = np.concatenate([rng.random(50), np.zeros(30)])
+        elif case == "length-1":
+            weights = np.ones(1)
+        else:
+            weights = np.zeros(57)
+            weights[0 if case.endswith("first") else -1] = 2.0
+        p = weights / weights.sum()
+        for seed in range(25):
+            ours, numpy_choice = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _choice(p, ours) == numpy_choice.choice(p.size, p=p)
+            assert ours.random() == numpy_choice.random()
 
     def test_labels_are_exactly_0_to_k_minus_1(self):
         rng = np.random.default_rng(3)

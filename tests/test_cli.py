@@ -262,6 +262,19 @@ def test_an_input_that_is_not_utf8_exit_2_naming_it(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["cluster", "baseline"])
+def test_an_input_led_by_a_byte_order_mark_reports_as_without_it(tmp_path, capsys, command):
+    flags = ("--k-max", "2") if command == "baseline" else ()
+    reports = []
+    for name, head in (("plain.csv", b""), ("marked.csv", b"\xef\xbb\xbf")):
+        data_path, report_path = tmp_path / name, tmp_path / (name + ".json")
+        data_path.write_bytes(head + b"0,1\n1,0\n")
+        code, _, err = _run(capsys, command, "--in", str(data_path), *flags, "--report", str(report_path))
+        assert (code, err) == (0, "")
+        reports.append(report_path.read_bytes())
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("command", ["generate", "cluster", "baseline"])
 def test_a_negative_seed_exit_2_naming_the_seed(tmp_path, capsys, command):
     data_path, out_path = tmp_path / "data.csv", tmp_path / "out"

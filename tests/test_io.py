@@ -498,6 +498,41 @@ class TestReaderContract:
             TEXT_READERS[name](path)
         assert str(raised.value) == f"{path}: not UTF-8 text: invalid start byte b'\\xff'"
 
+    @pytest.mark.parametrize(
+        "name, refused",
+        [(name, False) for name in TEXT_READERS]
+        + [(name, True) for name in TEXT_READERS if name != "detect_format"],  # "#0,1" is a dense first line
+    )
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, name, refused):
+        # Spreadsheet "CSV UTF-8" exports start with the mark EF BB BF.  A
+        # refused file's bad cell is its first, right behind the mark.
+        lines = ['{"k": [1, 2]}'] if name == "report" else READERS.get(name, READERS["dense"])[1]
+        if refused:
+            lines = ["#" + lines[0]] + lines[1:]
+        text = ("\n".join(lines) + "\n").encode()
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+
+        def outcome(path):
+            try:
+                got = TEXT_READERS[name](path)
+            except DataFormatError as exc:
+                return None, str(exc).replace(str(path), "<path>")
+            return (got if isinstance(got, (str, dict)) else np.asarray(got).tolist()), None
+
+        expected = outcome(plain)
+        assert (expected[1] is not None) == refused
+        assert outcome(marked) == expected
+
+    def test_a_saved_file_behind_a_byte_order_mark_takes_the_table_reader(self, tmp_path):
+        path = tmp_path / "m.csv"
+        values = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)
+        save_dense(path, BinaryMatrix(values))
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert io._saved_dense(path.read_bytes()) is None
+        assert _same(load_matrix(path).values, values)
+
     def test_label_file_with_two_numbers_per_line_is_refused(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("0 1\n2 3\n")
