@@ -30,8 +30,10 @@ every row from K up holds a zero row's terms.
   every row above down one, the top row keeping its zero row's terms.  A
   moved term is the log of the same count under the same hyperparameters as
   a recomputation: same bits.
-- The distribution selects and sums each row's terms in numpy's pairwise
-  order, then shifts, tempers, seats and normalises in the steps of
+- The distribution first sums the live rows' sizes and, unless they cover
+  the other N - 1 objects, returns with nothing changed, for Python to
+  refuse the call.  It then selects and sums each row's terms in numpy's
+  pairwise order, and shifts, tempers, seats and normalises in the steps of
   :func:`binclust.model.assignment_distribution`.
 
 Each object also keeps its scores between visits: its untempered
@@ -54,13 +56,19 @@ once the partition settles a visit scores no row at all.  The score memo is
 N x capacity doubles, N/(4D) of the term cache: 192 KB at N = D = 2000 with
 12 rows.
 
-The C source uses no Python C API.  The first process that needs it compiles
-it with ``gcc`` into ``__pycache__/visit-<hash>.so`` beside this file (the
-hash covers the source, the flags and the machine type), writing a temporary
-file and renaming it into place, then deletes the builds of other sources
-there; every process loads that file with :mod:`ctypes`.  If the build or
-the load fails, one ``RuntimeWarning`` names the error and the numpy code in
-:mod:`binclust.model` runs instead.  That
+The C source ends in a small CPython extension module, ``_visit``: one
+``METH_FASTCALL`` entry per ``bc_`` function, named as it, which takes the
+address of the state's ``bc_state`` and the function's other arguments and
+refuses another count or type with ``TypeError``.  The first process that
+needs it compiles it with ``gcc`` against this interpreter's headers into
+``__pycache__/visit-<hash><suffix>`` beside this file (``<suffix>`` is the
+interpreter's extension suffix, ABI tag included; the hash covers the source,
+the flags, the machine type and the suffix), writing a temporary file and
+renaming it into place, then deletes this interpreter's builds of other
+sources there; every process loads that file through the import system's
+:class:`~importlib.machinery.ExtensionFileLoader`.  If the build or the load
+fails, for want of ``gcc`` or of ``Python.h``, one ``RuntimeWarning`` names
+the error and the numpy code in :mod:`binclust.model` runs instead.  That
 code scores with the plain collapsed predictive, the reference the tests hold
 this kernel to: libm's ``log`` and ``exp`` may differ from numpy's in the last
 bit, every other step is the same.
@@ -71,15 +79,20 @@ import ctypes
 import functools
 import glob
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import platform
 import subprocess
+import sysconfig
 import tempfile
 import warnings
 
 import numpy as np
 
 SOURCE = r"""
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -192,7 +205,7 @@ static double left_out(double shape, int64_t m)
    4 x D terms: what the cache fills its rows with and is checked against.
    The pending row's terms count its object in.  Returns the denominator sum the
    distribution reads for the row, that of its size. */
-double bc_row_terms(const bc_state *s, int64_t k, double *terms)
+static double bc_row_terms(const bc_state *s, int64_t k, double *terms)
 {
     const int64_t d = s->n_features, pending = k == s->pending_row, n = s->sizes[k] + pending;
     const int64_t *c = s->counts + k * d;
@@ -210,7 +223,7 @@ double bc_row_terms(const bc_state *s, int64_t k, double *terms)
 /* Object i's untempered log-likelihood at row k from the row's statistics
    alone, none memoised: what its memo holds for the row.  The statistics
    count the pending object in and leave object i out. */
-double bc_row_score(const bc_state *s, int64_t i, int64_t k)
+static double bc_row_score(const bc_state *s, int64_t i, int64_t k)
 {
     const int64_t d = s->n_features, pending = k == s->pending_row, *c = s->counts + k * d;
     const int64_t out = s->assignments[i] == k || (pending && i == s->pending_object), n = s->sizes[k] + pending - out;
@@ -263,7 +276,7 @@ static int64_t recount(bc_state *s, int64_t i, int64_t k, int64_t sign)
    keeps members keeps its log terms and becomes the pending row.  A row left
    empty dies: the terms above it move down one row, and the state moves the
    statistics next; the top row keeps a zero row's terms. */
-void bc_detach(bc_state *s, int64_t i, int64_t k)
+static void bc_detach(bc_state *s, int64_t i, int64_t k)
 {
     settle(s);
     if (recount(s, i, k, -1) > 0) {
@@ -281,7 +294,7 @@ void bc_detach(bc_state *s, int64_t i, int64_t k)
    no tick; anywhere else, after settling the pending row, with D logs.  A
    birth also ticks the row above, where the new-cluster row now stands: the
    state grows its buffers before a birth that would take the last row. */
-void bc_attach(bc_state *s, int64_t i, int64_t k)
+static void bc_attach(bc_state *s, int64_t i, int64_t k)
 {
     if (s->pending_object == i && s->pending_row == k) {
         s->pending_object = s->pending_row = -1;
@@ -307,9 +320,16 @@ void bc_attach(bc_state *s, int64_t i, int64_t k)
 
 /* The tempered distribution of detached object i over rows 0 .. top - 1,
    the last of them the new-cluster row, into probs.  A row unchanged since
-   object i's last distribution takes its score from the memo. */
-void bc_distribution(bc_state *s, int64_t i, int64_t top, double temperature)
+   object i's last distribution takes its score from the memo.  Returns 0,
+   having changed nothing, unless the sizes of the live rows 0 .. top - 2 sum
+   to N - 1, as they do with object i alone detached; else 1. */
+static int bc_distribution(bc_state *s, int64_t i, int64_t top, double temperature)
 {
+    int64_t covered = 0;
+    for (int64_t k = 0; k < top - 1; k++)
+        covered += s->sizes[k];
+    if (covered != s->n_objects - 1)
+        return 0;
     const int64_t d = s->n_features, seen = s->scored_at[i];
     const uint8_t *x = s->values + i * d;
     double *p = s->probs, *memo = s->scores + i * s->capacity;
@@ -342,26 +362,136 @@ void bc_distribution(bc_state *s, int64_t i, int64_t top, double temperature)
     const double total = pairwise_sum(p, top);
     for (int64_t k = 0; k < top; k++)
         p[k] /= total;
+    return 1;
+}
+
+/* The module's entries, one per bc_ function above and named as it: each
+   takes the address of a bc_state as an int, then the function's other
+   arguments, and refuses another count or type with TypeError.  An int64_t
+   is a Python int or any object with __index__, a double any real number. */
+
+static int arity(const char *name, Py_ssize_t nargs, Py_ssize_t expected)
+{
+    if (nargs == expected)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)", name, expected, nargs);
+    return -1;
+}
+
+/* Each converter returns nonzero, with the exception set, where arg does not convert. */
+static int to_pointer(PyObject *arg, void **out)
+{
+    *out = PyLong_AsVoidPtr(arg);
+    return *out == NULL && PyErr_Occurred() != NULL;
+}
+
+static int to_int64(PyObject *arg, int64_t *out)
+{
+    *out = PyLong_AsLongLong(arg);
+    return *out == -1 && PyErr_Occurred() != NULL;
+}
+
+static int to_double(PyObject *arg, double *out)
+{
+    *out = PyFloat_AsDouble(arg);
+    return *out == -1.0 && PyErr_Occurred() != NULL;
+}
+
+static PyObject *py_detach(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    void *s;
+    int64_t i, k;
+    (void)module;
+    if (arity("bc_detach", nargs, 3) || to_pointer(args[0], &s) || to_int64(args[1], &i) || to_int64(args[2], &k))
+        return NULL;
+    bc_detach(s, i, k);
+    Py_RETURN_NONE;
+}
+
+static PyObject *py_attach(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    void *s;
+    int64_t i, k;
+    (void)module;
+    if (arity("bc_attach", nargs, 3) || to_pointer(args[0], &s) || to_int64(args[1], &i) || to_int64(args[2], &k))
+        return NULL;
+    bc_attach(s, i, k);
+    Py_RETURN_NONE;
+}
+
+static PyObject *py_distribution(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    void *s;
+    int64_t i, top;
+    double temperature;
+    (void)module;
+    if (arity("bc_distribution", nargs, 4) || to_pointer(args[0], &s) || to_int64(args[1], &i)
+        || to_int64(args[2], &top) || to_double(args[3], &temperature))
+        return NULL;
+    return PyBool_FromLong(bc_distribution(s, i, top, temperature));
+}
+
+static PyObject *py_row_terms(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    void *s, *terms;
+    int64_t k;
+    (void)module;
+    if (arity("bc_row_terms", nargs, 3) || to_pointer(args[0], &s) || to_int64(args[1], &k) || to_pointer(args[2], &terms))
+        return NULL;
+    return PyFloat_FromDouble(bc_row_terms(s, k, terms));
+}
+
+static PyObject *py_row_score(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    void *s;
+    int64_t i, k;
+    (void)module;
+    if (arity("bc_row_score", nargs, 3) || to_pointer(args[0], &s) || to_int64(args[1], &i) || to_int64(args[2], &k))
+        return NULL;
+    return PyFloat_FromDouble(bc_row_score(s, i, k));
+}
+
+/* The cast goes through void (*)(void), which -Wcast-function-type lets
+   pass: CPython calls each entry with the fast-call signature its flag names. */
+#define ENTRY(name, fn) {name, (PyCFunction)(void (*)(void))fn, METH_FASTCALL, NULL}
+
+static PyMethodDef methods[] = {
+    ENTRY("bc_detach", py_detach),
+    ENTRY("bc_attach", py_attach),
+    ENTRY("bc_distribution", py_distribution),
+    ENTRY("bc_row_terms", py_row_terms),
+    ENTRY("bc_row_score", py_row_score),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module_def = {PyModuleDef_HEAD_INIT, "_visit", NULL, -1, methods, NULL, NULL, NULL, NULL};
+
+PyMODINIT_FUNC PyInit__visit(void)
+{
+    return PyModule_Create(&module_def);
 }
 """
 
 _CC = "gcc"
-_FLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC")
+# The interpreter's headers, for Python.h.
+_FLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"])
 _CACHE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
+# What this interpreter's import system calls an extension module file, ABI tag included.
+_SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]
 
 # None until the first scoring of the process asks for the kernel; then the
-# loaded library, or False where it could not be built or loaded and the
-# numpy path runs.
+# loaded extension module, or False where it could not be built or loaded
+# and the numpy path runs.
 _lib = None
 
 
 def library():
-    """The kernel library, built or loaded on the first call; None on the numpy path."""
+    """The kernel's extension module, built or loaded on the first call; None on the numpy path."""
     global _lib
     if _lib is None:
         try:
             _lib = _load(_built())
-        except (OSError, subprocess.SubprocessError) as exc:
+        except (OSError, ImportError, subprocess.SubprocessError) as exc:
             _lib = False
             warnings.warn(
                 f"binclust: the compiled visit kernel is unavailable, the numpy path runs instead: {_describe(exc)}",
@@ -378,15 +508,21 @@ def _describe(exc):
     return str(exc)
 
 
-def _built():
-    """Path of the compiled library, compiled first if no process has yet.
+def _key():
+    """The build's cache key: a digest of the source, the flags, the machine type and the extension suffix."""
+    return hashlib.sha256("\0".join([SOURCE, *_FLAGS, platform.machine(), _SUFFIX]).encode()).hexdigest()[:16]
 
-    A build deletes every other ``visit-*.so`` beside it, the builds of other
-    sources, as far as it can; the temporary files of builds still running
-    are not ``.so`` files and stay.
+
+def _built():
+    """Path of the compiled extension module, compiled first if no process has yet.
+
+    A build deletes every other ``visit-*`` file with this interpreter's
+    extension suffix beside it, the builds of other sources, as far as it
+    can; the builds of other interpreters, and the temporary files of
+    builds still running, which are not such files, stay.
     """
-    key = hashlib.sha256("\0".join([SOURCE, *_FLAGS, platform.machine()]).encode()).hexdigest()[:16]
-    path = os.path.join(_CACHE_DIR, f"visit-{key}.so")
+    key = _key()
+    path = os.path.join(_CACHE_DIR, f"visit-{key}{_SUFFIX}")
     if not os.path.exists(path):
         os.makedirs(_CACHE_DIR, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=f"visit-{key}-", suffix=".tmp", dir=_CACHE_DIR)
@@ -400,7 +536,7 @@ def _built():
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        for stale in glob.glob(os.path.join(glob.escape(_CACHE_DIR), "visit-*.so")):
+        for stale in glob.glob(os.path.join(glob.escape(_CACHE_DIR), f"visit-*{glob.escape(_SUFFIX)}")):
             if stale != path:
                 with contextlib.suppress(OSError):
                     os.unlink(stale)
@@ -408,23 +544,15 @@ def _built():
 
 
 def _load(path):
-    lib = ctypes.CDLL(path)
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    for name, restype, argtypes in (
-        ("bc_detach", None, (ptr, i64, i64)),
-        ("bc_attach", None, (ptr, i64, i64)),
-        ("bc_distribution", None, (ptr, i64, i64, ctypes.c_double)),
-        ("bc_row_terms", ctypes.c_double, (ptr, i64, ptr)),
-        ("bc_row_score", ctypes.c_double, (ptr, i64, i64)),
-    ):
-        fn = getattr(lib, name)
-        fn.restype = restype
-        fn.argtypes = argtypes
-    return lib
+    """The extension module at ``path``, loaded by the import system's own loader."""
+    loader = importlib.machinery.ExtensionFileLoader("binclust._visit", path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module
 
 
 class _Context(ctypes.Structure):
-    """``bc_state`` of the C source, field for field."""
+    """``bc_state`` of the C source, field for field: the memory the C entries are handed the address of."""
 
     _fields_ = [
         ("n_objects", ctypes.c_int64),
@@ -475,6 +603,7 @@ class Visit:
         self._addr = ctypes.addressof(ctx)
         self.detach = functools.partial(lib.bc_detach, self._addr)
         self.attach = functools.partial(lib.bc_attach, self._addr)
+        self._distribution = functools.partial(lib.bc_distribution, self._addr)
         self._values, self._assignments = state._values, state.assignments
         # A detached object has N options at most: probs needs no growth.
         self._memo, self._probs, self._scratch = np.full(n + 1, np.nan), np.empty(n + 1), np.empty(d)
@@ -499,9 +628,11 @@ class Visit:
         return [self._lib.bc_row_terms(self._addr, k, terms[k].ctypes.data) for k in range(terms.shape[0])]
 
     def distribution(self, i, top, temperature):
-        """The distribution of detached object ``i`` over rows ``0 .. top - 1``, under the bound matrix."""
-        self._lib.bc_distribution(self._addr, i, top, temperature)
-        return self._probs[:top].copy()
+        """The distribution of detached object ``i`` over rows ``0 .. top - 1``, under the bound matrix;
+        None, with nothing changed, unless the sizes of rows ``0 .. top - 2`` sum to N - 1."""
+        if self._distribution(i, top, temperature):
+            return self._probs[:top].copy()
+        return None
 
     def check(self):
         """Raise unless every cache row, the memoised denominator of every row's size once

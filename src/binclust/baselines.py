@@ -110,8 +110,9 @@ def _lloyd(points, norms, gram, k, max_iters, rng):
 
     A cluster is its count row ``C_k`` and its size ``n_k``, known only
     through ``cross = x . C_k`` and ``q = |C_k|^2``.  The seeds start as
-    clusters of one row each, ``C_k = x_seed``; each step takes ``cross`` and
-    ``q`` from the one-hot labels (``_cluster_products``).  The WCSS is
+    clusters of one row each, ``C_k = x_seed``; each step that changes the
+    labels takes ``cross`` and ``q`` from the one-hot labels
+    (``_cluster_products``).  The WCSS is
     ``sum_k (n_k sum_{i in k} |x_i|^2 - q_k) / n_k``, its cluster terms
     summed in sorted order so that a relabeled run ties exactly.  Every
     count is an exact integer while N^2 D < 2^53, so the WCSS is within
@@ -137,9 +138,9 @@ def _lloyd(points, norms, gram, k, max_iters, rng):
             new_labels[worst] = empty
             sizes[empty] += 1
             d2[worst, :] = 0.0  # it is now its cluster's only member
-        cross, q = _cluster_products(points, gram, np.eye(k)[new_labels])
         if np.array_equal(new_labels, labels):
-            break
+            break  # cross and q are already those of these labels
+        cross, q = _cluster_products(points, gram, np.eye(k)[new_labels])
         labels = new_labels
     wcss = np.sort((sizes * np.bincount(labels, weights=norms, minlength=k) - q) / sizes).sum()
     return labels, float(wcss)

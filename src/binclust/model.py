@@ -317,12 +317,17 @@ def _check_index(value, n, name):
 
 
 def _check_object(i, state):
-    return _check_index(i, state.assignments.shape[0], "object index")
+    n = state.assignments.shape[0]
+    if type(i) is int and 0 <= i < n:  # what every visit passes
+        return i
+    return _check_index(i, n, "object index")
 
 
 def _check_option(option, n_clusters):
     """The row a cluster option seats an object in: ``n_clusters`` for ``NEW_CLUSTER``,
     else the option itself, refused unless it is an integer in [0, n_clusters)."""
+    if type(option) is int and 0 <= option < n_clusters:  # what a visit that stays or moves passes
+        return option
     if isinstance(option, str) and option == NEW_CLUSTER:
         return n_clusters
     return _check_index(option, n_clusters, f"a cluster option other than {NEW_CLUSTER!r}")
@@ -414,10 +419,6 @@ def assignment_distribution(i, state, data, hyper, temperature):
     i = _check_object(i, state)
     if state.assignments[i] != UNASSIGNED:
         raise ValueError(f"object {i} must be detached from the state first")
-    # np.add.reduce, not .sum(): the check runs on every visit, and .sum()
-    # adds a Python-level wrapper around the same reduction.
-    if np.add.reduce(state.sizes) != state.assignments.shape[0] - 1:
-        raise ValueError("state statistics must cover exactly the other n - 1 objects")
     if data.values is not state._values:
         state._check_values(data.values)
     visit = state._visit
@@ -427,10 +428,17 @@ def assignment_distribution(i, state, data, hyper, temperature):
 
         lib = _kernel.library()
         visit = state._visit = _kernel.Visit(lib, state, hyper) if lib else None
-    if visit:
-        return visit.distribution(i, state.n_clusters + 1, temperature)
     # Rows 0..K-1 are the existing clusters and row K, all-zero, the new one.
     top = state.n_clusters + 1
+    uncovered = "state statistics must cover exactly the other n - 1 objects"
+    if visit:
+        probs = visit.distribution(i, top, temperature)  # the kernel sums the sizes before it scores
+        if probs is None:
+            raise ValueError(uncovered)
+        return probs
+    # np.add.reduce, not .sum(): .sum() adds a Python-level wrapper around the same reduction.
+    if np.add.reduce(state.sizes) != state.assignments.shape[0] - 1:
+        raise ValueError(uncovered)
     loglik = _log_predictives(state._values[i], state._sizes[:top], state._counts[:top], hyper)
     loglik -= loglik.max()
     # At a cold T a worse option's shifted likelihood overflows to -inf,

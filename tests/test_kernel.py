@@ -1,6 +1,8 @@
 """The compiled visit kernel: its build and cache, its fallback, and runs equal to numpy's."""
 
 import ctypes
+import importlib.machinery
+import inspect
 import os
 import re
 import shutil
@@ -40,23 +42,23 @@ def test_the_ctypes_context_mirrors_the_c_struct_field_for_field():
     assert fields == [(name, c_types[field_type]) for name, field_type in _kernel._Context._fields_]
 
 
-def test_the_ctypes_signatures_match_the_c_prototypes():
-    # ctypes checks no arity: a C parameter missing from argtypes is read from a stray register.
+def test_every_entry_python_calls_is_exported_and_refuses_a_wrong_count_or_type():
     lib = _kernel.library()
-    c_types = {"void": None, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
-    prototypes = {}
-    for restype, name, params in re.findall(r"^(\w+)\s+(bc_\w+)\(([^)]*)\)\s*\{", _kernel.SOURCE, re.M):
-        argtypes = []
-        for param in params.split(","):
-            match = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s*(\*?)\s*\w+\s*", param)
-            assert match, f"one named parameter each, got {param.strip()!r} in {name}"
-            argtypes.append(ctypes.c_void_p if match.group(2) else c_types[match.group(1)])
-        prototypes[name] = (c_types[restype], argtypes)
-    bound = {name for name in vars(lib) if name.startswith("bc_")}  # CDLL keeps each function it was asked for
-    assert bound == set(prototypes)
-    for name, (restype, argtypes) in prototypes.items():
-        fn = getattr(lib, name)
-        assert (fn.restype, list(fn.argtypes)) == (restype, argtypes), name
+    called = set(re.findall(r"\.(bc_\w+)\b", inspect.getsource(_kernel.Visit)))
+    arity = {name: len(params.split(",")) for name, params in re.findall(r"^static \w+ (bc_\w+)\(([^)]*)\)", _kernel.SOURCE, re.M)}
+    assert called == set(arity) == {name for name in vars(lib) if name.startswith("bc_")}
+    for name, n in arity.items():
+        entry = getattr(lib, name)
+        for count in (0, n - 1, n + 1):
+            with pytest.raises(TypeError, match=rf"{name}\(\) takes {n} arguments \({count} given\)"):
+                entry(*[0] * count)
+        # Every argument converts before the C function runs: a refusal never reaches address 0.
+        for position in range(n):
+            for bad in ("1", None):
+                args = [0] * n
+                args[position] = bad
+                with pytest.raises(TypeError):
+                    entry(*args)
 
 
 @pytest.mark.parametrize("compiler", ["missing", "failing"])
@@ -101,7 +103,7 @@ def test_the_build_lands_in_pycache_and_a_second_process_loads_it_without_gcc(tm
         "data, _ = bc.generate(bc.SyntheticSpec(12, 6, 30, 10, k_true=2, seed=0))\n"
         "bc.run(data, schedule=bc.AnnealingSchedule(n_sweeps=2))\n"
         "assert _kernel._lib\n"
-        "print(_kernel._lib._name)\n"
+        "print(_kernel._lib.__file__)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(tmp_path / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, "-W", "error::RuntimeWarning", "-c", script]
@@ -109,7 +111,7 @@ def test_the_build_lands_in_pycache_and_a_second_process_loads_it_without_gcc(tm
     assert first.returncode == 0, first.stderr
     built = Path(first.stdout.strip())
     assert built.parent == package / "__pycache__"
-    assert built.name.startswith("visit-") and built.suffix == ".so"
+    assert built.name.startswith("visit-") and built.name.endswith(importlib.machinery.EXTENSION_SUFFIXES[0])
     assert sorted(package.rglob("*")) == sorted(copied + [built.parent, built])
     assert "__pycache__/" in (ROOT / ".gitignore").read_text().split()
     stamp = built.stat().st_mtime_ns
@@ -122,12 +124,21 @@ def test_the_build_lands_in_pycache_and_a_second_process_loads_it_without_gcc(tm
 
 
 def test_a_build_deletes_stale_builds_but_not_a_running_builds_file(monkeypatch, tmp_path):
-    stale, running = tmp_path / "visit-0123456789abcdef.so", tmp_path / "visit-fedcba9876543210-x1y2.tmp"
-    for planted in (stale, running):
+    stale = tmp_path / f"visit-0123456789abcdef{_kernel._SUFFIX}"
+    running = tmp_path / "visit-fedcba9876543210-x1y2.tmp"
+    other_interpreter = tmp_path / "visit-0011223344556677.cpython-00-other.so"
+    for planted in (stale, running, other_interpreter):
         planted.write_bytes(b"")
     monkeypatch.setattr(_kernel, "_CACHE_DIR", str(tmp_path))
     built = Path(_kernel._built())
-    assert sorted(tmp_path.iterdir()) == sorted([built, running])
+    assert sorted(tmp_path.iterdir()) == sorted([built, running, other_interpreter])
+
+
+def test_the_cache_key_covers_the_extension_suffix(monkeypatch):
+    # A build for another interpreter's ABI is never loaded by this one.
+    key = _kernel._key()
+    monkeypatch.setattr(_kernel, "_SUFFIX", ".cpython-00-other.so")
+    assert _kernel._key() != key
 
 
 def test_the_source_compiles_without_warnings(tmp_path):
@@ -209,7 +220,8 @@ for growth in ("after a death", "with a row pending"):
 # deaths, checking the kernel's cache after every sweep; visits objects that
 # return to their own row, some of them scored under another hyperparameter
 # object between detach and attach; detaches two objects at once and swaps
-# them; then runs from the coldest start there is.
+# them; refuses to score one of two detached objects, changing no memo; then
+# runs from the coldest start there is.
 _SANITIZED_RUN = """
 import numpy as np
 from binclust import _kernel
@@ -262,6 +274,18 @@ for i in range(0, data.n_objects - 1, 2):  # two objects out: the second detach 
     insert_object(state, i + 1, k_first, data)
     insert_object(state, i, k_second, data)
     state.check_consistency(data)
+k_first, k_second = remove_object(state, 0, data), remove_object(state, 1, data)
+memo = state._visit._ctx.clock, state._visit._scored_at.tobytes(), state._visit._scores.tobytes()
+try:
+    assignment_distribution(0, state, data, hyper, 0.5)
+except ValueError:
+    pass
+else:
+    raise AssertionError("a state with two objects detached was scored")
+assert (state._visit._ctx.clock, state._visit._scored_at.tobytes(), state._visit._scores.tobytes()) == memo
+insert_object(state, 1, k_second, data)
+insert_object(state, 0, k_first, data)
+state.check_consistency(data)
 run(data, schedule=AnnealingSchedule(t_init=5e-324, n_sweeps=5), k_init=8, seed=1)
 """ + _SANITIZED_TOP_ROW
 

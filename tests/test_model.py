@@ -421,6 +421,24 @@ class TestAssignmentDistribution:
                 with pytest.raises(ValueError, match="must cover exactly the other n - 1 objects"):
                     assignment_distribution(0, state, data, _uniform_hyper(1), temperature=1.0)
 
+    def test_refusing_a_second_detached_object_leaves_the_kernels_memo_as_it_was(self):
+        data, _ = generate(SyntheticSpec(20, 30, 20, 5, k_true=3, seed=2))
+        hyper = default_hyperparams(data)
+        with visit_path("compiled"):
+            state = ClusterState(data, np.arange(20) % 3)
+            gibbs_sweep(state, data, hyper, 1.0, np.random.default_rng(0))  # binds the kernel and scores every object
+            k = state.n_clusters
+            first, second = remove_object(state, 0, data), remove_object(state, 5, data)
+            assert state.n_clusters == k  # no death: both can go back
+            visit = state._visit
+            memo = visit._ctx.clock, visit._scored_at.tobytes(), visit._scores.tobytes(), visit._probs.tobytes()
+            with pytest.raises(ValueError, match="must cover exactly the other n - 1 objects"):
+                assignment_distribution(0, state, data, hyper, 1.0)
+            assert (visit._ctx.clock, visit._scored_at.tobytes(), visit._scores.tobytes(), visit._probs.tobytes()) == memo
+            insert_object(state, 5, second, data)
+            insert_object(state, 0, first, data)
+            state.check_consistency(data)
+
     @pytest.mark.parametrize("width", [1, 3])
     def test_rejects_hyperparams_of_another_width(self, width):
         data = BinaryMatrix([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]])
