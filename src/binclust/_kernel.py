@@ -31,7 +31,7 @@ every row from K up holds a zero row's terms.
   moved term is the log of the same count under the same hyperparameters as
   a recomputation: same bits.
 - The distribution first sums the live rows' sizes and, unless they cover
-  the other N - 1 objects, returns with nothing changed, for Python to
+  the other N - 1 objects, returns false with nothing changed, for Python to
   refuse the call.  It then selects and sums each row's terms in numpy's
   pairwise order, and shifts, tempers, seats and normalises in the steps of
   :func:`binclust.model.assignment_distribution`.
@@ -59,13 +59,17 @@ N x capacity doubles, N/(4D) of the term cache: 192 KB at N = D = 2000 with
 The C source ends in a small CPython extension module, ``_visit``: one
 ``METH_FASTCALL`` entry per ``bc_`` function, named as it, which takes the
 address of the state's ``bc_state`` and the function's other arguments and
-refuses another count or type with ``TypeError``.  The first process that
-needs it compiles it with ``gcc`` against this interpreter's headers into
+refuses another count or type with ``TypeError``.  :class:`Visit` binds
+three to one state as ``detach``, ``attach`` and ``distribution``; the
+``bc_state`` it hands them is a ctypes structure whose fields are read from
+the struct in the source.  The first process that needs the module compiles
+it with ``gcc`` against this interpreter's headers into
 ``__pycache__/visit-<hash><suffix>`` beside this file (``<suffix>`` is the
 interpreter's extension suffix, ABI tag included; the hash covers the source,
 the flags, the machine type and the suffix), writing a temporary file and
 renaming it into place, then deletes this interpreter's builds of other
-sources there; every process loads that file through the import system's
+sources there and the ``ctypes`` builds of earlier versions; every process
+loads that file through the import system's
 :class:`~importlib.machinery.ExtensionFileLoader`.  If the build or the load
 fails, for want of ``gcc`` or of ``Python.h``, one ``RuntimeWarning`` names
 the error and the numpy code in :mod:`binclust.model` runs instead.  That
@@ -83,6 +87,7 @@ import importlib.machinery
 import importlib.util
 import os
 import platform
+import re
 import subprocess
 import sysconfig
 import tempfile
@@ -517,9 +522,10 @@ def _built():
     """Path of the compiled extension module, compiled first if no process has yet.
 
     A build deletes every other ``visit-*`` file with this interpreter's
-    extension suffix beside it, the builds of other sources, as far as it
-    can; the builds of other interpreters, and the temporary files of
-    builds still running, which are not such files, stay.
+    extension suffix beside it, the builds of other sources, and every
+    ``visit-<16 hex digits>.so``, an older version's ctypes build, as far as
+    it can; the builds of other interpreters, and the temporary files of
+    builds still running, which are neither, stay.
     """
     key = _key()
     path = os.path.join(_CACHE_DIR, f"visit-{key}{_SUFFIX}")
@@ -536,8 +542,9 @@ def _built():
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        for stale in glob.glob(os.path.join(glob.escape(_CACHE_DIR), f"visit-*{glob.escape(_SUFFIX)}")):
-            if stale != path:
+        for stale in glob.glob(os.path.join(glob.escape(_CACHE_DIR), "visit-*")):
+            ctypes_era = re.fullmatch(r"visit-[0-9a-f]{16}\.so", os.path.basename(stale))
+            if stale != path and (stale.endswith(_SUFFIX) or ctypes_era):
                 with contextlib.suppress(OSError):
                     os.unlink(stale)
     return path
@@ -551,31 +558,27 @@ def _load(path):
     return module
 
 
-class _Context(ctypes.Structure):
-    """``bc_state`` of the C source, field for field: the memory the C entries are handed the address of."""
+def _fields(source):
+    """``bc_state``'s fields in ``source`` as ctypes ``_fields_``: each declaration, comments
+    aside, one ``[const] type [*]name`` of an ``int64_t``, a ``double`` or any pointer;
+    ``ValueError`` names any other."""
+    c_types = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    body = re.search(r"typedef struct \{(.*?)\} bc_state;", source, re.S).group(1)
+    fields = []
+    for declaration in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+        match = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s*(\*?)\s*(\w+)\s*", declaration)
+        if not (match and (match[2] or match[1] in c_types)):
+            raise ValueError(f"bc_state: cannot mirror the declaration {declaration.strip()!r} in ctypes")
+        c_type, pointer, name = match.groups()
+        fields.append((name, ctypes.c_void_p if pointer else c_types[c_type]))
+    return fields
 
-    _fields_ = [
-        ("n_objects", ctypes.c_int64),
-        ("n_features", ctypes.c_int64),
-        ("capacity", ctypes.c_int64),
-        ("values", ctypes.c_void_p),
-        ("assignments", ctypes.c_void_p),
-        ("sizes", ctypes.c_void_p),
-        ("counts", ctypes.c_void_p),
-        ("log_terms", ctypes.c_void_p),
-        ("a", ctypes.c_void_p),
-        ("b", ctypes.c_void_p),
-        ("alpha", ctypes.c_double),
-        ("denom_memo", ctypes.c_void_p),
-        ("scratch", ctypes.c_void_p),
-        ("probs", ctypes.c_void_p),
-        ("pending_object", ctypes.c_int64),
-        ("pending_row", ctypes.c_int64),
-        ("clock", ctypes.c_int64),
-        ("changed", ctypes.c_void_p),
-        ("scores", ctypes.c_void_p),
-        ("scored_at", ctypes.c_void_p),
-    ]
+
+class _Context(ctypes.Structure):
+    """The memory of one ``bc_state``, whose address the C entries are handed.  Its
+    fields are read from the struct in the C source, the one place they are declared."""
+
+    _fields_ = _fields(SOURCE)
 
 
 class Visit:
@@ -586,8 +589,11 @@ class Visit:
     ``bc_row_terms`` computes from that row's statistics under ``hyper``, and
     leaves no row pending: ``detach(i, k)`` and ``attach(i, k)``, the C entries
     bound to this kernel, keep the rows they touch so, the pending row as the
-    row with its object in.  The score memo starts empty, at tick 0, and the
-    C entries tick the rows they change.  Scoring binds a kernel, and growth
+    row with its object in.  ``distribution(i, top, temperature)`` writes the
+    distribution of detached object i over rows ``0 .. top - 1`` into ``probs``
+    and returns True; False, changing nothing, unless rows ``0 .. top - 2`` hold
+    N - 1 objects.  The score memo starts empty, at tick 0, and the C entries
+    tick the rows they change.  Scoring binds a kernel, and growth
     drops it (the module docstring gives the rule).  It holds a reference to
     every array whose address the C side keeps, so none is freed while bound.
     """
@@ -603,10 +609,10 @@ class Visit:
         self._addr = ctypes.addressof(ctx)
         self.detach = functools.partial(lib.bc_detach, self._addr)
         self.attach = functools.partial(lib.bc_attach, self._addr)
-        self._distribution = functools.partial(lib.bc_distribution, self._addr)
+        self.distribution = functools.partial(lib.bc_distribution, self._addr)
         self._values, self._assignments = state._values, state.assignments
         # A detached object has N options at most: probs needs no growth.
-        self._memo, self._probs, self._scratch = np.full(n + 1, np.nan), np.empty(n + 1), np.empty(d)
+        self._memo, self.probs, self._scratch = np.full(n + 1, np.nan), np.empty(n + 1), np.empty(d)
         self._sizes, self._counts = state._sizes, state._counts
         self._terms = np.empty((capacity, 4, d))
         # The clock starts at 0, when every row changed and no object has scored: the score memo covers nothing.
@@ -616,7 +622,7 @@ class Visit:
             buf.ctypes.data for buf in (self._values, self._assignments, self._sizes, self._counts, self._terms)
         )
         ctx.a, ctx.b, ctx.denom_memo, ctx.probs, ctx.scratch = (
-            buf.ctypes.data for buf in (hyper.a, hyper.b, self._memo, self._probs, self._scratch)
+            buf.ctypes.data for buf in (hyper.a, hyper.b, self._memo, self.probs, self._scratch)
         )
         ctx.changed, ctx.scored_at, ctx.scores = (
             buf.ctypes.data for buf in (self._changed, self._scored_at, self._scores)
@@ -626,13 +632,6 @@ class Visit:
     def _recompute(self, terms):
         """Fill every row of the cache-shaped ``terms`` from the statistics; return their denominators."""
         return [self._lib.bc_row_terms(self._addr, k, terms[k].ctypes.data) for k in range(terms.shape[0])]
-
-    def distribution(self, i, top, temperature):
-        """The distribution of detached object ``i`` over rows ``0 .. top - 1``, under the bound matrix;
-        None, with nothing changed, unless the sizes of rows ``0 .. top - 2`` sum to N - 1."""
-        if self._distribution(i, top, temperature):
-            return self._probs[:top].copy()
-        return None
 
     def check(self):
         """Raise unless every cache row, the memoised denominator of every row's size once

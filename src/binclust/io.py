@@ -9,7 +9,7 @@ format is told from its first non-blank line: a comma or a single field
 means dense, two integers mean sparse.
 
 Every reader parses its file with numpy's ``loadtxt`` through one table
-reader, the one general parser.  ``load_matrix`` first takes a file in the
+reader, the one general parser.  ``load_dense`` first takes a file in the
 exact layout ``save_dense`` writes as one byte view, and gives any other file
 to that reader; both read the same matrix from a file in that layout.  A file
 whose bytes are not UTF-8 is refused by name; a leading UTF-8 byte-order mark,
@@ -101,9 +101,14 @@ def _saved_dense(raw):
 
 
 def load_dense(path):
-    """Read a dense CSV binary matrix (optional header row)."""
-    table = _read_table(path, np.uint8)
-    _refuse_cells(path, table, table > 1, "non-binary value")
+    """Read a dense CSV binary matrix (optional header row).  A file in
+    ``save_dense``'s exact layout is read as one byte view, any other by the
+    table reader."""
+    with open(path, "rb") as fh:
+        table = _saved_dense(fh.read())  # the bytes are freed before any fallback parse
+    if table is None:
+        table = _read_table(path, np.uint8)
+        _refuse_cells(path, table, table > 1, "non-binary value")
     return BinaryMatrix(table)
 
 
@@ -231,13 +236,7 @@ def detect_format(path):
 
 
 def load_matrix(path):
-    """Load a binary matrix in either format, auto-detected.  A file in
-    ``save_dense``'s exact layout is read as one byte view, any other by the
-    table reader."""
-    with open(path, "rb") as fh:
-        values = _saved_dense(fh.read())  # the bytes are freed before any fallback parse
-    if values is not None:
-        return BinaryMatrix(values)
+    """Load a binary matrix in either format, auto-detected."""
     return load_dense(path) if detect_format(path) == "dense" else load_sparse(path)
 
 

@@ -432,10 +432,9 @@ def assignment_distribution(i, state, data, hyper, temperature):
     top = state.n_clusters + 1
     uncovered = "state statistics must cover exactly the other n - 1 objects"
     if visit:
-        probs = visit.distribution(i, top, temperature)  # the kernel sums the sizes before it scores
-        if probs is None:
+        if not visit.distribution(i, top, temperature):  # the kernel sums the sizes before it scores
             raise ValueError(uncovered)
-        return probs
+        return visit.probs[:top].copy()
     # np.add.reduce, not .sum(): .sum() adds a Python-level wrapper around the same reduction.
     if np.add.reduce(state.sizes) != state.assignments.shape[0] - 1:
         raise ValueError(uncovered)

@@ -279,6 +279,15 @@ class TestGapStatistic:
         result = gap_statistic(data, k_max=5, n_refs=4, rng=np.random.default_rng(0))
         assert result.chosen_k == 1
 
+    def test_a_non_finite_gap_never_passes_the_gap_rule(self):
+        # Six distinct rows: no k <= 5 separates them, but at each k >= 2 some
+        # reference draw is separated exactly, with a WCSS of 0, so its gap is
+        # -inf; the rule compares no pair of gaps and k_max is chosen.
+        result = gap_statistic(BinaryMatrix(np.eye(6, dtype=np.uint8)), k_max=5, n_refs=3, rng=29)
+        assert result.gap_curve[0] == pytest.approx(-np.log(2))
+        assert np.array_equal(result.gap_curve[1:], np.full(4, -np.inf))
+        assert result.chosen_k == 5
+
     def test_noiseless_planted_clusters_recovered(self):
         for seed in range(5):
             spec = SyntheticSpec(n_objects=60, n_features=40, info_pct=25, noise_pct=0, k_true=4, seed=seed)

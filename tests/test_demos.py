@@ -1,4 +1,4 @@
-"""Every demo runs to completion."""
+"""Every demo runs to completion, with every warning an error."""
 
 import os
 import subprocess
@@ -19,7 +19,8 @@ def test_demo_exits_zero(tmp_path, name):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     env["TMPDIR"] = str(tmp_path)  # demo 04 writes its files under a fresh temporary directory
     done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(ROOT / "demos" / name)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert "False" not in done.stdout

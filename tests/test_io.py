@@ -1,5 +1,7 @@
 """File formats, round-trips, and the preprocessing transforms."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -185,7 +187,8 @@ def _loaded(load, path):
 
 def _parsed(path):
     """``load_matrix`` without the byte view: format detection and the table reader."""
-    return load_dense(path) if detect_format(path) == "dense" else load_sparse(path)
+    with mock.patch.object(io, "_saved_dense", lambda raw: None):
+        return load_matrix(path)
 
 
 def _same(a, b):
@@ -195,8 +198,23 @@ def _same(a, b):
 
 
 class TestSavedLayoutFastPath:
-    """``load_matrix`` reads ``save_dense``'s exact layout as one byte view; any
-    other file, however close, gets the table reader's matrix or error."""
+    """``load_dense``, and so ``load_matrix``, reads ``save_dense``'s exact layout
+    as one byte view; any other file, however close, gets the table reader's
+    matrix or error."""
+
+    def test_load_dense_reads_a_saved_file_without_the_table_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.csv"
+        values = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)
+        save_dense(path, BinaryMatrix(values))
+        monkeypatch.setattr(io, "_read_table", mock.Mock(side_effect=AssertionError("the table reader ran")))
+        assert _same(load_dense(path).values, values)
+
+    def test_load_matrix_never_reads_a_sparse_file_as_a_byte_view(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.txt"
+        values = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)
+        save_sparse(path, BinaryMatrix(values))
+        monkeypatch.setattr(io, "_saved_dense", mock.Mock(side_effect=AssertionError("the byte view ran")))
+        assert _same(load_matrix(path).values, values)
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12), elements=st.integers(0, 1)))

@@ -1,6 +1,5 @@
 """The compiled visit kernel: its build and cache, its fallback, and runs equal to numpy's."""
 
-import ctypes
 import importlib.machinery
 import inspect
 import os
@@ -30,16 +29,11 @@ def test_the_kernel_builds_and_loads_here():
     assert _kernel.library() is not None
 
 
-def test_the_ctypes_context_mirrors_the_c_struct_field_for_field():
-    body = re.search(r"typedef struct \{(.*?)\} bc_state;", _kernel.SOURCE, re.S).group(1)
-    fields = []
-    for declaration in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
-        match = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s*(\*?)\s*(\w+)\s*", declaration)
-        assert match, f"one field per declaration, got {declaration.strip()!r}"
-        c_type, pointer, name = match.groups()
-        fields.append((name, "pointer" if pointer else c_type))
-    c_types = {ctypes.c_int64: "int64_t", ctypes.c_double: "double", ctypes.c_void_p: "pointer"}
-    assert fields == [(name, c_types[field_type]) for name, field_type in _kernel._Context._fields_]
+@pytest.mark.parametrize("declaration", ["int64_t a, b", "int32_t n"])
+def test_the_field_parse_refuses_a_declaration_ctypes_cannot_mirror(declaration):
+    source = f"typedef struct {{\n    double alpha;\n    {declaration}; /* a comment */\n}} bc_state;"
+    with pytest.raises(ValueError, match=re.escape(repr(declaration))):
+        _kernel._fields(source)
 
 
 def test_every_entry_python_calls_is_exported_and_refuses_a_wrong_count_or_type():
@@ -127,11 +121,13 @@ def test_a_build_deletes_stale_builds_but_not_a_running_builds_file(monkeypatch,
     stale = tmp_path / f"visit-0123456789abcdef{_kernel._SUFFIX}"
     running = tmp_path / "visit-fedcba9876543210-x1y2.tmp"
     other_interpreter = tmp_path / "visit-0011223344556677.cpython-00-other.so"
-    for planted in (stale, running, other_interpreter):
+    ctypes_era = tmp_path / "visit-785726fff974475b.so"  # loaded by ctypes before the kernel was an extension module
+    not_a_key = tmp_path / "visit-785726fff974475.so"  # 15 hex digits: no build of this module
+    for planted in (stale, running, other_interpreter, ctypes_era, not_a_key):
         planted.write_bytes(b"")
     monkeypatch.setattr(_kernel, "_CACHE_DIR", str(tmp_path))
     built = Path(_kernel._built())
-    assert sorted(tmp_path.iterdir()) == sorted([built, running, other_interpreter])
+    assert sorted(tmp_path.iterdir()) == sorted([built, running, other_interpreter, not_a_key])
 
 
 def test_the_cache_key_covers_the_extension_suffix(monkeypatch):

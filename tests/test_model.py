@@ -431,10 +431,10 @@ class TestAssignmentDistribution:
             first, second = remove_object(state, 0, data), remove_object(state, 5, data)
             assert state.n_clusters == k  # no death: both can go back
             visit = state._visit
-            memo = visit._ctx.clock, visit._scored_at.tobytes(), visit._scores.tobytes(), visit._probs.tobytes()
+            memo = visit._ctx.clock, visit._scored_at.tobytes(), visit._scores.tobytes(), visit.probs.tobytes()
             with pytest.raises(ValueError, match="must cover exactly the other n - 1 objects"):
                 assignment_distribution(0, state, data, hyper, 1.0)
-            assert (visit._ctx.clock, visit._scored_at.tobytes(), visit._scores.tobytes(), visit._probs.tobytes()) == memo
+            assert (visit._ctx.clock, visit._scored_at.tobytes(), visit._scores.tobytes(), visit.probs.tobytes()) == memo
             insert_object(state, 5, second, data)
             insert_object(state, 0, first, data)
             state.check_consistency(data)
