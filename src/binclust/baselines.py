@@ -216,8 +216,6 @@ def gap_statistic(data, k_max=15, n_refs=10, rng=None):
     else:
         chosen_k = k_max
         for k in range(1, k_max):
-            if not (np.isfinite(gap_curve[k - 1]) and np.isfinite(gap_curve[k])):
-                continue
             if gap_curve[k - 1] >= gap_curve[k] - sk_curve[k]:
                 chosen_k = k
                 break

@@ -289,12 +289,13 @@ def save_report_dict(path, report_dict):
 
 
 def load_report(path):
-    """Read a report JSON back into a plain dict."""
+    """Read a report JSON back into a plain dict, refusing by name a file that does not parse."""
     with _open_text(path) as fh:
-        try:
-            report = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
+        text = fh.read()
+    try:
+        report = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too many digits, or nesting too deep
+        raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(report, dict):
         raise DataFormatError(f"{path}: report must be a JSON object")
     return report
@@ -331,9 +332,9 @@ def percentile_binarize(values, pct, direction="below"):
     The threshold is the ``pct``-th percentile (linear interpolation between
     order statistics) of the column's non-NaN entries; an output cell is 1
     iff its value is strictly below (``direction="below"``) or strictly
-    above (``direction="above"``) that threshold.  NaN cells binarize to 0
-    and their rows are reported in the returned mask so the caller can drop
-    them.  Returns ``(BinaryMatrix, rows_with_missing_mask)``.
+    above (``direction="above"``) that threshold.  NaN cells binarize to 0 and
+    their rows are reported in the returned mask; an infinite cell is refused.
+    Returns ``(BinaryMatrix, rows_with_missing_mask)``.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
@@ -342,6 +343,9 @@ def percentile_binarize(values, pct, direction="below"):
         raise ValueError("pct must lie strictly between 0 and 100")
     if direction not in ("below", "above"):
         raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")
+    if np.isinf(values).any():
+        r, c = np.argwhere(np.isinf(values))[0].tolist()
+        raise ValueError(f"infinite value {values[r, c]} at row {r}, column {c}")
     present = ~np.isnan(values)
     too_few = present.sum(axis=0) < 2
     if too_few.any():

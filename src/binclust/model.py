@@ -141,10 +141,8 @@ def _lgamma(x):
 
     Each distinct value is scored once and scattered back: a count table
     repeats few values, and each call costs more than the sort.  A 0-d ``x``,
-    as in the seating prior's bracket, is scored directly, without the sort.
+    as in the seating prior's bracket, takes the same path.
     """
-    if np.ndim(x) == 0:
-        return np.float64(math.lgamma(x))
     values, inverse = np.unique(x, return_inverse=True)
     return np.fromiter(map(math.lgamma, values.tolist()), np.float64, values.size)[inverse].reshape(x.shape)
 
@@ -483,7 +481,7 @@ def remove_object(state, i, data):
 
 
 def insert_object(state, i, option, data):
-    """Attach detached object ``i`` to an existing cluster or a new one, in place.
+    """Attach detached object ``i`` to an existing cluster or a new one, in place; returns None.
 
     ``option`` is an existing cluster index or ``NEW_CLUSTER``; a new cluster
     takes the next free label (the current cluster count) and fills the zero
@@ -509,7 +507,6 @@ def insert_object(state, i, option, data):
         state.assignments[i] = k
     if k == state._k:
         state._k = k + 1
-    return state
 
 
 def joint_log_score(state, data, hyper):

@@ -115,7 +115,7 @@ def _categorical(probs, u):
 
 
 def gibbs_sweep(state, data, hyper, temperature, rng):
-    """One full pass over all objects at a fixed temperature, in place.
+    """One full pass over all objects at a fixed temperature, in place; returns None.
 
     Every argument is checked, and every label held to 0..K-1, before the
     first object is detached, so a refused call leaves the state as it was.
@@ -139,7 +139,6 @@ def gibbs_sweep(state, data, hyper, temperature, rng):
         choice = _categorical(probs, u)
         option = NEW_CLUSTER if choice == state.n_clusters else choice
         insert_object(state, i, option, data)
-    return state
 
 
 def run(data, hyper=None, schedule=None, k_init=10, seed=0):

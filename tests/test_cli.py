@@ -586,6 +586,20 @@ class TestSummarizeCommand:
         assert "feature_frequencies must be a non-empty 2-d numeric table" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"feature_frequencies": ' + "[" * 100000 + "]" * 100000 + "}", '{"feature_frequencies": ' + "9" * 5000 + "}"],
+        ids=["deep-nesting", "long-integer"],
+    )
+    def test_a_report_json_cannot_parse_exits_2_naming_the_file(self, tmp_path, capsys, text):
+        report_path = tmp_path / "report.json"
+        report_path.write_text(text)
+        out_path = tmp_path / "freq.csv"
+        code, _, err = _run(capsys, "summarize", "--report", str(report_path), "--out", str(out_path))
+        assert code == 2
+        assert err.startswith(f"binclust summarize: {report_path}: invalid JSON: ")
+        assert not out_path.exists()
+
 
 class TestPreprocessCommands:
     def test_term_filter(self, tmp_path, capsys):
@@ -632,6 +646,16 @@ class TestPreprocessCommands:
         code, _, err = _run(capsys, "preprocess", "percentile", "--in", str(in_path), "--out", str(out_path))
         assert code == 2
         assert "every row has missing values" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf"])
+    def test_percentile_with_an_infinite_cell_exit_2(self, tmp_path, capsys, cell):
+        in_path = tmp_path / "vals.csv"
+        in_path.write_text(f"a,b\n1,2\n2,3\n3,{cell}\n4,5\n")
+        out_path = tmp_path / "binary.csv"
+        code, _, err = _run(capsys, "preprocess", "percentile", "--in", str(in_path), "--out", str(out_path))
+        assert code == 2
+        assert err == f"binclust preprocess: infinite value {cell} at row 2, column 1\n"
         assert not out_path.exists()
 
     def test_bad_count_csv_exit_2(self, tmp_path, capsys):

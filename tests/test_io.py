@@ -1,5 +1,6 @@
 """File formats, round-trips, and the preprocessing transforms."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -368,13 +369,19 @@ class TestReportFormat:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("{not json", "invalid JSON"), ("[1, 2]", "report must be a JSON object")],
-        ids=["syntax", "list"],
+        [
+            ("{not json", "invalid JSON"),
+            ("[1, 2]", "report must be a JSON object"),
+            # Deeper than the parser's recursion limit, and past Python's digit limit.
+            ('{"k": ' + "[" * 100000 + "]" * 100000 + "}", "invalid JSON: maximum recursion depth"),
+            ('{"k": ' + "9" * 5000 + "}", "invalid JSON: Exceeds the limit"),
+        ],
+        ids=["syntax", "list", "deep-nesting", "long-integer"],
     )
     def test_invalid_json_rejected(self, tmp_path, text, message):
         path = tmp_path / "report.json"
         path.write_text(text)
-        with pytest.raises(DataFormatError, match=message):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: {message}"):
             load_report(path)
 
     def test_dict_round_trip(self, tmp_path):
@@ -633,6 +640,12 @@ class TestPercentileBinarize:
         values = np.array([[1.0, 2.0], [np.nan, 3.0], [4.0, 5.0], [6.0, np.nan]])
         _, missing = percentile_binarize(values, 50.0, "below")
         assert missing.tolist() == [False, True, False, True]
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_rejects_an_infinite_cell(self, value):
+        values = np.array([[1.0, 2.0], [np.nan, 3.0], [4.0, value], [6.0, value]])
+        with pytest.raises(ValueError, match=f"^infinite value {value} at row 2, column 1$"):
+            percentile_binarize(values, 20.0, "below")
 
     def test_rejects_sparse_column(self):
         values = np.array([[1.0], [np.nan], [np.nan]])

@@ -12,10 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from binclust import _kernel
 from binclust.datagen import SyntheticSpec, generate
-from binclust.model import BinaryMatrix, Hyperparams
+from binclust.model import BinaryMatrix, Hyperparams, default_hyperparams
 from binclust.sampler import AnnealingSchedule, run
 
 from _paths import PATHS, visit_path
@@ -416,15 +419,20 @@ CASES = {
 }
 
 
+def _on_both_paths(data, **kwargs):
+    """``run(data, **kwargs)`` on each path of ``PATHS``: numpy, then compiled."""
+    reports = []
+    for path in PATHS:
+        with visit_path(path):
+            reports.append(run(data, **kwargs))
+    return reports
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_both_paths_give_equal_labels_and_score_traces(name):
     make, seed = CASES[name]
     data, kwargs = make()
-    reports = {}
-    for path in PATHS:
-        with visit_path(path):
-            reports[path] = run(data, seed=seed, **kwargs)
-    plain, compiled = reports["numpy"], reports["compiled"]
+    plain, compiled = _on_both_paths(data, seed=seed, **kwargs)
     assert np.array_equal(compiled.assignments, plain.assignments)
     assert np.array_equal(compiled.score_trace, plain.score_trace)
     assert np.array_equal(compiled.k_trace, plain.k_trace)
@@ -441,11 +449,38 @@ def test_both_paths_give_equal_labels_and_score_traces(name):
 def test_both_paths_agree_at_the_largest_accepted_settings(make_hyper):
     data, _ = generate(SyntheticSpec(40, 30, 20, 10, k_true=3, seed=5))
     hyper = make_hyper(data.n_features)
-    reports = {}
-    for path in PATHS:
-        with visit_path(path):
-            reports[path] = run(data, hyper=hyper, schedule=AnnealingSchedule(n_sweeps=10, block=2), seed=0)
-    plain, compiled = reports["numpy"], reports["compiled"]
+    plain, compiled = _on_both_paths(data, hyper=hyper, schedule=AnnealingSchedule(n_sweeps=10, block=2), seed=0)
     assert np.array_equal(compiled.assignments, plain.assignments)
     assert np.array_equal(compiled.score_trace, plain.score_trace)
     assert np.isfinite(plain.score_trace).all() and (plain.score_trace <= 0).all()
+
+
+@st.composite
+def _whole_runs(draw):
+    """A small instance and its run settings: D also from 8-16 and 129-160,
+    where ``pairwise_sum`` takes its 8-lane and its recursive branches."""
+    n = draw(st.integers(1, 14))
+    d = draw(st.one_of(st.integers(1, 7), st.integers(8, 16), st.integers(129, 160)))
+    data = BinaryMatrix(draw(hnp.arrays(np.uint8, (n, d), elements=st.integers(0, 1))))
+    alpha = 10.0 ** draw(st.floats(-3, 6))
+    if draw(st.booleans()):
+        hyper = default_hyperparams(data, alpha)
+    else:
+        shapes = hnp.arrays(np.float64, d, elements=st.floats(1e-3, 1e3))
+        hyper = Hyperparams(a=draw(shapes), b=draw(shapes), alpha=alpha)
+    schedule = AnnealingSchedule(
+        t_init=draw(st.floats(1e-3, 50)), lam=draw(st.floats(0.05, 0.99)),
+        block=draw(st.integers(1, 5)), n_sweeps=draw(st.integers(1, 25)),
+    )
+    return data, {"hyper": hyper, "schedule": schedule, "k_init": draw(st.integers(1, n + 3)),
+                  "seed": draw(st.integers(0, 2**32 - 1))}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_whole_runs())
+def test_both_paths_give_equal_whole_runs(case):
+    data, kwargs = case
+    plain, compiled = _on_both_paths(data, **kwargs)
+    assert np.array_equal(compiled.assignments, plain.assignments)
+    assert np.array_equal(compiled.score_trace, plain.score_trace)
+    assert np.array_equal(compiled.k_trace, plain.k_trace)

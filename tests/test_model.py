@@ -593,8 +593,9 @@ class TestJointLogScore:
             np.array([1.5, 1.5 + 2**-52, 1e300, 0.5, 1e300, 1.5]).reshape(2, 3),
             np.array([4, 1, 4, 4, 2**53 + 1, 1, 30], dtype=np.int64),
             np.array([], dtype=np.int64),
+            np.array(10.5),
         ],
-        ids=["KxD", "KxD-near-repeats", "1d-int", "empty"],
+        ids=["KxD", "KxD-near-repeats", "1d-int", "empty", "0d"],
     )
     def test_lgamma_scores_each_distinct_value_once(self, x, monkeypatch):
         expected = np.array([math.lgamma(v) for v in x.ravel().tolist()]).reshape(x.shape)
