@@ -26,15 +26,16 @@ every row from K up holds a zero row's terms.
 - Any other attach, or a second detach, first settles the pending row: each
   feature moves one term between planes and takes one log, D in all.  The
   attach does the same at its own row, so a move takes 2·D logs and a
-  birth after a death D.  A detach that empties its row moves the terms of
-  every row above down one, the top row keeping its zero row's terms.  A
-  moved term is the log of the same count under the same hyperparameters as
-  a recomputation: same bits.
+  birth after a death D.  A detach that empties its row compacts the death
+  as :func:`binclust.model.remove_object` does on the numpy path: the terms,
+  sizes and counts of every live row above it, and of the zero row, move
+  down one row, and every label above it drops by one.  A moved term is the
+  log of the same count under the same hyperparameters as a recomputation:
+  same bits.
 - The distribution first sums the live rows' sizes and, unless they cover
-  the other N - 1 objects, returns false with nothing changed, for Python to
-  refuse the call.  It then selects and sums each row's terms in numpy's
-  pairwise order, and shifts, tempers, seats and normalises in the steps of
-  :func:`binclust.model.assignment_distribution`.
+  the other N - 1 objects, refuses.  It then selects and sums each row's
+  terms in numpy's pairwise order, and shifts, tempers, seats and normalises
+  in the steps of :func:`binclust.model.assignment_distribution`.
 
 Each object also keeps its scores between visits: its untempered
 log-likelihood at every row, with itself left out of its own row, as its
@@ -59,23 +60,31 @@ N x capacity doubles, N/(4D) of the term cache: 192 KB at N = D = 2000 with
 The C source ends in a small CPython extension module, ``_visit``: one
 ``METH_FASTCALL`` entry per ``bc_`` function, named as it, which takes the
 address of the state's ``bc_state`` and the function's other arguments and
-refuses another count or type with ``TypeError``.  :class:`Visit` binds
-three to one state as ``detach``, ``attach`` and ``distribution``; the
-``bc_state`` it hands them is a ctypes structure whose fields are read from
-the struct in the source.  The first process that needs the module compiles
-it with ``gcc`` against this interpreter's headers into
-``__pycache__/visit-<hash><suffix>`` beside this file (``<suffix>`` is the
-interpreter's extension suffix, ABI tag included; the hash covers the source,
-the flags, the machine type and the suffix), writing a temporary file and
-renaming it into place, then deletes this interpreter's builds of other
-sources there and the ``ctypes`` builds of earlier versions; every process
-loads that file through the import system's
+refuses another count or type with ``TypeError``.  :class:`Visit` binds three
+to one state as ``detach``, ``attach`` and ``distribution``; the ``bc_state``
+it hands them is a ctypes structure whose fields are read from the struct in
+the source.  Each of the three checks its own arguments, so one call is a
+whole visit step.  It takes the step only for an object index that is an exact
+``int`` in 0 .. N - 1 and fits the step: attached with a label in 0 .. K - 1
+for a detach, K the live rows passed in; detached for a distribution, at a
+positive temperature, or for an attach into a row in 0 .. K with a spare row
+above a birth.  Otherwise it changes nothing and returns a sentinel, None for
+a detach and False for the others; then the checks in :mod:`binclust.model`
+name the refusal, or accept the index, a numpy integer say, and call again
+with an ``int``.  A detach returns the old label and whether its row died.
+The first process that needs the module compiles it with ``gcc`` against this
+interpreter's headers into ``__pycache__/visit-<hash><suffix>`` beside this
+file (``<suffix>`` is the interpreter's extension suffix, ABI tag included;
+the hash covers the source, the flags, the machine type and the suffix),
+writing a temporary file and renaming it into place, then deletes this
+interpreter's builds of other sources there and the ``ctypes`` builds of
+earlier versions; every process loads that file through the import system's
 :class:`~importlib.machinery.ExtensionFileLoader`.  If the build or the load
 fails, for want of ``gcc`` or of ``Python.h``, one ``RuntimeWarning`` names
-the error and the numpy code in :mod:`binclust.model` runs instead.  That
-code scores with the plain collapsed predictive, the reference the tests hold
-this kernel to: libm's ``log`` and ``exp`` may differ from numpy's in the last
-bit, every other step is the same.
+the error and the numpy code in :mod:`binclust.model` runs instead.  That code
+scores with the plain collapsed predictive, the reference the tests hold this
+kernel to: libm's ``log`` and ``exp`` may differ from numpy's in the last bit,
+every other step is the same.
 """
 
 import contextlib
@@ -277,34 +286,54 @@ static int64_t recount(bc_state *s, int64_t i, int64_t k, int64_t sign)
     return s->sizes[k] += sign;
 }
 
-/* Remove object i from row k, settling any pending row first.  A row that
-   keeps members keeps its log terms and becomes the pending row.  A row left
-   empty dies: the terms above it move down one row, and the state moves the
-   statistics next; the top row keeps a zero row's terms. */
-static void bc_detach(bc_state *s, int64_t i, int64_t k)
+/* Remove object i from its row k, settling any pending row first; K is the
+   number of live rows.  A row that keeps members keeps its log terms and
+   becomes the pending row.  A row left empty dies: the terms, sizes and
+   counts of rows k + 1 .. K, the zero row K included, move down one row, and
+   every label above k drops by one.  Returns 2k + 1 where the row died, 2k
+   where it did not; -1, having changed nothing, unless i is an object with a
+   label in 0 .. K - 1 and a zero row stands above the live rows. */
+static int64_t bc_detach(bc_state *s, int64_t i, int64_t n_clusters)
 {
+    if (i < 0 || i >= s->n_objects || n_clusters >= s->capacity)
+        return -1;
+    const int64_t k = s->assignments[i], d = s->n_features;
+    if (k < 0 || k >= n_clusters)
+        return -1;
     settle(s);
     if (recount(s, i, k, -1) > 0) {
         s->pending_object = i;
         s->pending_row = k;
-    } else {
-        const int64_t row = 4 * s->n_features;
-        memmove(s->log_terms + k * row, s->log_terms + (k + 1) * row,
-                (size_t)(s->capacity - 1 - k) * (size_t)row * sizeof *s->log_terms);
-        touch(s, k, s->capacity);
+        return 2 * k;
     }
+    /* Every row from K up holds a zero row's terms, so those above K need not move. */
+    const size_t rows = (size_t)(n_clusters - k);
+    memmove(s->log_terms + 4 * k * d, s->log_terms + 4 * (k + 1) * d, rows * 4 * (size_t)d * sizeof *s->log_terms);
+    memmove(s->sizes + k, s->sizes + k + 1, rows * sizeof *s->sizes);
+    memmove(s->counts + k * d, s->counts + (k + 1) * d, rows * (size_t)d * sizeof *s->counts);
+    for (int64_t j = 0; j < s->n_objects; j++)
+        s->assignments[j] -= s->assignments[j] > k;
+    touch(s, k, s->capacity);
+    return 2 * k + 1;
 }
 
-/* Add object i to row k: back into the pending row it left, with no log and
-   no tick; anywhere else, after settling the pending row, with D logs.  A
-   birth also ticks the row above, where the new-cluster row now stands: the
-   state grows its buffers before a birth that would take the last row. */
-static void bc_attach(bc_state *s, int64_t i, int64_t k)
+/* Add detached object i to row k of rows 0 .. K, K the number of live rows
+   and row K the new-cluster row: back into the pending row it left, with no
+   log and no tick; anywhere else, after settling the pending row, with D
+   logs.  A birth also ticks the row above, where the new-cluster row now
+   stands.  Returns 1; 0, having changed nothing, unless i is a detached
+   object, k one of those rows, and a zero row stands above the live rows
+   after the attach: the state grows its buffers before a birth that would
+   take the last row. */
+static int bc_attach(bc_state *s, int64_t i, int64_t k, int64_t n_clusters)
 {
+    if (i < 0 || i >= s->n_objects || s->assignments[i] != -1 || k < 0 || k > n_clusters
+        || n_clusters + (k == n_clusters) >= s->capacity)
+        return 0;
     if (s->pending_object == i && s->pending_row == k) {
         s->pending_object = s->pending_row = -1;
         recount(s, i, k, 1);
-        return;
+        return 1;
     }
     settle(s);
     const int64_t d = s->n_features, n = recount(s, i, k, 1);
@@ -321,15 +350,19 @@ static void bc_attach(bc_state *s, int64_t i, int64_t k)
         }
     }
     touch(s, k, n == 1 ? k + 2 : k + 1);
+    return 1;
 }
 
 /* The tempered distribution of detached object i over rows 0 .. top - 1,
    the last of them the new-cluster row, into probs.  A row unchanged since
-   object i's last distribution takes its score from the memo.  Returns 0,
-   having changed nothing, unless the sizes of the live rows 0 .. top - 2 sum
-   to N - 1, as they do with object i alone detached; else 1. */
+   object i's last distribution takes its score from the memo.  Returns 1; 0,
+   having changed nothing, unless i is a detached object, the rows are 1 to
+   the capacity, the temperature is positive, and the sizes of the live rows
+   0 .. top - 2 sum to N - 1, as they do with object i alone detached. */
 static int bc_distribution(bc_state *s, int64_t i, int64_t top, double temperature)
 {
+    if (i < 0 || i >= s->n_objects || s->assignments[i] != -1 || top < 1 || top > s->capacity || !(temperature > 0))
+        return 0;
     int64_t covered = 0;
     for (int64_t k = 0; k < top - 1; k++)
         covered += s->sizes[k];
@@ -372,8 +405,11 @@ static int bc_distribution(bc_state *s, int64_t i, int64_t top, double temperatu
 
 /* The module's entries, one per bc_ function above and named as it: each
    takes the address of a bc_state as an int, then the function's other
-   arguments, and refuses another count or type with TypeError.  An int64_t
-   is a Python int or any object with __index__, a double any real number. */
+   arguments, and refuses another count or type with TypeError.  An object or
+   row index is any object with __index__, but only an exact int that fits an
+   int64_t keeps its value: any other, a bool or a numpy integer say, passes
+   as -1, which the bc_ functions refuse.  Another int64_t is a Python int or
+   any object with __index__, a double any real number. */
 
 static int arity(const char *name, Py_ssize_t nargs, Py_ssize_t expected)
 {
@@ -396,32 +432,53 @@ static int to_int64(PyObject *arg, int64_t *out)
     return *out == -1 && PyErr_Occurred() != NULL;
 }
 
+static int to_index(PyObject *arg, int64_t *out)
+{
+    int overflow;
+    *out = -1;
+    if (PyLong_CheckExact(arg))
+        *out = PyLong_AsLongLongAndOverflow(arg, &overflow); /* -1 past the range */
+    else if (!PyIndex_Check(arg)) {
+        PyErr_Format(PyExc_TypeError, "'%.200s' object cannot be interpreted as an integer", Py_TYPE(arg)->tp_name);
+        return 1;
+    }
+    return 0;
+}
+
 static int to_double(PyObject *arg, double *out)
 {
     *out = PyFloat_AsDouble(arg);
     return *out == -1.0 && PyErr_Occurred() != NULL;
 }
 
+/* A refusal returns None for a detach, False for an attach or a distribution. */
 static PyObject *py_detach(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     void *s;
-    int64_t i, k;
+    int64_t i, n_clusters;
     (void)module;
-    if (arity("bc_detach", nargs, 3) || to_pointer(args[0], &s) || to_int64(args[1], &i) || to_int64(args[2], &k))
+    if (arity("bc_detach", nargs, 3) || to_pointer(args[0], &s) || to_index(args[1], &i) || to_int64(args[2], &n_clusters))
         return NULL;
-    bc_detach(s, i, k);
-    Py_RETURN_NONE;
+    const int64_t done = bc_detach(s, i, n_clusters);
+    if (done < 0)
+        Py_RETURN_NONE;
+    PyObject *label = PyLong_FromLongLong(done / 2);
+    if (label == NULL)
+        return NULL;
+    PyObject *result = PyTuple_Pack(2, label, done % 2 ? Py_True : Py_False);
+    Py_DECREF(label);
+    return result;
 }
 
 static PyObject *py_attach(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     void *s;
-    int64_t i, k;
+    int64_t i, k, n_clusters;
     (void)module;
-    if (arity("bc_attach", nargs, 3) || to_pointer(args[0], &s) || to_int64(args[1], &i) || to_int64(args[2], &k))
+    if (arity("bc_attach", nargs, 4) || to_pointer(args[0], &s) || to_index(args[1], &i) || to_index(args[2], &k)
+        || to_int64(args[3], &n_clusters))
         return NULL;
-    bc_attach(s, i, k);
-    Py_RETURN_NONE;
+    return PyBool_FromLong(bc_attach(s, i, k, n_clusters));
 }
 
 static PyObject *py_distribution(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
@@ -430,7 +487,7 @@ static PyObject *py_distribution(PyObject *module, PyObject *const *args, Py_ssi
     int64_t i, top;
     double temperature;
     (void)module;
-    if (arity("bc_distribution", nargs, 4) || to_pointer(args[0], &s) || to_int64(args[1], &i)
+    if (arity("bc_distribution", nargs, 4) || to_pointer(args[0], &s) || to_index(args[1], &i)
         || to_int64(args[2], &top) || to_double(args[3], &temperature))
         return NULL;
     return PyBool_FromLong(bc_distribution(s, i, top, temperature));
@@ -479,7 +536,7 @@ PyMODINIT_FUNC PyInit__visit(void)
 
 _CC = "gcc"
 # The interpreter's headers, for Python.h.
-_FLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"])
+_FLAGS = ("-O3", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"])
 _CACHE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
 # What this interpreter's import system calls an extension module file, ABI tag included.
 _SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]
@@ -587,15 +644,17 @@ class Visit:
 
     Construction fills every cache row, up to the buffers' capacity, with what
     ``bc_row_terms`` computes from that row's statistics under ``hyper``, and
-    leaves no row pending: ``detach(i, k)`` and ``attach(i, k)``, the C entries
-    bound to this kernel, keep the rows they touch so, the pending row as the
-    row with its object in.  ``distribution(i, top, temperature)`` writes the
-    distribution of detached object i over rows ``0 .. top - 1`` into ``probs``
-    and returns True; False, changing nothing, unless rows ``0 .. top - 2`` hold
-    N - 1 objects.  The score memo starts empty, at tick 0, and the C entries
-    tick the rows they change.  Scoring binds a kernel, and growth
-    drops it (the module docstring gives the rule).  It holds a reference to
-    every array whose address the C side keeps, so none is freed while bound.
+    leaves no row pending: ``detach(i, n_clusters)`` and ``attach(i, k,
+    n_clusters)``, the C entries bound to this kernel, keep the rows they touch
+    so, the pending row as the row with its object in.  ``detach`` returns
+    ``(label, died)``, ``attach`` True.  ``distribution(i, top, temperature)``
+    writes the distribution of detached object i over rows ``0 .. top - 1``
+    into ``probs`` and returns True.  Each refuses a call that does not fit,
+    changing nothing: ``detach`` with None, the others with False.  The score
+    memo starts empty, at tick 0, and the C entries tick the rows they change.
+    Scoring binds a kernel, and growth drops it (the module docstring gives
+    both rules).  It holds a reference to every array whose address the C side
+    keeps, so none is freed while bound.
     """
 
     def __init__(self, lib, state, hyper):

@@ -163,10 +163,10 @@ def _cmd_summarize(args):
 
 def _cmd_preprocess(args):
     if args.transform == "term-filter":
-        data, kept = io.term_filter(io.load_count_csv(args.in_path))
+        data, kept = _transformed(args.in_path, io.term_filter, io.load_count_csv(args.in_path))
     else:
         values = io.load_real_csv(args.in_path)
-        data, missing_rows = io.percentile_binarize(values, args.pct, args.direction)
+        data, missing_rows = _transformed(args.in_path, io.percentile_binarize, values, args.pct, args.direction)
         if missing_rows.all():
             raise io.DataFormatError(f"{args.in_path}: every row has missing values")
         kept = np.flatnonzero(~missing_rows)
@@ -175,6 +175,14 @@ def _cmd_preprocess(args):
     if args.kept_out is not None:
         io.save_labels(args.kept_out, kept)
     return 0
+
+
+def _transformed(path, transform, table, *options):
+    """``transform(table, *options)``; a refusal of the table's content names ``path``, the file it was read from."""
+    try:
+        return transform(table, *options)
+    except io.DataFormatError as exc:
+        raise io.DataFormatError(f"{path}: {exc}") from None
 
 
 # Every argument that names an output file, by its dest; a command reads in_path.

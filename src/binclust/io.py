@@ -23,7 +23,9 @@ and column, both from 0.
 
 The preprocessing transforms turn raw observation tables into binary
 matrices: a document-frequency filter for word-count data and a per-column
-percentile threshold for real-valued response data.
+percentile threshold for real-valued response data.  Each refuses a table
+whose content it cannot transform with :class:`DataFormatError`, naming no
+file, and a bad argument with a plain ``ValueError``.
 """
 
 import contextlib
@@ -321,7 +323,7 @@ def term_filter(doc_term_counts):
     doc_frequency = (counts >= 1).sum(axis=0)
     kept = np.flatnonzero(repeated_somewhere & (doc_frequency >= 11))
     if kept.size == 0:
-        raise ValueError("no column passes the term filter")
+        raise DataFormatError("no column passes the term filter")
     binary = (counts[:, kept] >= 1).astype(np.uint8)
     return BinaryMatrix(binary), kept
 
@@ -345,11 +347,11 @@ def percentile_binarize(values, pct, direction="below"):
         raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")
     if np.isinf(values).any():
         r, c = np.argwhere(np.isinf(values))[0].tolist()
-        raise ValueError(f"infinite value {values[r, c]} at row {r}, column {c}")
+        raise DataFormatError(f"infinite value {values[r, c]} at row {r}, column {c}")
     present = ~np.isnan(values)
     too_few = present.sum(axis=0) < 2
     if too_few.any():
-        raise ValueError(f"column {int(too_few.argmax())} has fewer than 2 non-missing values")
+        raise DataFormatError(f"column {int(too_few.argmax())} has fewer than 2 non-missing values")
     threshold = np.nanpercentile(values, pct, axis=0)
     # A NaN cell compares False either way, so it binarizes to 0.
     hits = values < threshold if direction == "below" else values > threshold

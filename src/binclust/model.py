@@ -412,6 +412,13 @@ def assignment_distribution(i, state, data, hyper, temperature):
     to; where the kernel can be built it takes the same steps from the log
     terms it caches.
     """
+    visit = state._visit
+    top = state._k + 1  # rows 0..K-1 are the existing clusters and row K, all-zero, the new one
+    # The kernel checks the object, the temperature and the coverage itself, and
+    # refuses with False, changing nothing, for the checks below to name why.
+    if visit and type(i) is int and hyper is visit.hyper and data.values is state._values:
+        if visit.distribution(i, top, temperature):
+            return visit.probs[:top].copy()
     if not temperature > 0:
         raise ValueError("temperature must be strictly positive")
     i = _check_object(i, state)
@@ -419,18 +426,15 @@ def assignment_distribution(i, state, data, hyper, temperature):
         raise ValueError(f"object {i} must be detached from the state first")
     if data.values is not state._values:
         state._check_values(data.values)
-    visit = state._visit
     if not (visit and hyper is visit.hyper):  # no kernel for these hyperparameters and buffers yet, or the numpy path
         _check_width(hyper, data)
         from . import _kernel
 
         lib = _kernel.library()
         visit = state._visit = _kernel.Visit(lib, state, hyper) if lib else None
-    # Rows 0..K-1 are the existing clusters and row K, all-zero, the new one.
-    top = state.n_clusters + 1
     uncovered = "state statistics must cover exactly the other n - 1 objects"
     if visit:
-        if not visit.distribution(i, top, temperature):  # the kernel sums the sizes before it scores
+        if not visit.distribution(i, top, temperature):  # every other refusal was checked above
             raise ValueError(uncovered)
         return visit.probs[:top].copy()
     # np.add.reduce, not .sum(): .sum() adds a Python-level wrapper around the same reduction.
@@ -455,28 +459,34 @@ def remove_object(state, i, data):
     zero row included, shift down one place, and labels above it drop by
     one, keeping the label set compact.
     """
-    i = _check_object(i, state)
-    k = int(state.assignments[i])
-    if k == UNASSIGNED:
-        raise ValueError(f"object {i} is already detached")
-    if data.values is not state._values:
-        state._check_values(data.values)
-    # A label outside 0..K-1 would send the update past the live rows.
-    if not 0 <= k < state._k:
-        raise ValueError(f"object {i} carries label {k}, outside 0..{state._k - 1}")
     visit = state._visit
-    if visit:
-        visit.detach(i, k)
-    else:
-        state._sizes[k] -= 1
-        state._counts[k] -= state._values[i]
-        state.assignments[i] = UNASSIGNED
-    if state._sizes[k] == 0:
-        top = state._k
-        for buf in (state._sizes, state._counts):
-            buf[k:top] = buf[k + 1 : top + 1]
-        state._k = top - 1
-        state.assignments[state.assignments > k] -= 1
+    # The kernel checks the object and its label itself, and compacts a death; it
+    # refuses with None, changing nothing, for the checks below to name why.
+    done = visit and type(i) is int and data.values is state._values and visit.detach(i, state._k)
+    if not done:
+        i = _check_object(i, state)
+        k = int(state.assignments[i])
+        if k == UNASSIGNED:
+            raise ValueError(f"object {i} is already detached")
+        if data.values is not state._values:
+            state._check_values(data.values)
+        # A label outside 0..K-1 would send the update past the live rows.
+        if not 0 <= k < state._k:
+            raise ValueError(f"object {i} carries label {k}, outside 0..{state._k - 1}")
+        if not visit:
+            state._sizes[k] -= 1
+            state._counts[k] -= state._values[i]
+            state.assignments[i] = UNASSIGNED
+            if state._sizes[k] == 0:
+                top = state._k
+                for buf in (state._sizes, state._counts):
+                    buf[k:top] = buf[k + 1 : top + 1]
+                state._k = top - 1
+                state.assignments[state.assignments > k] -= 1
+            return k
+        done = visit.detach(i, state._k)
+    k, died = done
+    state._k -= died
     return k
 
 
@@ -488,23 +498,30 @@ def insert_object(state, i, option, data):
     row.  A birth that would leave no zero row above it first doubles the
     row capacity, and the state drops its kernel.
     """
-    i = _check_object(i, state)
-    if state.assignments[i] != UNASSIGNED:
-        raise ValueError(f"object {i} is already assigned")
-    k = _check_option(option, state._k)
-    if data.values is not state._values:
-        state._check_values(data.values)
-    if k + 2 > state._sizes.shape[0]:  # only a birth into the last row leaves no zero row above it
-        state._sizes = np.concatenate([state._sizes, np.zeros_like(state._sizes)])
-        state._counts = np.concatenate([state._counts, np.zeros_like(state._counts)])
-        state._visit = None
     visit = state._visit
-    if visit:
-        visit.attach(i, k)
-    else:
-        state._sizes[k] += 1
-        state._counts[k] += state._values[i]
-        state.assignments[i] = k
+    if option is NEW_CLUSTER:
+        k = state._k
+    else:  # an int option is an existing cluster: row K is named by NEW_CLUSTER alone
+        k = option if type(option) is int and option < state._k else None
+    # The kernel checks the object and the row itself, and refuses a birth into
+    # the last row; it refuses with False, changing nothing, for the code below.
+    if not (visit and type(i) is type(k) is int and data.values is state._values and visit.attach(i, k, state._k)):
+        i = _check_object(i, state)
+        if state.assignments[i] != UNASSIGNED:
+            raise ValueError(f"object {i} is already assigned")
+        k = _check_option(option, state._k)
+        if data.values is not state._values:
+            state._check_values(data.values)
+        if k + 2 > state._sizes.shape[0]:  # only a birth into the last row leaves no zero row above it
+            state._sizes = np.concatenate([state._sizes, np.zeros_like(state._sizes)])
+            state._counts = np.concatenate([state._counts, np.zeros_like(state._counts)])
+            state._visit = None
+        if state._visit:
+            state._visit.attach(i, k, state._k)
+        else:
+            state._sizes[k] += 1
+            state._counts[k] += state._values[i]
+            state.assignments[i] = k
     if k == state._k:
         state._k = k + 1
 

@@ -655,8 +655,35 @@ class TestPreprocessCommands:
         out_path = tmp_path / "binary.csv"
         code, _, err = _run(capsys, "preprocess", "percentile", "--in", str(in_path), "--out", str(out_path))
         assert code == 2
-        assert err == f"binclust preprocess: infinite value {cell} at row 2, column 1\n"
+        assert err == f"binclust preprocess: {in_path}: infinite value {cell} at row 2, column 1\n"
         assert not out_path.exists()
+
+    def test_percentile_with_a_column_of_one_value_exit_2_naming_the_file(self, tmp_path, capsys):
+        in_path = tmp_path / "vals.csv"
+        in_path.write_text("1,2\n2,\n3,na\n")
+        out_path = tmp_path / "binary.csv"
+        code, _, err = _run(capsys, "preprocess", "percentile", "--in", str(in_path), "--out", str(out_path))
+        assert code == 2
+        assert err == f"binclust preprocess: {in_path}: column 1 has fewer than 2 non-missing values\n"
+        assert not out_path.exists()
+
+    def test_term_filter_keeping_no_column_exit_2_naming_the_file(self, tmp_path, capsys):
+        in_path = tmp_path / "counts.csv"
+        in_path.write_text("1,2\n2,3\n")  # repeats, but in 2 documents, not 11
+        out_path = tmp_path / "binary.csv"
+        code, _, err = _run(capsys, "preprocess", "term-filter", "--in", str(in_path), "--out", str(out_path))
+        assert code == 2
+        assert err == f"binclust preprocess: {in_path}: no column passes the term filter\n"
+        assert not out_path.exists()
+
+    def test_percentile_with_a_bad_pct_names_no_file(self, tmp_path, capsys):
+        in_path = tmp_path / "vals.csv"
+        in_path.write_text("1,2\n2,3\n")
+        code, _, err = _run(
+            capsys, "preprocess", "percentile", "--in", str(in_path), "--pct", "0", "--out", str(tmp_path / "o.csv")
+        )
+        assert code == 2
+        assert err == "binclust preprocess: pct must lie strictly between 0 and 100\n"
 
     def test_bad_count_csv_exit_2(self, tmp_path, capsys):
         in_path = tmp_path / "counts.csv"

@@ -319,6 +319,9 @@ def test_the_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizers(
 # kernel; a switch of hyperparameters before every birth, some of which grow
 # the buffers; deaths of the top live row; moves and moves back, and a death
 # in the middle, scored from the memo.  The cache is checked after every step.
+# Then a bound kernel refuses every step that does not fit, through its entries
+# and through the visit steps, changing nothing, and takes a numpy integer
+# index through each visit step.
 _SANITIZED_EDGES = """
 import numpy as np
 from binclust import _kernel
@@ -374,6 +377,57 @@ for i in range(1, n, 5):  # row 1 empties into row 0
     insert_object(state, i, 0, data)
     state.check_consistency(data)
 assert state.n_clusters == 4, "no death in the middle"
+state = ClusterState(data, np.arange(n) % 3)
+k = remove_object(state, 0, data)
+assignment_distribution(0, state, data, hypers[0], 0.5)  # binds the kernel
+insert_object(state, 0, k, data)
+visit, top, capacity = state._visit, state.n_clusters, state._sizes.shape[0]
+
+
+def unchanged():
+    arrays = (state.assignments, state._sizes, state._counts, visit._terms, visit._memo, visit._scores,
+              visit._scored_at, visit._changed)
+    return [a.tobytes() for a in arrays] + [visit._ctx.clock, visit._ctx.pending_object, visit._ctx.pending_row]
+
+
+def refused(entries, steps):
+    before = unchanged()
+    assert all(entry() in (None, False) for entry in entries), "a bound entry took a step that does not fit"
+    for step in steps:
+        try:
+            step()
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("a visit step that does not fit was taken")
+    assert unchanged() == before and state._visit is visit
+
+
+for i in (-1, n, 2**63, True):
+    refused(
+        (lambda: visit.detach(i, top), lambda: visit.attach(i, 0, top), lambda: visit.distribution(i, top + 1, 0.5)),
+        (lambda: remove_object(state, i, data), lambda: insert_object(state, i, 0, data),
+         lambda: assignment_distribution(i, state, data, hypers[0], 0.5)),
+    )
+refused(  # attached objects
+    (lambda: visit.attach(1, 0, top), lambda: visit.distribution(1, top + 1, 0.5), lambda: visit.detach(2, 0)),
+    (lambda: insert_object(state, 1, 0, data), lambda: assignment_distribution(1, state, data, hypers[0], 0.5)),
+)
+k = remove_object(state, np.int64(1), data)  # a detach that leaves its row pending
+assert visit._ctx.pending_object == 1
+refused(  # a detached object, an attached one while it is out, rows past the buffers, a birth into the
+    # last row, no positive temperature
+    (lambda: visit.detach(1, top), lambda: visit.distribution(2, top + 1, 0.5), lambda: visit.attach(2, 0, top),
+     lambda: visit.detach(2, capacity), lambda: visit.attach(1, top + 1, top),
+     lambda: visit.attach(1, capacity - 1, capacity - 1), lambda: visit.distribution(1, capacity + 1, 0.5),
+     lambda: visit.distribution(1, top + 1, 0.0), lambda: visit.distribution(1, top + 1, float("nan"))),
+    (lambda: remove_object(state, 1, data), lambda: assignment_distribution(2, state, data, hypers[0], 0.5),
+     lambda: insert_object(state, 2, 0, data), lambda: assignment_distribution(1, state, data, hypers[0], 0.0)),
+)
+assignment_distribution(np.int64(1), state, data, hypers[0], 0.5)
+insert_object(state, np.int64(1), k, data)
+assert state._visit is visit and visit._ctx.pending_object == -1
+state.check_consistency(data)
 """ + _SANITIZED_TOP_ROW
 
 

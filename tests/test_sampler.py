@@ -138,6 +138,39 @@ class TestInitState:
         assert sorted(set(state.assignments.tolist())) == list(range(state.n_clusters))
 
 
+def _scored_on(path, data, labels):
+    """A state of ``labels`` over ``data``.  On the compiled path it is scored once,
+    which binds its kernel: object 0, which must not be alone in its cluster, is
+    detached, scored and put back where it was."""
+    state = ClusterState(data, labels)
+    if path == "compiled":
+        k = remove_object(state, 0, data)
+        assignment_distribution(0, state, data, default_hyperparams(data), 1.0)
+        insert_object(state, 0, k, data)
+        assert state._visit and np.array_equal(state.assignments, ClusterState(data, labels).assignments)
+    return state
+
+
+def _snapshot(state):
+    """The bytes of the state's labels and row buffers and, where a kernel is bound,
+    of its log terms, its denominators, its score memo, its clock and its pending row."""
+    arrays = [state.assignments, state._sizes, state._counts]
+    visit = state._visit
+    if visit:
+        ctx = visit._ctx
+        arrays += [visit._terms, visit._memo, visit._scores, visit._scored_at, visit._changed]
+        arrays.append(np.array([ctx.clock, ctx.pending_object, ctx.pending_row]))
+    return [array.tobytes() for array in arrays]
+
+
+def _refuses(state, step, message):
+    """Run ``step``, which must raise a ``ValueError`` matching ``message`` and change nothing."""
+    before = _snapshot(state)
+    with pytest.raises(ValueError, match=message):
+        step()
+    assert _snapshot(state) == before
+
+
 class TestRemoveInsert:
     def test_removing_singleton_deletes_cluster(self):
         data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
@@ -195,30 +228,33 @@ class TestRemoveInsert:
 
     def test_rejects_double_remove_and_bad_option(self):
         data = BinaryMatrix([[1, 0], [0, 1]])
-        state = ClusterState(data, [0, 0])
-        remove_object(state, 0, data)
-        with pytest.raises(ValueError, match="object 0 is already detached"):
-            remove_object(state, 0, data)
-        with pytest.raises(ValueError, match="object 1 is already assigned"):
-            insert_object(state, 1, 0, data)
-        with pytest.raises(ValueError):
-            insert_object(state, 0, 5, data)
-        with pytest.raises(ValueError):
-            insert_object(state, 0, "fresh", data)
+        for path in PATHS:
+            with visit_path(path):
+                state = _scored_on(path, data, [0, 0])
+                remove_object(state, 0, data)
+                option = r"cluster option other than 'new' must be an integer in \[0, 1\)"
+                _refuses(state, lambda: remove_object(state, 0, data), "object 0 is already detached")
+                _refuses(state, lambda: insert_object(state, 1, 0, data), "object 1 is already assigned")
+                _refuses(state, lambda: insert_object(state, 0, 5, data), option)
+                _refuses(state, lambda: insert_object(state, 0, "fresh", data), option)
+                state.check_consistency(data)
 
     @pytest.mark.parametrize("i", [-1, 3, -4, 2**63, 1.0, True, "1", None])
     def test_rejects_an_object_index_that_is_not_an_integer_in_range(self, i):
         data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
+        hyper = default_hyperparams(data)
         for path in PATHS:
             with visit_path(path):
-                state = ClusterState(data, [0, 1, 0])
+                state = _scored_on(path, data, [0, 1, 0])
                 message = r"object index must be an integer in \[0, 3\)"
-                with pytest.raises(ValueError, match=message):
-                    remove_object(state, i, data)
+                _refuses(state, lambda: remove_object(state, i, data), message)
                 assert np.array_equal(state.assignments, [0, 1, 0])
+                state.check_consistency(data)
                 remove_object(state, np.int64(2), data)
-                with pytest.raises(ValueError, match=message):
-                    insert_object(state, i, 0, data)
+                _refuses(state, lambda: insert_object(state, i, 0, data), message)
+                _refuses(state, lambda: assignment_distribution(i, state, data, hyper, 1.0), message)
+                state.check_consistency(data)
+                assignment_distribution(np.int64(2), state, data, hyper, 1.0)
                 insert_object(state, np.int64(2), 0, data)
                 state.check_consistency(data)
 
@@ -227,12 +263,13 @@ class TestRemoveInsert:
         data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
         for path in PATHS:
             with visit_path(path):
-                state = ClusterState(data, [0, 1, 0])
+                state = _scored_on(path, data, [0, 1, 0])
                 remove_object(state, 2, data)
-                with pytest.raises(ValueError, match=r"cluster option other than 'new' must be an integer in \[0, 2\)"):
-                    insert_object(state, 2, option, data)
+                message = r"cluster option other than 'new' must be an integer in \[0, 2\)"
+                _refuses(state, lambda: insert_object(state, 2, option, data), message)
                 assert np.array_equal(state.assignments, [0, 1, UNASSIGNED])
                 assert np.array_equal(state._sizes, [1, 1, 0, 0])
+                state.check_consistency(data)
                 insert_object(state, 2, np.int64(1), data)
                 state.check_consistency(data)
 
@@ -240,12 +277,13 @@ class TestRemoveInsert:
         data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
         for path in PATHS:
             with visit_path(path):
-                state = ClusterState(data, [0, 1, 0])
+                state = _scored_on(path, data, [0, 1, 0])
                 state.assignments[2] = 2
-                with pytest.raises(ValueError, match=r"object 2 carries label 2, outside 0\.\.1"):
-                    remove_object(state, 2, data)
+                _refuses(state, lambda: remove_object(state, 2, data), r"object 2 carries label 2, outside 0\.\.1")
                 assert np.array_equal(state._sizes, [2, 1, 0, 0])
                 assert not state._counts[2:].any()
+                state.assignments[2] = 0
+                state.check_consistency(data)
 
     def test_the_visit_steps_are_the_models_functions(self):
         for name in ("remove_object", "insert_object"):
