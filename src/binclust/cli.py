@@ -9,10 +9,12 @@ Exit codes: 0 on success, 1 on usage errors, 2 on data/format errors.
 """
 
 import argparse
+import contextlib
 import math
 import os
 import stat
 import sys
+import tempfile
 
 import numpy as np
 
@@ -220,6 +222,39 @@ def _check_outputs(args):
         taken[key] = f"the output {path}"
 
 
+# Outputs under these stay direct writes: /dev/stdout, say, may resolve to a
+# regular file that a shell has open, or to a name that is no file's.
+_DIRECT_ROOTS = ("/dev/", "/proc/")
+
+
+def _stage_outputs(args, staged):
+    """Point each output in ``args`` that is a regular file, or not there yet, at a
+    new temporary file in the directory of its resolved target, and append
+    ``(temporary, target, mode)`` to ``staged``: ``mode`` is the target's
+    permission bits, or ``0o666 & ~umask`` for a new file.  A special file such
+    as /dev/null, a path under ``_DIRECT_ROOTS`` and a target in a directory
+    that cannot be written keep direct writes."""
+    umask = os.umask(0)
+    os.umask(umask)
+    given = vars(args)
+    for name in _OUTPUTS:
+        path = given.get(name)
+        if path is None or os.path.abspath(path).startswith(_DIRECT_ROOTS):
+            continue
+        target = os.path.realpath(path)
+        directory = os.path.dirname(target)
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = stat.S_IFREG | (0o666 & ~umask)
+        if not stat.S_ISREG(mode) or not os.access(directory, os.W_OK):
+            continue
+        fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=directory)
+        os.close(fd)
+        staged.append((temp, target, stat.S_IMODE(mode)))
+        given[name] = temp
+
+
 _COMMANDS = {
     "generate": _cmd_generate,
     "cluster": _cmd_cluster,
@@ -240,15 +275,28 @@ def cli_main(argv):
         return 1
     except SystemExit as exc:  # --help exits 0 through here
         return int(exc.code or 0)
+    # Outputs are written to temporary files, moved into place only once the
+    # command has returned: a command that fails leaves every target as it was.
+    staged = []
     try:
         _check_outputs(args)
-        return _COMMANDS[args.command](args)
+        _stage_outputs(args, staged)
+        code = _COMMANDS[args.command](args)
+        for temp, target, mode in staged:
+            os.chmod(temp, mode)
+            os.replace(temp, target)
+        staged.clear()
+        return code
     except (io.DataFormatError, ValueError, OSError) as exc:
         print(f"binclust {args.command}: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # numpy's says what it could not allocate
         print(f"binclust {args.command}: out of memory: {exc}", file=sys.stderr)
         return 2
+    finally:
+        for temp, _, _ in staged:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
 
 
 def main():

@@ -222,9 +222,11 @@ def load_sparse(path):
 def detect_format(path):
     """Classify a matrix file by its first non-blank line: one with a comma, or
     with a single field (a one-column matrix), means dense; a two-integer
-    header means sparse."""
+    header means sparse.  A file with no such line is refused as empty."""
     with _open_text(path) as fh:
         first = next((line.strip() for line in fh if line.strip()), "")
+    if not first:
+        raise DataFormatError(f"{path}: empty file")
     fields = first.split()
     if "," in first or len(fields) == 1:
         return "dense"

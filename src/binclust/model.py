@@ -56,9 +56,6 @@ class BinaryMatrix:
         """Per-feature presence counts, length D."""
         return self.values.sum(axis=0, dtype=np.int64)
 
-    def __repr__(self):
-        return f"BinaryMatrix(n_objects={self.n_objects}, n_features={self.n_features})"
-
 
 @dataclass(frozen=True, eq=False)
 class Hyperparams:
@@ -79,13 +76,11 @@ class Hyperparams:
     def __post_init__(self):
         a = np.array(self.a, dtype=np.float64)
         b = np.array(self.b, dtype=np.float64)
-        alpha = float(self.alpha)
         if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
             raise ValueError("a and b must be 1-d vectors of equal length")
         if not ((a > 0).all() and (b > 0).all()):
             raise ValueError("Beta shape parameters must be strictly positive")
-        if not 0 < alpha < math.inf:
-            raise ValueError(f"alpha must be finite and strictly positive, got {alpha}")
+        alpha = _check_alpha(self.alpha)
         with np.errstate(over="ignore"):  # an infinite shape, or a sum past the float range
             finite_sums = np.isfinite(a + b)
         if not finite_sums.all():
@@ -100,6 +95,14 @@ class Hyperparams:
     @property
     def n_features(self):
         return self.a.shape[0]
+
+
+def _check_alpha(alpha):
+    """``alpha`` as a float, refused unless it is finite and strictly positive."""
+    alpha = float(alpha)
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and strictly positive, got {alpha}")
+    return alpha
 
 
 # Where _log_rising turns from two log-gammas to their Stirling difference.
@@ -231,7 +234,7 @@ class ClusterState:
         return self._k
 
     def _check_values(self, values):
-        """Refuse a matrix unequal to the state's; a visit tests identity inline before calling this."""
+        """Refuse a matrix unequal to the state's."""
         shape = self._values.shape
         if values.shape != shape:
             raise ValueError(f"the data matrix has shape {values.shape}, the state covers (objects, features) {shape}")
@@ -303,8 +306,7 @@ def _log_predictives(x, sizes, counts, hyper):
 
 def _is_integer(value):
     """Whether ``value`` is a Python or numpy integer; a bool is not one."""
-    # A plain int, what every visit passes, is answered by the first test.
-    return type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool))
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_index(value, n, name):
@@ -314,21 +316,21 @@ def _check_index(value, n, name):
     return int(value)
 
 
-def _check_object(i, state):
-    n = state.assignments.shape[0]
-    if type(i) is int and 0 <= i < n:  # what every visit passes
-        return i
-    return _check_index(i, n, "object index")
-
-
 def _check_option(option, n_clusters):
     """The row a cluster option seats an object in: ``n_clusters`` for ``NEW_CLUSTER``,
     else the option itself, refused unless it is an integer in [0, n_clusters)."""
-    if type(option) is int and 0 <= option < n_clusters:  # what a visit that stays or moves passes
-        return option
     if isinstance(option, str) and option == NEW_CLUSTER:
         return n_clusters
     return _check_index(option, n_clusters, f"a cluster option other than {NEW_CLUSTER!r}")
+
+
+def _check_counts(values, name):
+    """``values`` as an array, refused unless its dtype is an integer one (not a
+    cast: it would truncate floats and take bools) and no entry is below 0."""
+    counts = np.asarray(values)
+    if not (np.issubdtype(counts.dtype, np.integer) or counts.size == 0) or (counts < 0).any():
+        raise ValueError(f"{name} must be of an integer type and at least 0, got {counts}")
+    return counts
 
 
 def _check_width(hyper, data):
@@ -352,18 +354,22 @@ def log_predictive(x, counts, hyper):
     rates integrated out against their Beta posteriors, each feature
     contributes a Beta-function ratio that collapses to a count ratio:
     ``(a_j + n_jk) / (a_j + b_j + n_k)`` where the feature is present and
-    ``(b_j + n_k - n_jk) / (a_j + b_j + n_k)`` where it is absent.
+    ``(b_j + n_k - n_jk) / (a_j + b_j + n_k)`` where it is absent.  A row
+    entry other than 0 or 1, and a size or count that is not an integer of at
+    least 0, are refused.
     """
     x = np.asarray(x)
     if x.shape != hyper.a.shape:
         raise ValueError(f"row has {x.shape} entries, hyperparameters have {hyper.a.shape}")
+    x = BinaryMatrix(x[None]).values[0]  # refuses an entry other than 0 or 1
     if counts is None:
         size = 0
         fcounts = np.zeros_like(hyper.a)
     else:
         size, fcounts = counts
-        fcounts = np.asarray(fcounts)
-        if (fcounts < 0).any() or (fcounts > size).any():
+        size = _check_counts(size, "the cluster size")
+        fcounts = _check_counts(fcounts, "feature counts")
+        if (fcounts > size).any():
             raise ValueError("inconsistent counts: feature counts must lie in [0, cluster size]")
     return float(_log_predictives(x, np.array([size]), fcounts[None, :], hyper)[0])
 
@@ -381,9 +387,11 @@ def crp_log_prior(option, leave_one_out_sizes, n_total, alpha):
     weight ``(size_k + alpha/K) / (n_total - 1 + alpha)`` per component as
     the number of components grows without bound: the ``alpha/K`` crumbs
     pool into the single new-cluster option.  Only this limit is used at
-    runtime.
+    runtime.  Sizes must be integers of at least 0, and ``alpha`` finite and
+    strictly positive, as in :class:`Hyperparams`.
     """
-    sizes = np.asarray(leave_one_out_sizes, dtype=np.int64)
+    sizes = _check_counts(leave_one_out_sizes, "leave-one-out sizes")
+    alpha = _check_alpha(alpha)
     if sizes.sum() != n_total - 1:
         raise ValueError("leave-one-out sizes must sum to n_total - 1")
     k = _check_option(option, sizes.shape[0])
@@ -421,11 +429,10 @@ def assignment_distribution(i, state, data, hyper, temperature):
             return visit.probs[:top].copy()
     if not temperature > 0:
         raise ValueError("temperature must be strictly positive")
-    i = _check_object(i, state)
+    i = _check_index(i, state.assignments.shape[0], "object index")
     if state.assignments[i] != UNASSIGNED:
         raise ValueError(f"object {i} must be detached from the state first")
-    if data.values is not state._values:
-        state._check_values(data.values)
+    state._check_values(data.values)
     if not (visit and hyper is visit.hyper):  # no kernel for these hyperparameters and buffers yet, or the numpy path
         _check_width(hyper, data)
         from . import _kernel
@@ -437,8 +444,7 @@ def assignment_distribution(i, state, data, hyper, temperature):
         if not visit.distribution(i, top, temperature):  # every other refusal was checked above
             raise ValueError(uncovered)
         return visit.probs[:top].copy()
-    # np.add.reduce, not .sum(): .sum() adds a Python-level wrapper around the same reduction.
-    if np.add.reduce(state.sizes) != state.assignments.shape[0] - 1:
+    if state.sizes.sum() != state.assignments.shape[0] - 1:
         raise ValueError(uncovered)
     loglik = _log_predictives(state._values[i], state._sizes[:top], state._counts[:top], hyper)
     loglik -= loglik.max()
@@ -464,12 +470,11 @@ def remove_object(state, i, data):
     # refuses with None, changing nothing, for the checks below to name why.
     done = visit and type(i) is int and data.values is state._values and visit.detach(i, state._k)
     if not done:
-        i = _check_object(i, state)
+        i = _check_index(i, state.assignments.shape[0], "object index")
         k = int(state.assignments[i])
         if k == UNASSIGNED:
             raise ValueError(f"object {i} is already detached")
-        if data.values is not state._values:
-            state._check_values(data.values)
+        state._check_values(data.values)
         # A label outside 0..K-1 would send the update past the live rows.
         if not 0 <= k < state._k:
             raise ValueError(f"object {i} carries label {k}, outside 0..{state._k - 1}")
@@ -506,12 +511,11 @@ def insert_object(state, i, option, data):
     # The kernel checks the object and the row itself, and refuses a birth into
     # the last row; it refuses with False, changing nothing, for the code below.
     if not (visit and type(i) is type(k) is int and data.values is state._values and visit.attach(i, k, state._k)):
-        i = _check_object(i, state)
+        i = _check_index(i, state.assignments.shape[0], "object index")
         if state.assignments[i] != UNASSIGNED:
             raise ValueError(f"object {i} is already assigned")
         k = _check_option(option, state._k)
-        if data.values is not state._values:
-            state._check_values(data.values)
+        state._check_values(data.values)
         if k + 2 > state._sizes.shape[0]:  # only a birth into the last row leaves no zero row above it
             state._sizes = np.concatenate([state._sizes, np.zeros_like(state._sizes)])
             state._counts = np.concatenate([state._counts, np.zeros_like(state._counts)])

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -18,10 +19,12 @@ from binclust.io import load_dense, load_labels, load_report
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _python(*argv, timeout):
-    """Run ``python argv`` in a fresh process with the package on its path."""
+def _python(*argv, timeout, **options):
+    """Run ``python argv`` in a fresh process with the package on its path; ``options``
+    go to ``subprocess.run``, which captures the output unless they say otherwise."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout)
+    options = {"capture_output": True, **options}
+    return subprocess.run([sys.executable, *argv], env=env, text=True, timeout=timeout, **options)
 
 
 def _run(capsys, *argv):
@@ -234,6 +237,15 @@ class TestClusterEvaluatePipeline:
         assert code == 2
         assert "does not fit in memory" in err
 
+    @pytest.mark.parametrize("text", ["", "\n \n"], ids=["no-bytes", "blank-lines"])
+    @pytest.mark.parametrize("command", ["cluster", "baseline"])
+    def test_an_empty_matrix_file_exit_2_as_empty(self, tmp_path, capsys, command, text):
+        data_path = tmp_path / "empty.csv"
+        data_path.write_text(text)
+        code, _, err = _run(capsys, command, "--in", str(data_path), "--report", str(tmp_path / "r.json"))
+        assert (code, err) == (2, f"binclust {command}: {data_path}: empty file\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["empty.csv"]
+
     def test_missing_input_file_exit_2(self, tmp_path, capsys):
         code, _, err = _run(
             capsys,
@@ -388,6 +400,89 @@ def test_dev_null_may_take_every_output(tmp_path, capsys):
     )
     assert (code, out) == (0, "")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
+@pytest.mark.parametrize("old", [True, False], ids=["old-outputs", "no-outputs"])
+@pytest.mark.parametrize("failing", ["report", "order-out"])
+def test_a_write_that_fails_leaves_every_output_as_it_was(tmp_path, capsys, failing, old):
+    resource = pytest.importorskip("resource")
+    data_path, full, out = tmp_path / "data.csv", tmp_path / "full", tmp_path / "out"
+    full.mkdir()
+    out.mkdir()
+    spec = datagen.SyntheticSpec(n_objects=200, n_features=200, info_pct=20, noise_pct=5, k_true=3, seed=0)
+    io.save_dense(data_path, datagen.generate(spec)[0])
+    argv = ["cluster", "--in", str(data_path), "--sweeps", "2", "--block", "1"]
+    # A run with no limit gives each output's size: the report, written first, is the smaller.
+    code, _, _ = _run(capsys, *argv, "--report", str(full / "r.json"), "--order-out", str(full / "o.csv"))
+    sizes = [(full / name).stat().st_size for name in ("r.json", "o.csv")]
+    assert code == 0 and sizes[0] < sizes[1]
+    limit = sizes[0] // 2 if failing == "report" else (sizes[0] + sizes[1]) // 2
+    if old:
+        (out / "r.json").write_text("{}\n")
+        (out / "o.csv").write_text("0,1\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # The limit acts on the child alone: a write past it fails with EFBIG.
+    done = _python(
+        "-m", "binclust", *argv, "--report", str(out / "r.json"), "--order-out", str(out / "o.csv"), timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+    )
+    assert done.returncode == 2, done.stderr
+    assert "File too large" in done.stderr
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_replaced_output_keeps_its_mode_and_a_symlink_its_target(tmp_path, capsys):
+    data_path, kept, link = tmp_path / "data.csv", tmp_path / "kept.json", tmp_path / "link.json"
+    data_path.write_text("0,1\n1,0\n1,1\n")
+    kept.write_text("{}\n")
+    kept.chmod(0o604)
+    link.symlink_to("kept.json")
+    umask = os.umask(0o027)
+    try:
+        code, _, err = _run(
+            capsys, "cluster", "--in", str(data_path), "--k-init", "2", "--sweeps", "2", "--block", "1",
+            "--report", str(link), "--order-out", str(tmp_path / "new.csv"),
+        )
+    finally:
+        os.umask(umask)
+    assert (code, err) == (0, "")
+    assert os.readlink(link) == "kept.json" and load_report(kept)["n_clusters"] >= 1
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+    assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "kept.json", "link.json", "new.csv"]
+
+
+def test_dev_stdout_is_written_in_place_when_it_is_a_regular_file(tmp_path):
+    data_path, captured = tmp_path / "data.csv", tmp_path / "captured.json"
+    data_path.write_text("0,1\n1,0\n1,1\n")
+    with open(captured, "w") as stdout:
+        inode = os.fstat(stdout.fileno()).st_ino
+        done = _python(
+            "-m", "binclust", "cluster", "--in", str(data_path), "--k-init", "2", "--sweeps", "2", "--block", "1",
+            "--report", "/dev/stdout", timeout=60, stdout=stdout, capture_output=False, stderr=subprocess.PIPE,
+        )
+    assert done.returncode == 0, done.stderr
+    assert captured.stat().st_ino == inode and load_report(captured)["n_clusters"] >= 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["captured.json", "data.csv"]
+
+
+@_NOT_ROOT
+def test_an_output_in_a_read_only_directory_is_written_in_place(tmp_path, capsys):
+    data_path, sub = tmp_path / "data.csv", tmp_path / "sub"
+    data_path.write_text("0,1\n1,0\n1,1\n")
+    sub.mkdir()
+    (sub / "r.json").write_text("{}\n")
+    sub.chmod(0o555)
+    try:
+        code, _, err = _run(
+            capsys, "cluster", "--in", str(data_path), "--k-init", "2", "--sweeps", "2", "--block", "1",
+            "--report", str(sub / "r.json"),
+        )
+        assert (code, err) == (0, "")
+        assert load_report(sub / "r.json")["n_clusters"] >= 1
+        assert [p.name for p in sub.iterdir()] == ["r.json"]
+    finally:
+        sub.chmod(0o755)
 
 
 def test_importing_the_cli_loads_no_scipy_module_it_does_not_call(tmp_path):

@@ -479,12 +479,12 @@ class TestReaderContract:
         with pytest.raises(DataFormatError, match="'#"):
             reader(path)
 
-    @pytest.mark.parametrize("name", READERS)
+    @pytest.mark.parametrize("name", [*READERS, "detect_format", "matrix"])
     def test_blank_only_file_is_empty(self, tmp_path, name):
         path = tmp_path / "f"
         path.write_text("\n \n\t\n")
-        with pytest.raises(DataFormatError, match="empty file"):
-            READERS[name][0](path)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: empty file$"):
+            TEXT_READERS[name](path)
 
     @pytest.mark.parametrize("name", ["dense", "counts", "reals"])
     def test_a_csv_of_only_a_header_has_no_data_rows(self, tmp_path, name):

@@ -261,6 +261,22 @@ class TestLogPredictive:
         with pytest.raises(ValueError):
             log_predictive(np.array([1, 0]), None, _uniform_hyper(3))
 
+    @pytest.mark.parametrize("entry", [2, 0.5, -1, np.nan])
+    def test_rejects_a_row_entry_other_than_0_or_1(self, entry):
+        with pytest.raises(ValueError, match=f"non-binary entry {entry} at row 0, column 1$"):
+            log_predictive(np.array([1, entry]), None, _uniform_hyper(2))
+
+    @pytest.mark.parametrize(
+        "size, fcounts, name, value",
+        [(2.5, [1], "the cluster size", "2.5"), (True, [1], "the cluster size", "True"),
+         (-1, [0], "the cluster size", "-1"), (3, [1.5], "feature counts", r"\[1.5\]"),
+         (3, [-1], "feature counts", r"\[-1\]")],
+        ids=["size-2.5", "size-True", "size--1", "count-1.5", "count--1"],
+    )
+    def test_rejects_a_size_or_count_that_is_not_an_integer_of_at_least_0(self, size, fcounts, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be of an integer type and at least 0, got {value}$"):
+            log_predictive(np.array([1]), (size, np.array(fcounts)), _uniform_hyper(1))
+
 
 class TestCrpLogPrior:
     def test_two_objects_symmetric(self):
@@ -294,6 +310,21 @@ class TestCrpLogPrior:
     def test_rejects_unknown_option(self, option):
         with pytest.raises(ValueError, match=r"cluster option other than 'new' must be an integer in \[0, 1\)"):
             crp_log_prior(option, [2], 3, 1.0)
+
+    # Each sums to n_total - 1: [2.5, 3.5] would pass as [2, 3] under a cast.
+    @pytest.mark.parametrize(
+        "sizes, n_total, value",
+        [([2.5, 3.5], 6, r"\[2.5 3.5\]"), ([-1, 6], 6, r"\[-1  6\]"), ([True], 2, r"\[ True\]")],
+        ids=["fractional", "negative", "bool"],
+    )
+    def test_rejects_sizes_that_are_not_integers_of_at_least_0(self, sizes, n_total, value):
+        with pytest.raises(ValueError, match=f"^leave-one-out sizes must be of an integer type and at least 0, got {value}$"):
+            crp_log_prior(NEW_CLUSTER, sizes, n_total, 1.0)
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, np.inf, np.nan])
+    def test_rejects_alpha_outside_zero_to_infinity(self, alpha):
+        with pytest.raises(ValueError, match=f"^alpha must be finite and strictly positive, got {alpha}$"):
+            crp_log_prior(0, [2], 3, alpha)
 
 
 def _detached_state(data, labels, i):
