@@ -60,18 +60,23 @@ N x capacity doubles, N/(4D) of the term cache: 192 KB at N = D = 2000 with
 The C source ends in a small CPython extension module, ``_visit``: one
 ``METH_FASTCALL`` entry per ``bc_`` function, named as it, which takes the
 address of the state's ``bc_state`` and the function's other arguments and
-refuses another count or type with ``TypeError``.  :class:`Visit` binds three
-to one state as ``detach``, ``attach`` and ``distribution``; the ``bc_state``
-it hands them is a ctypes structure whose fields are read from the struct in
-the source.  Each of the three checks its own arguments, so one call is a
-whole visit step.  It takes the step only for an object index that is an exact
-``int`` in 0 .. N - 1 and fits the step: attached with a label in 0 .. K - 1
-for a detach, K the live rows passed in; detached for a distribution, at a
-positive temperature, or for an attach into a row in 0 .. K with a spare row
-above a birth.  Otherwise it changes nothing and returns a sentinel, None for
-a detach and False for the others; then the checks in :mod:`binclust.model`
-name the refusal, or accept the index, a numpy integer say, and call again
-with an ``int``.  A detach returns the old label and whether its row died.
+refuses another count or type with ``TypeError``.  :class:`Visit` binds four
+to one state as ``detach``, ``attach``, ``distribution`` and ``draw``; the
+``bc_state`` it hands them is a ctypes structure whose fields are read from
+the struct in the source.  Each of the four checks its own arguments, so one
+call is a whole visit step.  It takes the step only for an object index that
+is an exact ``int`` in 0 .. N - 1 and fits the step: attached with a label in
+0 .. K - 1 for a detach, K the live rows passed in; detached for a
+distribution, at a positive temperature, or for an attach into a row in 0 ..
+K with a spare row above a birth; for a draw, the object of the last
+distribution, over the same rows, with no detach or attach since.  Otherwise
+it changes nothing and returns a sentinel, None for a detach, -1 for a draw
+and False for the others.  Then the checks in :mod:`binclust.model` name the
+refusal, or accept the index, a numpy integer say, and call again with an
+``int``; after a refused draw :func:`binclust.sampler.gibbs_sweep` draws
+through :func:`binclust.sampler._categorical`.  A detach returns the old
+label and whether its row died, a draw the row that a uniform picks from the
+distribution, by the steps of ``_categorical``, so the same row.
 The first process that needs the module compiles it with ``gcc`` against this
 interpreter's headers into ``__pycache__/visit-<hash><suffix>`` beside this
 file (``<suffix>`` is the interpreter's extension suffix, ABI tag included;
@@ -90,14 +95,12 @@ every other step is the same.
 import contextlib
 import ctypes
 import functools
-import glob
 import hashlib
 import importlib.machinery
 import importlib.util
 import os
 import platform
 import re
-import subprocess
 import sysconfig
 import tempfile
 import warnings
@@ -141,6 +144,10 @@ typedef struct {
     double *scores;        /* N x capacity: object i's untempered log-likelihood at each row,
                               i left out of its own, as its last distribution scored them */
     int64_t *scored_at;    /* N: the tick of object i's last distribution, -1 before any */
+    /* The object and the rows of the distribution in probs; both -1 before
+       any, and after a detach or an attach. */
+    int64_t probs_object;
+    int64_t probs_top;
 } bc_state;
 
 /* numpy's pairwise summation, as its add.reduce runs along a contiguous
@@ -301,6 +308,7 @@ static int64_t bc_detach(bc_state *s, int64_t i, int64_t n_clusters)
     if (k < 0 || k >= n_clusters)
         return -1;
     settle(s);
+    s->probs_object = s->probs_top = -1;
     if (recount(s, i, k, -1) > 0) {
         s->pending_object = i;
         s->pending_row = k;
@@ -330,6 +338,7 @@ static int bc_attach(bc_state *s, int64_t i, int64_t k, int64_t n_clusters)
     if (i < 0 || i >= s->n_objects || s->assignments[i] != -1 || k < 0 || k > n_clusters
         || n_clusters + (k == n_clusters) >= s->capacity)
         return 0;
+    s->probs_object = s->probs_top = -1;
     if (s->pending_object == i && s->pending_row == k) {
         s->pending_object = s->pending_row = -1;
         recount(s, i, k, 1);
@@ -400,7 +409,27 @@ static int bc_distribution(bc_state *s, int64_t i, int64_t top, double temperatu
     const double total = pairwise_sum(p, top);
     for (int64_t k = 0; k < top; k++)
         p[k] /= total;
+    s->probs_object = i;
+    s->probs_top = top;
     return 1;
+}
+
+/* The row a uniform u draws from object i's distribution over rows 0 .. top
+   - 1: the first k whose running sum of probs[0 .. k], taken left to right,
+   exceeds u, and top - 1 where rounding leaves the total at or below u.
+   Returns -1, having changed nothing, unless probs holds object i's
+   distribution over exactly top rows, with no detach or attach since. */
+static int64_t bc_draw(const bc_state *s, int64_t i, int64_t top, double u)
+{
+    if (i < 0 || i != s->probs_object || top != s->probs_top)
+        return -1;
+    double total = 0.0;
+    for (int64_t k = 0; k < top; k++) {
+        total += s->probs[k];
+        if (total > u)
+            return k;
+    }
+    return top - 1;
 }
 
 /* The module's entries, one per bc_ function above and named as it: each
@@ -493,6 +522,18 @@ static PyObject *py_distribution(PyObject *module, PyObject *const *args, Py_ssi
     return PyBool_FromLong(bc_distribution(s, i, top, temperature));
 }
 
+static PyObject *py_draw(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    void *s;
+    int64_t i, top;
+    double u;
+    (void)module;
+    if (arity("bc_draw", nargs, 4) || to_pointer(args[0], &s) || to_index(args[1], &i) || to_int64(args[2], &top)
+        || to_double(args[3], &u))
+        return NULL;
+    return PyLong_FromLongLong(bc_draw(s, i, top, u));
+}
+
 static PyObject *py_row_terms(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     void *s, *terms;
@@ -521,6 +562,7 @@ static PyMethodDef methods[] = {
     ENTRY("bc_detach", py_detach),
     ENTRY("bc_attach", py_attach),
     ENTRY("bc_distribution", py_distribution),
+    ENTRY("bc_draw", py_draw),
     ENTRY("bc_row_terms", py_row_terms),
     ENTRY("bc_row_score", py_row_score),
     {NULL, NULL, 0, NULL},
@@ -553,21 +595,14 @@ def library():
     if _lib is None:
         try:
             _lib = _load(_built())
-        except (OSError, ImportError, subprocess.SubprocessError) as exc:
+        except (OSError, ImportError) as exc:
             _lib = False
             warnings.warn(
-                f"binclust: the compiled visit kernel is unavailable, the numpy path runs instead: {_describe(exc)}",
+                f"binclust: the compiled visit kernel is unavailable, the numpy path runs instead: {exc}",
                 RuntimeWarning,
                 stacklevel=2,
             )
     return _lib or None
-
-
-def _describe(exc):
-    if isinstance(exc, subprocess.CalledProcessError):
-        lines = (exc.stderr or "").strip().splitlines()
-        return f"{exc.cmd[0]} exited with status {exc.returncode}" + (f": {lines[-1]}" if lines else "")
-    return str(exc)
 
 
 def _key():
@@ -582,11 +617,17 @@ def _built():
     extension suffix beside it, the builds of other sources, and every
     ``visit-<16 hex digits>.so``, an older version's ctypes build, as far as
     it can; the builds of other interpreters, and the temporary files of
-    builds still running, which are neither, stay.
+    builds still running, which are neither, stay.  A ``gcc`` run that fails
+    or times out raises ``OSError``, as a missing ``gcc`` does.  Only a build
+    imports ``subprocess`` and ``glob``: a process that loads an existing
+    build never pays for them.
     """
     key = _key()
     path = os.path.join(_CACHE_DIR, f"visit-{key}{_SUFFIX}")
     if not os.path.exists(path):
+        import glob
+        import subprocess
+
         os.makedirs(_CACHE_DIR, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=f"visit-{key}-", suffix=".tmp", dir=_CACHE_DIR)
         os.close(fd)
@@ -596,6 +637,11 @@ def _built():
                 input=SOURCE, capture_output=True, text=True, check=True, timeout=300,
             )
             os.replace(tmp, path)
+        except subprocess.CalledProcessError as exc:
+            last = (exc.stderr or "").strip().splitlines()[-1:]
+            raise OSError(": ".join([f"{exc.cmd[0]} exited with status {exc.returncode}", *last])) from None
+        except subprocess.TimeoutExpired as exc:
+            raise OSError(str(exc)) from None
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -649,8 +695,10 @@ class Visit:
     so, the pending row as the row with its object in.  ``detach`` returns
     ``(label, died)``, ``attach`` True.  ``distribution(i, top, temperature)``
     writes the distribution of detached object i over rows ``0 .. top - 1``
-    into ``probs`` and returns True.  Each refuses a call that does not fit,
-    changing nothing: ``detach`` with None, the others with False.  The score
+    into ``probs`` and returns True; ``draw(i, top, u)`` then returns the row
+    that the uniform ``u`` picks from it.  Each refuses a call that does not
+    fit, changing nothing: ``detach`` with None, ``draw`` with -1 and the
+    others with False.  The score
     memo starts empty, at tick 0, and the C entries tick the rows they change.
     Scoring binds a kernel, and growth drops it (the module docstring gives
     both rules).  It holds a reference to every array whose address the C side
@@ -663,12 +711,14 @@ class Visit:
         self._lib = lib
         self.hyper = hyper
         self._ctx = ctx = _Context(
-            n_objects=n, n_features=d, capacity=capacity, alpha=hyper.alpha, pending_object=-1, pending_row=-1
+            n_objects=n, n_features=d, capacity=capacity, alpha=hyper.alpha, pending_object=-1, pending_row=-1,
+            probs_object=-1, probs_top=-1,
         )
         self._addr = ctypes.addressof(ctx)
         self.detach = functools.partial(lib.bc_detach, self._addr)
         self.attach = functools.partial(lib.bc_attach, self._addr)
         self.distribution = functools.partial(lib.bc_distribution, self._addr)
+        self.draw = functools.partial(lib.bc_draw, self._addr)
         self._values, self._assignments = state._values, state.assignments
         # A detached object has N options at most: probs needs no growth.
         self._memo, self.probs, self._scratch = np.full(n + 1, np.nan), np.empty(n + 1), np.empty(d)

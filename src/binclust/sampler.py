@@ -4,7 +4,10 @@ A run owns one mutable :class:`~binclust.model.ClusterState` and sweeps the
 objects in index order.  Each visit detaches the object, scores every
 existing cluster plus a fresh one under the tempered collapsed posterior,
 draws one option, and reattaches; :mod:`binclust.model` owns the three
-steps.  The temperature is multiplied by the cooling factor after every
+steps around the draw.  Where the state has bound the compiled kernel of
+:mod:`binclust._kernel`, the kernel also draws, from the distribution it
+just wrote; on the numpy path :func:`_categorical` draws, by the same steps.
+The temperature is multiplied by the cooling factor after every
 ``block`` sweeps, so the chain starts as an exact Gibbs sampler and ends
 close to greedy ascent on the partition score.
 """
@@ -104,7 +107,9 @@ def _categorical(probs, u):
     The first index whose running sum exceeds ``u``, the last where rounding
     leaves the total at or below it.  The sum runs left to right in float64,
     as ``np.cumsum`` does, so this is ``searchsorted(cumsum(probs), u,
-    side="right")`` clamped to the last index, bit for bit.
+    side="right")`` clamped to the last index, bit for bit.  The numpy path's
+    draw, and the oracle of the compiled kernel's ``bc_draw``, which takes
+    the same steps.
     """
     total = 0.0
     for k, p in enumerate(probs.tolist()):
@@ -121,7 +126,9 @@ def gibbs_sweep(state, data, hyper, temperature, rng):
     first object is detached, so a refused call leaves the state as it was.
     The sweep's N uniforms are drawn in one block, visit i taking the i-th:
     the same numbers, and the same generator state after, as one
-    ``rng.random()`` per visit.
+    ``rng.random()`` per visit.  A visit draws in the compiled kernel where the
+    state has bound one, and through :func:`_categorical` on the numpy path or
+    if the kernel refuses; the two pick the same option.
     """
     state._check_values(data.values)
     _check_width(hyper, data)
@@ -136,8 +143,11 @@ def gibbs_sweep(state, data, hyper, temperature, rng):
     for i, u in enumerate(rng.random(data.n_objects).tolist()):
         remove_object(state, i, data)
         probs = assignment_distribution(i, state, data, hyper, temperature)
-        choice = _categorical(probs, u)
-        option = NEW_CLUSTER if choice == state.n_clusters else choice
+        visit = state._visit  # read after the scoring, which may bind it
+        choice = visit.draw(i, len(probs), u) if visit else -1
+        if choice < 0:
+            choice = _categorical(probs, u)
+        option = NEW_CLUSTER if choice == state._k else choice
         insert_object(state, i, option, data)
 
 

@@ -138,3 +138,21 @@ def matched_accuracy_brute_force(pred, truth):
         for rows in itertools.permutations(range(n_pred), n_truth):
             best = max(best, sum(table[r, c] for c, r in enumerate(rows)))
     return 100.0 * best / len(pred)
+
+
+def categorical_by_searchsorted(probs, u):
+    """The index a uniform ``u`` draws from ``probs``: ``searchsorted`` over the cumulative sum,
+    clamped to the last index."""
+    return min(int(np.searchsorted(np.cumsum(probs), u, side="right")), len(probs) - 1)
+
+
+_TENTHS = [0.1] * 10  # the running sum ends at 0.9999999999999999, below 1
+# Pinned (probs, u) draws at the edges of a categorical draw.
+CATEGORICAL_EDGES = [
+    *[([0.0, 0.0, 1.0, 0.0], u) for u in (0.0, 0.5, 0.9999999999999999)],  # exact zeros, a lone 1.0
+    *[([1.0], u) for u in (0.0, 0.3)],
+    *[([0.25, 0.25, 0.5], u) for u in (0.0, 0.25, 0.5, 0.75)],  # u equal to a running sum
+    *[([0.0, 0.25, 0.0, 0.75], u) for u in (0.0, 0.25)],
+    *[(_TENTHS, u) for u in (0.9999999999999999, 0.9999999999999998)],  # u at the total and just below it
+    ([0.5, 0.5 - 2**-53, 0.0], 0.9999999999999999),  # a total under u: the last index, though its p is 0
+]

@@ -16,11 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from binclust import _kernel
+from binclust import _kernel, sampler
 from binclust.datagen import SyntheticSpec, generate
-from binclust.model import BinaryMatrix, Hyperparams, default_hyperparams
+from binclust.model import (
+    BinaryMatrix,
+    ClusterState,
+    Hyperparams,
+    assignment_distribution,
+    default_hyperparams,
+    insert_object,
+    remove_object,
+)
 from binclust.sampler import AnnealingSchedule, run
 
+from _oracles import CATEGORICAL_EDGES, categorical_by_searchsorted
 from _paths import PATHS, visit_path
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -167,6 +176,145 @@ def test_help_and_baseline_never_load_the_kernel(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "False"
+
+
+def test_a_cluster_run_that_loads_an_existing_build_never_imports_subprocess(tmp_path):
+    assert _kernel.library() is not None  # built before the child starts
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from binclust import _kernel\n"
+        "from binclust.cli import cli_main\n"
+        "from binclust.io import save_dense\n"
+        "from binclust.model import BinaryMatrix\n"
+        f"path = {str(tmp_path / 'm.csv')!r}\n"
+        "save_dense(path, BinaryMatrix(np.random.default_rng(0).integers(0, 2, size=(20, 6))))\n"
+        f"assert cli_main(['cluster', '--in', path, '--sweeps', '2', '--block', '1', '--report', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        "assert _kernel._lib\n"
+        "print('subprocess' in sys.modules)\n"
+    )
+    src = str(Path(_kernel.__file__).parents[1])  # the package whose build the test process holds
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "False"
+
+
+def _scored(top, seed=0):
+    """A kernel-bound state whose object 0 is detached and scored over ``top`` rows, and its
+    matrix: object 0's singleton died at the detach, and each of the other ``top - 1`` clusters
+    holds two objects."""
+    labels = np.concatenate([[top - 1], np.repeat(np.arange(top - 1), 2)])
+    data = BinaryMatrix(np.random.default_rng(seed).integers(0, 2, size=(labels.size, 5)))
+    with visit_path("compiled"):
+        state = ClusterState(data, labels)
+        remove_object(state, 0, data)
+        probs = assignment_distribution(0, state, data, default_hyperparams(data), 1.0)
+    assert probs.shape == (top,) and state._visit
+    return state, data
+
+
+def _drawn_by_the_kernel(probs, u):
+    state, _ = _scored(len(probs))
+    state._visit.probs[: len(probs)] = probs
+    return state._visit.draw(0, len(probs), u)
+
+
+@st.composite
+def _draws(draw):
+    """A vector of 1-9 probabilities, some 0, whose total may fall short of 1 or exceed it,
+    and a uniform: any in [0, 1), the largest below 1, 0 or one of the running sums."""
+    probs = draw(hnp.arrays(np.float64, draw(st.integers(1, 9)), elements=st.one_of(st.just(0.0), st.floats(0, 1))))
+    if draw(st.booleans()) and probs.sum() > 0:
+        probs /= probs.sum()
+    sums = np.cumsum(probs).tolist()
+    u = draw(st.one_of(st.floats(0, 1, exclude_max=True), st.sampled_from([0.0, 0.9999999999999999, *sums])))
+    return probs, u
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_draws())
+def test_the_kernels_draw_equals_categorical(case):
+    probs, u = case
+    assert _drawn_by_the_kernel(probs, u) == sampler._categorical(probs, u)
+
+
+@pytest.mark.parametrize("probs, u", CATEGORICAL_EDGES)
+def test_the_kernels_draw_at_the_pinned_edges(probs, u):
+    probs = np.array(probs)
+    assert _drawn_by_the_kernel(probs, u) == sampler._categorical(probs, u) == categorical_by_searchsorted(probs, u)
+
+
+def test_the_draw_refuses_all_but_the_last_distributions_object_and_rows_changing_nothing():
+    state, data = _scored(4)
+    visit, hyper = state._visit, state._visit.hyper
+
+    def memory():
+        return [visit.probs.tobytes(), state.assignments.tobytes(), visit._ctx.probs_object, visit._ctx.probs_top]
+
+    taken, before = visit.draw(0, 4, 0.5), memory()
+    assert 0 <= taken < 4
+    # Another object, other rows, a numpy integer or an index outside the objects.
+    for i, top in ((1, 4), (0, 3), (0, 5), (np.int64(0), 4), (-1, 4), (2**63, 4)):
+        assert visit.draw(i, top, 0.5) == -1, (i, top)
+    assert memory() == before
+    insert_object(state, 0, 0, data)  # an attached object
+    assert visit.draw(0, 4, 0.5) == -1
+    remove_object(state, 0, data)  # a detach since the distribution: row 0 keeps two members
+    assert visit.draw(0, 4, 0.5) == -1
+    assignment_distribution(0, state, data, hyper, 1.0)
+    assert visit.draw(0, 4, 0.5) >= 0
+    remove_object(state, 1, data)  # a detach of another object since
+    assert visit.draw(0, 4, 0.5) == -1
+    insert_object(state, 1, 0, data)
+    assignment_distribution(0, state, data, hyper, 1.0)
+    assert visit.draw(0, 4, 0.5) >= 0
+    insert_object(state, 0, 1, data)  # an attach since, of the object itself
+    assert visit.draw(0, 4, 0.5) == -1
+    assert state._visit is visit
+
+
+def test_a_compiled_run_draws_in_the_kernel_and_a_numpy_run_through_categorical(monkeypatch):
+    # From one cluster the buffers grow, so the draw also follows the rebinding of a kernel.
+    data, _ = generate(SyntheticSpec(60, 40, 20, 5, k_true=6, seed=3))
+    kwargs = {"schedule": AnnealingSchedule(n_sweeps=6, block=2), "k_init": 1, "seed": 2}
+    categorical, calls = sampler._categorical, []
+
+    def counted(probs, u):
+        calls.append(u)
+        return categorical(probs, u)
+
+    def refused(probs, u):
+        raise AssertionError("the compiled path drew through _categorical")
+
+    monkeypatch.setattr(sampler, "_categorical", counted)
+    with visit_path("numpy"):
+        plain = run(data, **kwargs)
+    assert len(calls) == 6 * data.n_objects
+    monkeypatch.setattr(sampler, "_categorical", refused)
+    with visit_path("compiled"):
+        compiled = run(data, **kwargs)
+    assert np.array_equal(compiled.assignments, plain.assignments)
+    assert np.array_equal(compiled.score_trace, plain.score_trace)
+
+
+def test_a_refused_draw_falls_back_to_categorical(monkeypatch):
+    data, _ = generate(SyntheticSpec(40, 30, 20, 10, k_true=3, seed=5))
+    kwargs = {"schedule": AnnealingSchedule(n_sweeps=5, block=1), "seed": 1}
+    with visit_path("numpy"):
+        plain = run(data, **kwargs)
+    bind = _kernel.Visit.__init__
+
+    def refusing(self, *args):
+        bind(self, *args)
+        self.draw = lambda i, top, u: -1
+
+    monkeypatch.setattr(_kernel.Visit, "__init__", refusing)
+    with visit_path("compiled"):
+        compiled = run(data, **kwargs)
+    assert np.array_equal(compiled.assignments, plain.assignments)
+    assert np.array_equal(compiled.score_trace, plain.score_trace)
 
 
 # Appended to both sanitized scripts below.  With the zero row as the top row
@@ -321,7 +469,8 @@ def test_the_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizers(
 # in the middle, scored from the memo.  The cache is checked after every step.
 # Then a bound kernel refuses every step that does not fit, through its entries
 # and through the visit steps, changing nothing, and takes a numpy integer
-# index through each visit step.
+# index through each visit step; draws at the edges of the uniform, and
+# refuses a draw from any but the last distribution, changing nothing.
 _SANITIZED_EDGES = """
 import numpy as np
 from binclust import _kernel
@@ -387,7 +536,9 @@ visit, top, capacity = state._visit, state.n_clusters, state._sizes.shape[0]
 def unchanged():
     arrays = (state.assignments, state._sizes, state._counts, visit._terms, visit._memo, visit._scores,
               visit._scored_at, visit._changed)
-    return [a.tobytes() for a in arrays] + [visit._ctx.clock, visit._ctx.pending_object, visit._ctx.pending_row]
+    return [a.tobytes() for a in arrays + (visit.probs,)] + [
+        visit._ctx.clock, visit._ctx.pending_object, visit._ctx.pending_row, visit._ctx.probs_object, visit._ctx.probs_top
+    ]
 
 
 def refused(entries, steps):
@@ -425,7 +576,18 @@ refused(  # a detached object, an attached one while it is out, rows past the bu
      lambda: insert_object(state, 2, 0, data), lambda: assignment_distribution(1, state, data, hypers[0], 0.0)),
 )
 assignment_distribution(np.int64(1), state, data, hypers[0], 0.5)
+for u in (0.0, 0.5, 0.9999999999999999, 1.0, float("inf"), float("-inf"), float("nan")):
+    assert 0 <= visit.draw(1, top + 1, u) <= top, "a draw outside the rows"
+before = unchanged()
+for args in ((2, top + 1, 0.5), (1, top, 0.5), (1, top + 2, 0.5), (np.int64(1), top + 1, 0.5), (-1, top + 1, 0.5),
+             (2**63, top + 1, 0.5)):
+    assert visit.draw(*args) == -1, "a draw from another object's distribution or other rows"
+assert unchanged() == before
+k2 = remove_object(state, 2, data)
+assert visit.draw(1, top + 1, 0.5) == -1, "a draw after a detach"
+insert_object(state, 2, k2, data)
 insert_object(state, np.int64(1), k, data)
+assert visit.draw(1, top + 1, 0.5) == -1, "a draw after an attach"
 assert state._visit is visit and visit._ctx.pending_object == -1
 state.check_consistency(data)
 """ + _SANITIZED_TOP_ROW

@@ -31,7 +31,7 @@ from binclust.sampler import (
     run,
 )
 
-from _oracles import canonical_labels
+from _oracles import CATEGORICAL_EDGES, canonical_labels, categorical_by_searchsorted
 from _paths import PATHS, visit_path
 
 
@@ -665,16 +665,12 @@ def test_a_sweep_draws_exactly_one_uniform_per_object(path, n):
         assert rng.random() == reference.random()
 
 
-def _categorical_by_searchsorted(probs, u):
-    return min(int(np.searchsorted(np.cumsum(probs), u, side="right")), len(probs) - 1)
-
-
 class TestCategorical:
     def _check(self, probs, u):
         probs = np.asarray(probs, dtype=np.float64)
         got = _categorical(probs, u)
         assert type(got) is int
-        assert got == _categorical_by_searchsorted(probs, u), (probs.tolist(), u)
+        assert got == categorical_by_searchsorted(probs, u), (probs.tolist(), u)
 
     def test_equals_searchsorted_over_the_cumulative_sum_on_random_vectors(self):
         rng = np.random.default_rng(11)
@@ -684,15 +680,8 @@ class TestCategorical:
             self._check(probs, rng.random())
 
     def test_edge_vectors_and_draws(self):
-        cases = [
-            ([0.0, 0.0, 1.0, 0.0], (0.0, 0.5, 0.9999999999999999)),  # exact zeros, a lone 1.0
-            ([1.0], (0.0, 0.3)),
-            ([0.25, 0.25, 0.5], (0.0, 0.25, 0.5, 0.75)),  # u equal to a running sum
-            ([0.0, 0.25, 0.0, 0.75], (0.0, 0.25)),
-        ]
-        for probs, draws in cases:
-            for u in draws:
-                self._check(probs, u)
+        for probs, u in CATEGORICAL_EDGES:
+            self._check(probs, u)
 
     def test_a_total_just_under_one_clamps_to_the_last_index(self):
         probs = np.full(10, 0.1)  # the running sum ends at 0.9999999999999999
