@@ -201,12 +201,12 @@ def test_a_cluster_run_that_loads_an_existing_build_never_imports_subprocess(tmp
     assert done.stdout.strip().splitlines()[-1] == "False"
 
 
-def _scored(top, seed=0):
+def _scored(top):
     """A kernel-bound state whose object 0 is detached and scored over ``top`` rows, and its
     matrix: object 0's singleton died at the detach, and each of the other ``top - 1`` clusters
     holds two objects."""
     labels = np.concatenate([[top - 1], np.repeat(np.arange(top - 1), 2)])
-    data = BinaryMatrix(np.random.default_rng(seed).integers(0, 2, size=(labels.size, 5)))
+    data = BinaryMatrix(np.random.default_rng(0).integers(0, 2, size=(labels.size, 5)))
     with visit_path("compiled"):
         state = ClusterState(data, labels)
         remove_object(state, 0, data)
