@@ -194,32 +194,12 @@ _OUTPUTS = ("out", "labels_out", "report", "order_out", "kept_out")
 def _identity(path):
     """Which file ``path`` is, equal for every spelling, symlink and hard link of
     one file: its ``(st_dev, st_ino)`` where it exists, else its resolved path;
-    and whether other paths may share it, as a special file such as /dev/null may."""
+    and its ``os.stat`` result, or the ``OSError`` that ``os.stat`` raised."""
     try:
         st = os.stat(path)
-    except OSError:
-        return os.path.realpath(path), False
-    return (st.st_dev, st.st_ino), not stat.S_ISREG(st.st_mode)
-
-
-def _check_outputs(args):
-    """Refuse, before any work, an output path that cannot be written, or that is
-    the input or another output and not a special file such as /dev/null."""
-    given = vars(args)
-    taken = {_identity(given["in_path"])[0]: f"the input {given['in_path']}"} if "in_path" in given else {}
-    for path in [given[name] for name in _OUTPUTS if given.get(name) is not None]:
-        directory, (key, shared) = os.path.dirname(os.path.abspath(path)), _identity(path)
-        if os.path.isdir(path):
-            raise ValueError(f"cannot write {path}: it is a directory")
-        if not os.path.basename(path):
-            raise ValueError(f"cannot write {path!r}: it names no file")
-        if not os.path.isdir(directory):
-            raise ValueError(f"cannot write {path}: directory {directory} does not exist")
-        if not os.access(path if os.path.exists(path) else directory, os.W_OK):
-            raise ValueError(f"cannot write {path}: permission denied")
-        if key in taken and not shared:
-            raise ValueError(f"cannot write {path}: it is the same file as {taken[key]}")
-        taken[key] = f"the output {path}"
+    except OSError as exc:
+        return os.path.realpath(path), exc
+    return (st.st_dev, st.st_ino), st
 
 
 # Outputs under these stay direct writes: /dev/stdout, say, may resolve to a
@@ -228,31 +208,47 @@ _DIRECT_ROOTS = ("/dev/", "/proc/")
 
 
 def _stage_outputs(args, staged):
-    """Point each output in ``args`` that is a regular file, or not there yet, at a
-    new temporary file in the directory of its resolved target, and append
-    ``(temporary, target, mode)`` to ``staged``: ``mode`` is the target's
-    permission bits, or ``0o666 & ~umask`` for a new file.  A special file such
-    as /dev/null, a path under ``_DIRECT_ROOTS`` and a target in a directory
-    that cannot be written keep direct writes."""
+    """Refuse or stage each output in ``args``, in ``_OUTPUTS`` order, from one
+    ``os.stat`` of its path.
+
+    Refused, before any work: an output that cannot be written, or that is the
+    input or another output and not a special file such as /dev/null.  The
+    directory tested is that of the path's resolved target, where a symlink's
+    bytes land.  Every other output that is a regular file, or not there yet,
+    is pointed at a new temporary file in that directory, and ``(temporary,
+    target, mode)`` is appended to ``staged``: ``mode`` is the target's
+    permission bits, or ``0o666 & ~umask`` for a new file.  A special file, a
+    path under ``_DIRECT_ROOTS`` and a target in a directory that cannot be
+    written keep direct writes.  A refusal may follow an earlier output's
+    staging: the caller unlinks what ``staged`` holds."""
     umask = os.umask(0)
     os.umask(umask)
     given = vars(args)
-    for name in _OUTPUTS:
-        path = given.get(name)
-        if path is None or os.path.abspath(path).startswith(_DIRECT_ROOTS):
-            continue
-        target = os.path.realpath(path)
-        directory = os.path.dirname(target)
-        try:
-            mode = os.stat(path).st_mode
-        except FileNotFoundError:
-            mode = stat.S_IFREG | (0o666 & ~umask)
-        if not stat.S_ISREG(mode) or not os.access(directory, os.W_OK):
-            continue
-        fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=directory)
-        os.close(fd)
-        staged.append((temp, target, stat.S_IMODE(mode)))
-        given[name] = temp
+    taken = {_identity(given["in_path"])[0]: f"the input {given['in_path']}"} if "in_path" in given else {}
+    for name in [name for name in _OUTPUTS if given.get(name) is not None]:
+        path = given[name]
+        (key, st), target = _identity(path), os.path.realpath(path)
+        directory, exists = os.path.dirname(target), isinstance(st, os.stat_result)
+        mode = st.st_mode if exists else stat.S_IFREG | (0o666 & ~umask)
+        if stat.S_ISDIR(mode):
+            raise ValueError(f"cannot write {path}: it is a directory")
+        if not os.path.basename(path):
+            raise ValueError(f"cannot write {path!r}: it names no file")
+        if not os.path.isdir(directory):
+            raise ValueError(f"cannot write {path}: directory {directory} does not exist")
+        writable = os.access(directory, os.W_OK)
+        if not (os.access(path, os.W_OK) if exists else writable):
+            raise ValueError(f"cannot write {path}: permission denied")
+        if key in taken and stat.S_ISREG(mode):
+            raise ValueError(f"cannot write {path}: it is the same file as {taken[key]}")
+        taken[key] = f"the output {path}"
+        if not (exists or isinstance(st, FileNotFoundError)):
+            raise st  # a symlink loop, say: nothing could be written there
+        if stat.S_ISREG(mode) and writable and not os.path.abspath(path).startswith(_DIRECT_ROOTS):
+            fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=directory)
+            os.close(fd)
+            staged.append((temp, target, stat.S_IMODE(mode)))
+            given[name] = temp
 
 
 _COMMANDS = {
@@ -279,7 +275,6 @@ def cli_main(argv):
     # command has returned: a command that fails leaves every target as it was.
     staged = []
     try:
-        _check_outputs(args)
         _stage_outputs(args, staged)
         code = _COMMANDS[args.command](args)
         for temp, target, mode in staged:

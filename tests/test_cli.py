@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, pipelines, exit codes."""
 
+import errno
 import json
 import os
 import stat
@@ -345,7 +346,10 @@ _NOT_ROOT = pytest.mark.skipif(getattr(os, "geteuid", lambda: -1)() == 0, reason
     + [pytest.param(command, "hard-links", marks=_NEEDS_HARD_LINKS)
        for command in ("cluster", "generate", "term-filter", "percentile")]
     # An output in a directory that may not be written.
-    + [pytest.param(command, "read-only-dir", marks=_NOT_ROOT) for command in _WRITERS],
+    + [pytest.param(command, "read-only-dir", marks=_NOT_ROOT) for command in _WRITERS]
+    # An output that is a symlink into a directory that does not exist, or into one that may not be written.
+    + [(command, "link-to-missing-dir") for command in _WRITERS]
+    + [pytest.param(command, "link-to-read-only-dir", marks=_NOT_ROOT) for command in _WRITERS],
 )
 def test_an_output_path_that_cannot_be_written_exit_2_before_loading(tmp_path, capsys, monkeypatch, command, bad):
     # No file may appear, and the input and every file planted for the case keep
@@ -354,14 +358,18 @@ def test_an_output_path_that_cannot_be_written_exit_2_before_loading(tmp_path, c
     data_path = tmp_path / "data.csv"
     data_path.write_text("0,1\n1,0\n1,1\n")
     (tmp_path / "sub").mkdir()
-    (tmp_path / "link.out").symlink_to("first.out")
+    links = {"link.out": "first.out"}
+    if bad.startswith("link-to-"):
+        links["bad-link.out"] = "nodir/x.out" if bad == "link-to-missing-dir" else "sub/r.out"
+    for link, target in links.items():
+        (tmp_path / link).symlink_to(target)
     hard_links = {"hard-link-input": ("data.csv", "hard.csv"), "hard-links": ("first.out", "second.out")}
     if bad in hard_links:
         target, link = (tmp_path / name for name in hard_links[bad])
         if not target.exists():
             target.write_text("kept\n")
         os.link(target, link)
-    if bad == "read-only-dir":
+    if bad in ("read-only-dir", "link-to-read-only-dir"):
         (tmp_path / "sub").chmod(0o555)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
     args, first, second, (module, work) = _WRITERS[command]
@@ -370,6 +378,7 @@ def test_an_output_path_that_cannot_be_written_exit_2_before_loading(tmp_path, c
     first_paths = {
         "missing-dir": absent, "is-a-dir": tmp_path / "sub", "input": "./data.csv", "empty": "", "sub/": "sub/", "new/": "new/",
         "hard-link-input": "hard.csv", "read-only-dir": "sub/r.out",
+        "link-to-missing-dir": "bad-link.out", "link-to-read-only-dir": "bad-link.out",
     }
     argv += [first, str(first_paths.get(bad, tmp_path / "first.out"))]
     if second is not None:
@@ -385,9 +394,32 @@ def test_an_output_path_that_cannot_be_written_exit_2_before_loading(tmp_path, c
     code, _, err = _run(capsys, *argv)
     assert code == 2
     assert f"binclust {argv[0]}: cannot write " in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"link.out", "sub", *before})
+    # A symlink's refusal names the directory its bytes would land in.
+    reasons = {"link-to-missing-dir": f"directory {tmp_path.resolve() / 'nodir'} does not exist",
+               "link-to-read-only-dir": "permission denied"}
+    if bad in reasons:
+        assert f"cannot write bad-link.out: {reasons[bad]}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({*links, "sub", *before})
     assert list((tmp_path / "sub").iterdir()) == []
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+def test_an_output_in_a_symlink_loop_exit_2_before_loading_and_keeps_the_links(tmp_path, capsys, monkeypatch):
+    # No check refuses it, but os.stat's own error does, before any work.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("0,1\n1,0\n1,1\n")
+    (tmp_path / "a.json").symlink_to("b.json")
+    (tmp_path / "b.json").symlink_to("a.json")
+
+    def no_work(*args):
+        raise AssertionError("worked before checking the output paths")
+
+    monkeypatch.setattr(io, "load_matrix", no_work)
+    code, _, err = _run(capsys, "cluster", "--in", "data.csv", "--report", "a.json")
+    assert code == 2
+    assert f"binclust cluster: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: 'a.json'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json", "data.csv"]
+    assert os.readlink("a.json") == "b.json" and os.readlink("b.json") == "a.json"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")

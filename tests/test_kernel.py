@@ -67,7 +67,7 @@ def test_every_entry_python_calls_is_exported_and_refuses_a_wrong_count_or_type(
                     entry(*args)
 
 
-@pytest.mark.parametrize("compiler", ["missing", "failing"])
+@pytest.mark.parametrize("compiler", ["missing", "failing", "timeout"])
 def test_a_missing_or_failing_compiler_warns_once_then_runs_the_numpy_path(monkeypatch, tmp_path, compiler):
     data, _ = generate(SyntheticSpec(30, 20, 20, 10, k_true=3, seed=9))
     schedule = AnnealingSchedule(n_sweeps=10)
@@ -78,6 +78,13 @@ def test_a_missing_or_failing_compiler_warns_once_then_runs_the_numpy_path(monke
         cc.write_text("#!/bin/sh\necho 'error: boom' >&2\nexit 1\n")
         cc.chmod(0o755)
         reason = f"{cc} exited with status 1: error: boom"
+    elif compiler == "timeout":
+
+        def out_of_time(argv, **kwargs):
+            raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+
+        monkeypatch.setattr(subprocess, "run", out_of_time)
+        reason = "timed out after 300 seconds"
     else:
         reason = f"No such file or directory: '{cc}'"
     monkeypatch.setattr(_kernel, "_lib", None)
