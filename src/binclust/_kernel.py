@@ -70,20 +70,20 @@ is an exact ``int`` in 0 .. N - 1 and fits the step: attached with a label in
 distribution, at a positive temperature, or for an attach into a row in 0 ..
 K with a spare row above a birth; for a draw, the object of the last
 distribution, over the same rows, with no detach or attach since.  Otherwise
-it changes nothing and returns a sentinel, None for a detach, -1 for a draw
-and False for the others.  Then the checks in :mod:`binclust.model` name the
+it changes nothing and returns a sentinel, -1 for a detach or a draw and
+False for the others.  Then the checks in :mod:`binclust.model` name the
 refusal, or accept the index, a numpy integer say, and call again with an
 ``int``; after a refused draw :func:`binclust.sampler.gibbs_sweep` draws
-through :func:`binclust.sampler._categorical`.  A detach returns the old
-label and whether its row died, a draw the row that a uniform picks from the
-distribution, by the steps of ``_categorical``, so the same row.
+through :func:`binclust.sampler._categorical`.  A detach from row k returns
+``bc_detach``'s integer as it is, 2k + 1 if the row died and 2k if not; a
+draw the row that a uniform picks from the distribution, by the steps of
+``_categorical``, so the same row.
 The first process that needs the module compiles it with ``gcc`` against this
 interpreter's headers into ``__pycache__/visit-<hash><suffix>`` beside this
 file (``<suffix>`` is the interpreter's extension suffix, ABI tag included;
 the hash covers the source, the flags, the machine type and the suffix),
-writing a temporary file and renaming it into place, then deletes this
-interpreter's builds of other sources there and the ``ctypes`` builds of
-earlier versions; every process loads that file through the import system's
+writing a temporary file and renaming it into place; it deletes no other
+file.  Every process loads that file through the import system's
 :class:`~importlib.machinery.ExtensionFileLoader`.  If the build or the load
 fails, for want of ``gcc`` or of ``Python.h``, one ``RuntimeWarning`` names
 the error and the numpy code in :mod:`binclust.model` runs instead.  That code
@@ -92,7 +92,6 @@ kernel to: libm's ``log`` and ``exp`` may differ from numpy's in the last bit,
 every other step is the same.
 """
 
-import contextlib
 import ctypes
 import functools
 import hashlib
@@ -480,7 +479,7 @@ static int to_double(PyObject *arg, double *out)
     return *out == -1.0 && PyErr_Occurred() != NULL;
 }
 
-/* A refusal returns None for a detach, False for an attach or a distribution. */
+/* A refusal returns -1 for a detach or a draw, False for an attach or a distribution. */
 static PyObject *py_detach(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     void *s;
@@ -488,15 +487,7 @@ static PyObject *py_detach(PyObject *module, PyObject *const *args, Py_ssize_t n
     (void)module;
     if (arity("bc_detach", nargs, 3) || to_pointer(args[0], &s) || to_index(args[1], &i) || to_int64(args[2], &n_clusters))
         return NULL;
-    const int64_t done = bc_detach(s, i, n_clusters);
-    if (done < 0)
-        Py_RETURN_NONE;
-    PyObject *label = PyLong_FromLongLong(done / 2);
-    if (label == NULL)
-        return NULL;
-    PyObject *result = PyTuple_Pack(2, label, done % 2 ? Py_True : Py_False);
-    Py_DECREF(label);
-    return result;
+    return PyLong_FromLongLong(bc_detach(s, i, n_clusters));
 }
 
 static PyObject *py_attach(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
@@ -613,19 +604,15 @@ def _key():
 def _built():
     """Path of the compiled extension module, compiled first if no process has yet.
 
-    A build deletes every other ``visit-*`` file with this interpreter's
-    extension suffix beside it, the builds of other sources, and every
-    ``visit-<16 hex digits>.so``, an older version's ctypes build, as far as
-    it can; the builds of other interpreters, and the temporary files of
-    builds still running, which are neither, stay.  A ``gcc`` run that fails
-    or times out raises ``OSError``, as a missing ``gcc`` does.  Only a build
-    imports ``subprocess`` and ``glob``: a process that loads an existing
-    build never pays for them.
+    A build writes its own keyed file through a temporary file and deletes
+    nothing else, so a process never loses its build to another's.  A
+    ``gcc`` run that fails or times out raises ``OSError``, as a missing
+    ``gcc`` does.  Only a build imports ``subprocess``: a process that loads
+    an existing build never pays for it.
     """
     key = _key()
     path = os.path.join(_CACHE_DIR, f"visit-{key}{_SUFFIX}")
     if not os.path.exists(path):
-        import glob
         import subprocess
 
         os.makedirs(_CACHE_DIR, exist_ok=True)
@@ -645,11 +632,6 @@ def _built():
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        for stale in glob.glob(os.path.join(glob.escape(_CACHE_DIR), "visit-*")):
-            ctypes_era = re.fullmatch(r"visit-[0-9a-f]{16}\.so", os.path.basename(stale))
-            if stale != path and (stale.endswith(_SUFFIX) or ctypes_era):
-                with contextlib.suppress(OSError):
-                    os.unlink(stale)
     return path
 
 
@@ -693,13 +675,13 @@ class Visit:
     leaves no row pending: ``detach(i, n_clusters)`` and ``attach(i, k,
     n_clusters)``, the C entries bound to this kernel, keep the rows they touch
     so, the pending row as the row with its object in.  ``detach`` returns
-    ``(label, died)``, ``attach`` True.  ``distribution(i, top, temperature)``
-    writes the distribution of detached object i over rows ``0 .. top - 1``
-    into ``probs`` and returns True; ``draw(i, top, u)`` then returns the row
-    that the uniform ``u`` picks from it.  Each refuses a call that does not
-    fit, changing nothing: ``detach`` with None, ``draw`` with -1 and the
-    others with False.  The score
-    memo starts empty, at tick 0, and the C entries tick the rows they change.
+    2k + 1 if the object's row k died and 2k if not, ``attach`` True.
+    ``distribution(i, top, temperature)`` writes the distribution of detached
+    object i over rows ``0 .. top - 1`` into ``probs`` and returns True;
+    ``draw(i, top, u)`` then returns the row that the uniform ``u`` picks from
+    it.  Each refuses a call that does not fit, changing nothing: ``detach``
+    and ``draw`` with -1, the others with False.  The score memo starts
+    empty, at tick 0, and the C entries tick the rows they change.
     Scoring binds a kernel, and growth drops it (the module docstring gives
     both rules).  It holds a reference to every array whose address the C side
     keeps, so none is freed while bound.

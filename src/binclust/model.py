@@ -466,10 +466,10 @@ def remove_object(state, i, data):
     one, keeping the label set compact.
     """
     visit = state._visit
-    # The kernel checks the object and its label itself, and compacts a death; it
-    # refuses with None, changing nothing, for the checks below to name why.
-    done = visit and type(i) is int and data.values is state._values and visit.detach(i, state._k)
-    if not done:
+    # The kernel checks the object and its label itself and compacts a death: 2k + 1 if
+    # row k died, else 2k; it refuses with -1, changing nothing, for the checks below.
+    done = visit.detach(i, state._k) if visit and type(i) is int and data.values is state._values else -1
+    if done < 0:
         i = _check_index(i, state.assignments.shape[0], "object index")
         k = int(state.assignments[i])
         if k == UNASSIGNED:
@@ -490,9 +490,8 @@ def remove_object(state, i, data):
                 state.assignments[state.assignments > k] -= 1
             return k
         done = visit.detach(i, state._k)
-    k, died = done
-    state._k -= died
-    return k
+    state._k -= done & 1
+    return done >> 1
 
 
 def insert_object(state, i, option, data):

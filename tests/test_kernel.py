@@ -136,17 +136,20 @@ def test_the_build_lands_in_pycache_and_a_second_process_loads_it_without_gcc(tm
     assert built.stat().st_mtime_ns == stamp
 
 
-def test_a_build_deletes_stale_builds_but_not_a_running_builds_file(monkeypatch, tmp_path):
+def test_a_build_leaves_every_other_file_in_the_cache(monkeypatch, tmp_path):
     stale = tmp_path / f"visit-0123456789abcdef{_kernel._SUFFIX}"
     running = tmp_path / "visit-fedcba9876543210-x1y2.tmp"
     other_interpreter = tmp_path / "visit-0011223344556677.cpython-00-other.so"
     ctypes_era = tmp_path / "visit-785726fff974475b.so"  # loaded by ctypes before the kernel was an extension module
     not_a_key = tmp_path / "visit-785726fff974475.so"  # 15 hex digits: no build of this module
-    for planted in (stale, running, other_interpreter, ctypes_era, not_a_key):
-        planted.write_bytes(b"")
+    planted = [stale, running, other_interpreter, ctypes_era, not_a_key]
+    for path in planted:
+        path.write_bytes(b"")
     monkeypatch.setattr(_kernel, "_CACHE_DIR", str(tmp_path))
     built = Path(_kernel._built())
-    assert sorted(tmp_path.iterdir()) == sorted([built, running, other_interpreter, not_a_key])
+    assert built == tmp_path / f"visit-{_kernel._key()}{_kernel._SUFFIX}"
+    # The five planted files, the new build beside them, and no temporary file of this build.
+    assert sorted(tmp_path.iterdir()) == sorted([*planted, built])
 
 
 def test_the_cache_key_covers_the_extension_suffix(monkeypatch):
@@ -322,6 +325,48 @@ def test_a_refused_draw_falls_back_to_categorical(monkeypatch):
         compiled = run(data, **kwargs)
     assert np.array_equal(compiled.assignments, plain.assignments)
     assert np.array_equal(compiled.score_trace, plain.score_trace)
+
+
+def _bound(path, labels, data):
+    """A state of ``labels`` on ``data`` whose scoring of object 0 took visit path ``path``, with
+    object 0 back in row 0: on the compiled path its kernel is bound and no row is pending."""
+    with visit_path(path):
+        state = ClusterState(data, labels)
+        remove_object(state, 0, data)
+        assignment_distribution(0, state, data, default_hyperparams(data), 1.0)
+        insert_object(state, 0, 0, data)
+    assert bool(state._visit) == (path == "compiled")
+    return state
+
+
+def test_the_kernels_detach_returns_twice_the_label_plus_one_if_the_row_died():
+    labels = np.array([0, 0, 1, 2, 2, 3, 3, 3])  # row 1 holds object 2 alone
+    data = BinaryMatrix(np.random.default_rng(1).integers(0, 2, size=(labels.size, 6)))
+    state = _bound("compiled", labels, data)
+    visit = state._visit
+
+    def memory():
+        arrays = (state.assignments, state._sizes, state._counts, visit._terms, visit._changed)
+        return [a.tobytes() for a in arrays] + [visit._ctx.clock, visit._ctx.pending_object, visit._ctx.pending_row]
+
+    assert visit.detach(3, 4) == 2 * 2  # row 2 keeps object 4
+    assert (visit._ctx.pending_object, visit._ctx.pending_row) == (3, 2)
+    before = memory()
+    for i in (3, -1, labels.size, 2**63):  # an object already detached, then indices outside the objects
+        assert visit.detach(i, 4) == -1, i
+    assert memory() == before
+    assert visit.attach(3, 2, 4)
+    sizes, counts = state._sizes.copy(), state._counts.copy()
+    assert visit.detach(2, 4) == 2 * 1 + 1  # row 1 dies, and the rows above it, the zero row too, move down
+    assert state.assignments.tolist() == [0, 0, -1, 1, 1, 2, 2, 2]
+    assert np.array_equal(state._sizes[1:4], sizes[2:5]) and np.array_equal(state._counts[1:4], counts[2:5])
+    # Through remove_object, every object returns the label, and leaves the K, of a numpy-path twin.
+    for i in range(labels.size):
+        compiled, plain = _bound("compiled", labels, data), _bound("numpy", labels, data)
+        visit = compiled._visit
+        assert remove_object(compiled, i, data) == remove_object(plain, i, data) == labels[i]
+        assert compiled.n_clusters == plain.n_clusters == 4 - (i == 2)
+        assert np.array_equal(compiled.assignments, plain.assignments) and compiled._visit is visit
 
 
 # Appended to both sanitized scripts below.  With the zero row as the top row
@@ -550,7 +595,7 @@ def unchanged():
 
 def refused(entries, steps):
     before = unchanged()
-    assert all(entry() in (None, False) for entry in entries), "a bound entry took a step that does not fit"
+    assert all(entry() in (-1, False) for entry in entries), "a bound entry took a step that does not fit"
     for step in steps:
         try:
             step()
