@@ -27,24 +27,31 @@ class GapResult:
     dispersion_curve: np.ndarray
 
 
-def _gram(points):
-    """The Gram matrix ``points @ points.T`` when N <= D, else None.
+def _inputs(values):
+    """The arrays every k-means fit on these {0,1} rows reads: ``(points, norms, gram, hamming)``.
 
-    With it a Lloyd step's products are one N x N x K product instead of two
-    N x K x D ones.  When N > D that trade loses, and the N x N matrix would
-    outgrow the rows themselves, so it is not built.
+    ``norms`` are the rows' squared norms, which on {0,1} rows are their
+    sums.  When N <= D the Gram matrix ``gram = points @ points.T`` and the
+    Hamming matrix ``hamming[i, j] = |x_i|^2 + |x_j|^2 - 2 x_i . x_j`` take the
+    rows' place, and ``points`` is None: a Lloyd step's products are then one
+    N x N x K product instead of two N x K x D ones, and a seed's distances
+    are one row of ``hamming``.  The rows are dropped before ``hamming`` is
+    built, so the two N x N arrays never outgrow the rows and the Gram
+    matrix together.  When N > D that trade loses, and the float64 rows are
+    kept with ``gram`` and ``hamming`` None.  Every entry is an exact
+    integer while N^2 D < 2^53.
     """
-    n, d = points.shape
-    return points @ points.T if n <= d else None
-
-
-def _row_products(points, gram, rows):
-    """``x_i . x_j`` of every row i with each row j of ``rows``: those columns of the Gram matrix.
-
-    ``rows`` is a list of indices, giving an (N, len(rows)) array, or one
-    index, giving a length-N vector.
-    """
-    return gram[:, rows] if gram is not None else points @ points[rows].T
+    points = values.astype(np.float64)
+    norms = points.sum(axis=1)
+    n, d = values.shape
+    if n > d:
+        return points, norms, None, None
+    gram = points @ points.T
+    del points
+    hamming = gram * -2.0
+    hamming += norms
+    hamming += norms[:, None]
+    return None, norms, gram, hamming
 
 
 def _cluster_products(points, gram, onehot):
@@ -84,20 +91,21 @@ def _choice(p, rng):
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _plusplus_seeds(points, norms, gram, k, rng):
+def _plusplus_seeds(points, norms, hamming, k, rng):
     """Greedy k-means++ seeding: the indices of k rows spread apart, each a cluster of size 1.
 
-    A seed row r's squared distances are ``_squared_distances`` at one row as
-    a cluster of size 1, written out on one vector.  Every term is an exact
-    integer on {0,1} rows, so they are the Hamming distances.
+    A seed row r's squared distances are row r of ``hamming`` or, without it,
+    ``_squared_distances`` at one row as a cluster of size 1, written out on
+    one vector.  Every term is an exact integer on {0,1} rows, so both are
+    the Hamming distances.
     """
     n = norms.shape[0]
 
     def distances_to(r):
-        return norms + norms[r] - 2.0 * _row_products(points, gram, r)
+        return hamming[r] if hamming is not None else norms + norms[r] - 2.0 * (points @ points[r])
 
     seeds = [rng.integers(n)]
-    d2 = distances_to(seeds[0])
+    d2 = distances_to(seeds[0]).copy()  # updated in place below
     for _ in range(1, k):
         total = d2.sum()
         seeds.append(_choice(d2 / total, rng) if total > 0 else rng.integers(n))
@@ -105,26 +113,29 @@ def _plusplus_seeds(points, norms, gram, k, rng):
     return seeds
 
 
-def _lloyd(points, norms, gram, k, max_iters, rng):
-    """One seeded Lloyd run; returns (labels, WCSS).
+def _lloyd(points, norms, gram, hamming, k, max_iters, rng):
+    """One seeded Lloyd run on ``_inputs``'s arrays; returns (labels, WCSS).
 
     A cluster is its count row ``C_k`` and its size ``n_k``, known only
     through ``cross = x . C_k`` and ``q = |C_k|^2``.  The seeds start as
-    clusters of one row each, ``C_k = x_seed``; each step that changes the
-    labels takes ``cross`` and ``q`` from the one-hot labels
-    (``_cluster_products``).  The WCSS is
+    clusters of one row each, ``C_k = x_seed``, so the first assignment's
+    distances are the seeds' columns of ``hamming`` (or, without it, the
+    same integers from the rows).  Each step that changes the labels takes
+    ``cross`` and ``q`` from the one-hot labels (``_cluster_products``) for
+    the next assignment.  The WCSS is
     ``sum_k (n_k sum_{i in k} |x_i|^2 - q_k) / n_k``, its cluster terms
     summed in sorted order so that a relabeled run ties exactly.  Every
     count is an exact integer while N^2 D < 2^53, so the WCSS is within
     K 2^-52 relative of the exact value and the same on either route.
     """
     n = norms.shape[0]
-    seeds = _plusplus_seeds(points, norms, gram, k, rng)
-    cross, q = _row_products(points, gram, seeds), norms[seeds]
-    sizes = np.ones(k, dtype=np.int64)
+    seeds = _plusplus_seeds(points, norms, hamming, k, rng)
+    if hamming is not None:
+        d2 = hamming[:, seeds]
+    else:
+        d2 = _squared_distances(norms, points @ points[seeds].T, norms[seeds], 1)
     labels = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iters):
-        d2 = _squared_distances(norms, cross, q, sizes)
         new_labels = d2.argmin(axis=1)
         # Revive empty clusters with the worst-fit point (farthest from its
         # own cluster's mean); repeat until every cluster has a member.
@@ -142,6 +153,7 @@ def _lloyd(points, norms, gram, k, max_iters, rng):
             break  # cross and q are already those of these labels
         cross, q = _cluster_products(points, gram, np.eye(k)[new_labels])
         labels = new_labels
+        d2 = _squared_distances(norms, cross, q, sizes)
     wcss = np.sort((sizes * np.bincount(labels, weights=norms, minlength=k) - q) / sizes).sum()
     return labels, float(wcss)
 
@@ -149,15 +161,12 @@ def _lloyd(points, norms, gram, k, max_iters, rng):
 def _best_fits(data, ks, rng):
     """Best of ``_N_RESTARTS`` seeded Lloyd runs for each k, as ``(labels, wcss)``.
 
-    The {0,1} rows are converted to float64, and their squared norms and
-    (when N <= D) their Gram matrix taken, once for all k.  On a WCSS tie
-    the earlier run is kept.
+    ``_inputs``'s arrays are built once for all k.  On a WCSS tie the
+    earlier run is kept.
     """
-    points = data.values.astype(np.float64)
-    norms = (points * points).sum(axis=1)
-    gram = _gram(points)
+    inputs = _inputs(data.values)
     return [
-        min((_lloyd(points, norms, gram, k, _MAX_ITERS, rng) for _ in range(_N_RESTARTS)), key=lambda fit: fit[1])
+        min((_lloyd(*inputs, k, _MAX_ITERS, rng) for _ in range(_N_RESTARTS)), key=lambda fit: fit[1])
         for k in ks
     ]
 

@@ -9,11 +9,13 @@ format is told from its first non-blank line: a comma or a single field
 means dense, two integers mean sparse.
 
 Every reader parses its file with numpy's ``loadtxt`` through one table
-reader, the one general parser.  ``load_dense`` first takes a file in the
-exact layout ``save_dense`` writes as one byte view, and gives any other file
-to that reader; both read the same matrix from a file in that layout.  A file
-whose bytes are not UTF-8 is refused by name; a leading UTF-8 byte-order mark,
-as spreadsheet "CSV UTF-8" exports write, is dropped.  CSV inputs (binary matrices,
+reader, the one general parser.  ``load_dense`` and ``load_matrix`` read a
+file's bytes once, so a pipe loads as a file does: a file in the exact layout
+``save_dense`` writes is taken as one byte view, and any other is decoded once
+and given to that reader; both read the same matrix from a file in that
+layout.  A file whose bytes are not UTF-8 is refused by name; a leading UTF-8
+byte-order mark, as spreadsheet "CSV UTF-8" exports write, is dropped, and
+line endings are read as a text-mode file reads them.  CSV inputs (binary matrices,
 word counts, real-valued tables) share one header rule: the first row is a header iff none of its cells is a number
 and some cell is not a missing token (empty, na, nan, null).  Otherwise it is
 data, and a bad cell in it is reported like any other: a cell that is not a
@@ -28,7 +30,6 @@ whose content it cannot transform with :class:`DataFormatError`, naming no
 file, and a bad argument with a plain ``ValueError``.
 """
 
-import contextlib
 import json
 
 import numpy as np
@@ -44,16 +45,30 @@ class DataFormatError(ValueError):
     """Malformed matrix, labels, or report file content."""
 
 
-@contextlib.contextmanager
-def _open_text(path):
-    """Open ``path`` as UTF-8 text for a ``with`` block, dropping a leading
-    byte-order mark; a byte that does not decode, wherever in the block it is
-    read, raises a ``DataFormatError`` naming the file."""
+def _decoded(path, raw):
+    """The bytes ``raw`` of the file at ``path`` as the text a text-mode read
+    gives: UTF-8 less a leading byte-order mark, each ``\\r\\n`` or lone
+    ``\\r`` read as ``\\n``.  Bytes that do not decode raise a
+    ``DataFormatError`` naming the file."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            yield fh
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason} {exc.object[exc.start : exc.end]!r}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _read_text(path):
+    with open(path, "rb") as fh:
+        return _decoded(path, fh.read())
+
+
+def _lines(path, text):
+    """The non-blank lines of the file at ``path``, whose text is ``text``; a
+    file without one is refused as empty."""
+    lines = [line for line in text.split("\n") if line.strip()]
+    if not lines:
+        raise DataFormatError(f"{path}: empty file")
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +121,7 @@ def load_dense(path):
     """Read a dense CSV binary matrix (optional header row).  A file in
     ``save_dense``'s exact layout is read as one byte view, any other by the
     table reader."""
-    with open(path, "rb") as fh:
-        table = _saved_dense(fh.read())  # the bytes are freed before any fallback parse
-    if table is None:
-        table = _read_table(path, np.uint8)
-        _refuse_cells(path, table, table > 1, "non-binary value")
-    return BinaryMatrix(table)
+    return _load_binary(path, "dense")
 
 
 def load_count_csv(path):
@@ -131,20 +141,19 @@ def _real_or_missing(text):
     return np.nan if text.strip().lower() in _MISSING_TOKENS else float(text)
 
 
-def _read_table(path, dtype, delimiter=",", converters=None):
+def _read_table(path, dtype, delimiter=",", converters=None, lines=None):
     """Parse a text table into a 2-d ``dtype`` array with numpy's ``loadtxt``.
 
-    Blank lines are skipped.  ``delimiter=None`` splits on whitespace.  In a
-    CSV the first row is a header, and dropped, iff no cell of it is a number
-    and some cell is not a missing token; so a bad first data row is
-    reported, not dropped.  Every row must have as many fields as the first;
+    The table is the file at ``path``, or its non-blank ``lines`` (``_lines``)
+    where they have been read already.  Blank lines are skipped.
+    ``delimiter=None`` splits on whitespace.  In a CSV the first row is a
+    header, and dropped, iff no cell of it is a number and some cell is not a
+    missing token; so a bad first data row is reported, not dropped.  Every row must have as many fields as the first;
     a ragged row is reported ahead of a bad cell.  ``#`` starts no comment: a
     cell holding it is a bad cell.
     """
-    with _open_text(path) as fh:
-        lines = [line for line in fh.read().split("\n") if line.strip()]
-    if not lines:
-        raise DataFormatError(f"{path}: empty file")
+    if lines is None:
+        lines = _lines(path, _read_text(path))
     if delimiter == "," and _is_header(lines[0].split(",")):
         del lines[0]
     if not lines:
@@ -196,7 +205,11 @@ def load_sparse(path):
 
     Positions in error messages count the header as row 0.
     """
-    table = _read_table(path, np.int64, delimiter=None)
+    return _sparse(path, _read_table(path, np.int64, delimiter=None))
+
+
+def _sparse(path, table):
+    """The binary matrix of a sparse file's integer table, header row first."""
     if table.shape[1] != 2:
         raise DataFormatError(f"{path}: header must be 'N D', got {table.shape[1]} values")
     (n, d), pairs = table[0], table[1:]
@@ -223,10 +236,12 @@ def detect_format(path):
     """Classify a matrix file by its first non-blank line: one with a comma, or
     with a single field (a one-column matrix), means dense; a two-integer
     header means sparse.  A file with no such line is refused as empty."""
-    with _open_text(path) as fh:
-        first = next((line.strip() for line in fh if line.strip()), "")
-    if not first:
-        raise DataFormatError(f"{path}: empty file")
+    return _format(path, _lines(path, _read_text(path))[0])
+
+
+def _format(path, line):
+    """``detect_format``'s answer for a file whose first non-blank line is ``line``."""
+    first = line.strip()
     fields = first.split()
     if "," in first or len(fields) == 1:
         return "dense"
@@ -241,7 +256,30 @@ def detect_format(path):
 
 def load_matrix(path):
     """Load a binary matrix in either format, auto-detected."""
-    return load_dense(path) if detect_format(path) == "dense" else load_sparse(path)
+    return _load_binary(path, None)
+
+
+def _load_binary(path, fmt):
+    """The binary matrix in the file at ``path``, whose bytes are read once.
+
+    Bytes in ``save_dense``'s exact layout are taken as one byte view.  Any
+    other bytes are decoded, and freed, and the text is parsed as ``fmt``:
+    "dense", or None for the format ``detect_format`` tells.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    table = _saved_dense(raw)
+    if table is not None:
+        return BinaryMatrix(table)
+    text = _decoded(path, raw)
+    del raw
+    lines = _lines(path, text)
+    del text
+    if (fmt or _format(path, lines[0])) == "sparse":
+        return _sparse(path, _read_table(path, np.int64, delimiter=None, lines=lines))
+    table = _read_table(path, np.uint8, lines=lines)
+    _refuse_cells(path, table, table > 1, "non-binary value")
+    return BinaryMatrix(table)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +332,7 @@ def save_report_dict(path, report_dict):
 
 def load_report(path):
     """Read a report JSON back into a plain dict, refusing by name a file that does not parse."""
-    with _open_text(path) as fh:
-        text = fh.read()
+    text = _read_text(path)
     try:
         report = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too many digits, or nesting too deep

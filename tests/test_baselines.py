@@ -13,10 +13,9 @@ from binclust import baselines
 from binclust.baselines import (
     _choice,
     _cluster_products,
-    _gram,
+    _inputs,
     _lloyd,
     _plusplus_seeds,
-    _row_products,
     _squared_distances,
     gap_statistic,
     kmeans_binary,
@@ -44,6 +43,11 @@ def _plusplus_by_direct_distances(points, k, rng):
         seeds.append(rng.choice(points.shape[0], p=d2 / total) if total > 0 else rng.integers(points.shape[0]))
         d2 = np.minimum(d2, ((points - points[seeds[-1]]) ** 2).sum(axis=1))
     return seeds
+
+
+def _direct_hamming(points):
+    """Every pair of rows' squared distance, written out as a sum of squared differences."""
+    return ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
 
 
 def _exact_wcss(values, labels):
@@ -105,13 +109,12 @@ class TestKmeansBinary:
         for _ in range(30):
             n = int(rng.integers(6, 40))
             d = int(rng.integers(2, 12))
-            data = rng.integers(0, 2, size=(n, d)).astype(np.float64)
-            norms = (data * data).sum(axis=1)
+            inputs = _inputs(rng.integers(0, 2, size=(n, d)))
             k = int(rng.integers(2, min(6, n)))
             trace = []
             for max_iters in range(1, 51):
                 run_rng = copy.deepcopy(rng)
-                trace.append(_lloyd(data, norms, _gram(data), k, max_iters=max_iters, rng=run_rng)[1])
+                trace.append(_lloyd(*inputs, k, max_iters=max_iters, rng=run_rng)[1])
             rng = run_rng
             assert (np.diff(trace) <= 1e-9).all()
 
@@ -124,7 +127,7 @@ class TestKmeansBinary:
             assert np.array_equal(_squared_distances(norms, (points @ c)[:, None], np.array([c @ c]), 1)[:, 0], direct)
         for seed in range(10):
             k = 1 + seed % 6
-            seeds = _plusplus_seeds(points, norms, _gram(points), k, np.random.default_rng(seed))
+            seeds = _plusplus_seeds(points, norms, None, k, np.random.default_rng(seed))
             assert np.array_equal(seeds, _plusplus_by_direct_distances(points, k, np.random.default_rng(seed)))
 
     @pytest.mark.parametrize(
@@ -134,20 +137,29 @@ class TestKmeansBinary:
     )
     def test_seeding_on_either_route_equals_the_direct_formula(self, shape, distinct):
         # With k above the number of distinct rows every distance reaches 0,
-        # and the seeding falls back to a uniform index.
+        # and the seeding falls back to a uniform index.  Both routes run
+        # whatever the N <= D rule would pick; the Hamming matrix is the
+        # direct formula's, and the one ``_inputs`` builds where it builds one.
         n, d = shape
         rng = np.random.default_rng(5)
         points = rng.integers(0, 2, size=(distinct, d)).astype(np.float64)[np.arange(n) % distinct]
         assert len(np.unique(points, axis=0)) == distinct
         norms = (points * points).sum(axis=1)
-        gram = _gram(points)
-        assert (gram is not None) == (n <= d)
+        hamming = _direct_hamming(points)
+        built_points, built_norms, _, built_hamming = _inputs(points.astype(np.uint8))
+        assert built_norms.tobytes() == norms.tobytes()
+        if n <= d:
+            assert built_points is None and built_hamming.tobytes() == hamming.tobytes()
+        else:
+            assert built_points.tobytes() == points.tobytes() and built_hamming is None
         for seed in range(20):
             k = 1 + seed % n
-            ours, direct = np.random.default_rng(seed), np.random.default_rng(seed)
-            seeds = _plusplus_seeds(points, norms, gram, k, ours)
-            assert np.array_equal(seeds, _plusplus_by_direct_distances(points, k, direct))
-            assert ours.random() == direct.random()
+            direct = np.random.default_rng(seed)
+            want = _plusplus_by_direct_distances(points, k, direct)
+            for route in (hamming, None):
+                ours = np.random.default_rng(seed)
+                assert np.array_equal(_plusplus_seeds(points, norms, route, k, ours), want)
+                assert ours.bit_generator.state == direct.bit_generator.state
 
     @pytest.mark.parametrize(
         "case",
@@ -214,8 +226,7 @@ class TestKmeansBinary:
         duplicates = np.repeat(rng.integers(0, 2, size=(4, 9)), [5, 1, 3, 6], axis=0)
         cases += [(duplicates, k) for k in (1, 3, 4, 6, 15)]
         for values, k in cases:
-            points = values.astype(np.float64)
-            labels, wcss = _lloyd(points, (points * points).sum(axis=1), _gram(points), k, 100, rng)
+            labels, wcss = _lloyd(*_inputs(values), k, 100, rng)
             exact = _exact_wcss(values, labels)
             assert abs(Fraction(wcss) - exact) <= Fraction(k, 2**52) * exact
             assert np.array_equal(np.unique(labels), np.arange(k))
@@ -225,7 +236,8 @@ class TestKmeansBinary:
     def test_the_gram_and_points_routes_give_the_same_bits(self, data):
         # N < D, N = D and N > D; a few distinct rows, each repeated; some
         # columns held at 0 or 1.  Both routes are forced, whatever the N <= D
-        # rule would pick, and their products are checked against the count table.
+        # rule would pick, and their products are checked against the count
+        # table.  The Gram route reads no rows, so it runs without them.
         n = data.draw(st.integers(1, 14), label="n")
         d = data.draw(st.sampled_from([max(1, n - 5), n, n + 7]), label="d")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -243,14 +255,19 @@ class TestKmeansBinary:
         for cross, q in (_cluster_products(points, gram, onehot), _cluster_products(points, None, onehot)):
             assert np.array_equal(cross, points @ table.T)
             assert np.array_equal(q, (table * table).sum(axis=1))
-        rows = list(rng.integers(0, n, size=k))
-        assert np.array_equal(_row_products(points, gram, rows), _row_products(points, None, rows))
+        hamming = _direct_hamming(points)
+        if n <= d:
+            built = _inputs(values)
+            assert built[0] is None
+            assert [a.tobytes() for a in built[1:]] == [norms.tobytes(), gram.tobytes(), hamming.tobytes()]
 
         seed = int(rng.integers(2**32))
-        labels, wcss = _lloyd(points, norms, gram, k, 100, np.random.default_rng(seed))
-        want_labels, want_wcss = _lloyd(points, norms, None, k, 100, np.random.default_rng(seed))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        labels, wcss = _lloyd(None, norms, gram, hamming, k, 100, ours)
+        want_labels, want_wcss = _lloyd(points, norms, None, None, k, 100, theirs)
         assert np.array_equal(labels, want_labels)
         assert np.float64(wcss).tobytes() == np.float64(want_wcss).tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_a_fit_with_more_rows_than_columns_builds_no_n_by_n_array(self):
         # numpy reports its array allocations to tracemalloc: the peak holds
@@ -264,6 +281,20 @@ class TestKmeansBinary:
         finally:
             tracemalloc.stop()
         assert n * d * 8 <= peak < n * n * 8
+
+    @pytest.mark.parametrize("shape", [(400, 400), (300, 700)], ids=["square", "wide"])
+    def test_a_fit_with_no_more_rows_than_columns_stays_below_the_rows_plus_two_n_by_n_arrays(self, shape):
+        # The Gram matrix is built beside the float64 rows, and the rows are
+        # dropped before the Hamming matrix is built beside the Gram matrix.
+        n, d = shape
+        data = BinaryMatrix(np.random.default_rng(0).integers(0, 2, size=(n, d)).astype(np.uint8))
+        tracemalloc.start()
+        try:
+            kmeans_binary(data, 3, rng=np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n * d * 8 + n * n * 8 <= peak < n * d * 8 + 2 * n * n * 8
 
     def test_every_cluster_nonempty(self):
         rng = np.random.default_rng(5)

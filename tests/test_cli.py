@@ -498,6 +498,30 @@ def test_dev_stdout_is_written_in_place_when_it_is_a_regular_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["captured.json", "data.csv"]
 
 
+@pytest.mark.parametrize("command", ["cluster", "baseline"])
+@pytest.mark.parametrize("header", [False, True], ids=["saved-layout", "behind-a-header"])
+def test_a_piped_input_reports_as_the_file_does(tmp_path, command, header):
+    # A pipe (/dev/stdin, a FIFO, a shell's <(...)) can be read only once.
+    # The 200 x 500 file takes the byte view; behind a header, the table reader.
+    data_path = tmp_path / "thin.csv"
+    cli_main([
+        "generate", "--n", "200", "--d", "500", "--sd", "10", "--sn", "20", "--k-true", "5", "--seed", "1000",
+        "--out", str(data_path), "--labels-out", str(tmp_path / "truth.txt"),
+    ])
+    if header:
+        data_path.write_text(",".join(f"f{j}" for j in range(500)) + "\n" + data_path.read_text())
+    reports = []
+    for source in (str(data_path), "/dev/stdin"):
+        report_path = tmp_path / f"{len(reports)}.json"
+        done = _python(
+            "-m", "binclust", command, "--in", source, "--report", str(report_path),
+            input=data_path.read_text(), timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        reports.append(report_path.read_bytes())
+    assert reports[0] == reports[1]
+
+
 @_NOT_ROOT
 def test_an_output_in_a_read_only_directory_is_written_in_place(tmp_path, capsys):
     data_path, sub = tmp_path / "data.csv", tmp_path / "sub"

@@ -595,7 +595,8 @@ def unchanged():
 
 def refused(entries, steps):
     before = unchanged()
-    assert all(entry() in (-1, False) for entry in entries), "a bound entry took a step that does not fit"
+    # Each entry compares its own refusal: a detach's -1 (0 is a step), the others' False.
+    assert all(entry() is True for entry in entries), "a bound entry took a step that does not fit"
     for step in steps:
         try:
             step()
@@ -608,22 +609,25 @@ def refused(entries, steps):
 
 for i in (-1, n, 2**63, True):
     refused(
-        (lambda: visit.detach(i, top), lambda: visit.attach(i, 0, top), lambda: visit.distribution(i, top + 1, 0.5)),
+        (lambda: visit.detach(i, top) == -1, lambda: visit.attach(i, 0, top) is False,
+         lambda: visit.distribution(i, top + 1, 0.5) is False),
         (lambda: remove_object(state, i, data), lambda: insert_object(state, i, 0, data),
          lambda: assignment_distribution(i, state, data, hypers[0], 0.5)),
     )
 refused(  # attached objects
-    (lambda: visit.attach(1, 0, top), lambda: visit.distribution(1, top + 1, 0.5), lambda: visit.detach(2, 0)),
+    (lambda: visit.attach(1, 0, top) is False, lambda: visit.distribution(1, top + 1, 0.5) is False,
+     lambda: visit.detach(2, 0) == -1),
     (lambda: insert_object(state, 1, 0, data), lambda: assignment_distribution(1, state, data, hypers[0], 0.5)),
 )
 k = remove_object(state, np.int64(1), data)  # a detach that leaves its row pending
 assert visit._ctx.pending_object == 1
 refused(  # a detached object, an attached one while it is out, rows past the buffers, a birth into the
     # last row, no positive temperature
-    (lambda: visit.detach(1, top), lambda: visit.distribution(2, top + 1, 0.5), lambda: visit.attach(2, 0, top),
-     lambda: visit.detach(2, capacity), lambda: visit.attach(1, top + 1, top),
-     lambda: visit.attach(1, capacity - 1, capacity - 1), lambda: visit.distribution(1, capacity + 1, 0.5),
-     lambda: visit.distribution(1, top + 1, 0.0), lambda: visit.distribution(1, top + 1, float("nan"))),
+    (lambda: visit.detach(1, top) == -1, lambda: visit.distribution(2, top + 1, 0.5) is False,
+     lambda: visit.attach(2, 0, top) is False, lambda: visit.detach(2, capacity) == -1,
+     lambda: visit.attach(1, top + 1, top) is False, lambda: visit.attach(1, capacity - 1, capacity - 1) is False,
+     lambda: visit.distribution(1, capacity + 1, 0.5) is False, lambda: visit.distribution(1, top + 1, 0.0) is False,
+     lambda: visit.distribution(1, top + 1, float("nan")) is False),
     (lambda: remove_object(state, 1, data), lambda: assignment_distribution(2, state, data, hypers[0], 0.5),
      lambda: insert_object(state, 2, 0, data), lambda: assignment_distribution(1, state, data, hypers[0], 0.0)),
 )
