@@ -7,6 +7,7 @@ uniform-over-range null used for continuous features.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -67,6 +68,22 @@ def _cluster_products(points, gram, onehot):
     return cross, (onehot * cross).sum(axis=0)
 
 
+def _moved_products(gram, cross, labels, new_labels, moved):
+    """``_cluster_products``'s ``(cross, q)`` for ``new_labels``, from ``cross`` of ``labels`` and the rows that moved.
+
+    ``moved`` holds the rows whose label differs.  A row i moving from
+    cluster a to b adds row i of the symmetric Gram matrix to ``cross[:, b]``
+    and takes it from ``cross[:, a]``; ``q`` then sums ``cross`` over each
+    cluster's members.  ``cross`` is updated in place.  Every entry stays an
+    integer of at most N^2 D, so the bits are the full product's while
+    N^2 D < 2^53.
+    """
+    eye = np.eye(cross.shape[1])
+    cross += gram[moved].T @ (eye[new_labels[moved]] - eye[labels[moved]])
+    rows = np.arange(len(new_labels))
+    return cross, np.bincount(new_labels, weights=cross[rows, new_labels], minlength=cross.shape[1])
+
+
 def _squared_distances(norms, cross, q, sizes):
     """Squared Euclidean distances, shape (n, k), of the rows to the clusters' mean rows.
 
@@ -80,67 +97,95 @@ def _squared_distances(norms, cross, q, sizes):
     return d2
 
 
-def _choice(p, rng):
-    """The index ``rng.choice(len(p), p=p)`` draws, from the same one uniform.
+def _distances_to(points, norms, hamming, rows):
+    """Squared distances, shape (len(rows), n), of every row to each of ``rows``.
 
-    These are ``Generator.choice``'s own steps for weights ``p`` that sum to
-    1, without its checks of them.
+    They are ``hamming``'s rows or, without it, the same integers from the
+    rows: ``|x_r|^2 + |x_i|^2 - 2 x_r . x_i``, exact on {0,1} rows.
     """
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    if hamming is not None:
+        return hamming[rows]
+    return norms[rows, None] + norms - 2.0 * (points[rows] @ points.T)
 
 
-def _plusplus_seeds(points, norms, hamming, k, rng):
-    """Greedy k-means++ seeding: the indices of k rows spread apart, each a cluster of size 1.
+def _weighted_draws(weights, u):
+    """Each row's index ``Generator.choice`` draws with probabilities proportional to its weights, from ``u``.
 
-    A seed row r's squared distances are row r of ``hamming`` or, without it,
-    ``_squared_distances`` at one row as a cluster of size 1, written out on
-    one vector.  Every term is an exact integer on {0,1} rows, so both are
-    the Hamming distances.
+    These are ``choice``'s own steps for one row, without its checks: the
+    weights over their sum, their cumulative sum over its last entry, and
+    the count of entries at or below the row's uniform, which is
+    ``searchsorted(u, side="right")`` on the non-decreasing sum.
+    """
+    cdf = (weights / weights.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
+def _plusplus_seeds(points, norms, hamming, ks, n_distinct, rng):
+    """Greedy k-means++ seeds of one run per entry of ``ks``: a list of index arrays, ``ks[r]`` rows for run r.
+
+    The runs draw from ``rng`` one after another, as if each were seeded
+    alone: a uniform first seed, then each later seed with probability
+    proportional to its squared distance to the nearest seed so far, or
+    uniformly once every distance is 0.  A draw with a nonzero total picks
+    a row at a positive distance, a row unlike every seed so far, so the
+    distances all reach 0 exactly from seed ``n_distinct`` on, the number of
+    distinct rows.  Each run's draws are therefore known in advance: one
+    ``rng.integers(n)``, one ``rng.random(c)`` for its c weighted draws,
+    then one ``rng.integers(n)`` per later seed.  The weighted draws then
+    advance all runs together, one seed index at a time
+    (``_weighted_draws``).  Every distance is an exact integer on {0,1}
+    rows, so each run's sums and its draws are those of the run seeded
+    alone.
     """
     n = norms.shape[0]
+    ks = np.asarray(ks)
+    seeds = np.empty((len(ks), ks.max()), dtype=np.int64)
+    uniforms = np.empty((len(ks), min(ks.max(), n_distinct)))
+    for r, k in enumerate(ks.tolist()):
+        weighted = min(k, n_distinct)
+        seeds[r, 0] = rng.integers(n)
+        uniforms[r, 1:weighted] = rng.random(weighted - 1)
+        for j in range(weighted, k):
+            seeds[r, j] = rng.integers(n)
+    d2 = _distances_to(points, norms, hamming, seeds[:, 0])
+    for j in range(1, uniforms.shape[1]):
+        runs = np.flatnonzero(ks > j)
+        nearest = d2[runs]
+        seeds[runs, j] = _weighted_draws(nearest, uniforms[runs, j])
+        d2[runs] = np.minimum(nearest, _distances_to(points, norms, hamming, seeds[runs, j]))
+    return [row[:k] for row, k in zip(seeds, ks.tolist())]
 
-    def distances_to(r):
-        return hamming[r] if hamming is not None else norms + norms[r] - 2.0 * (points @ points[r])
 
-    seeds = [rng.integers(n)]
-    d2 = distances_to(seeds[0]).copy()  # updated in place below
-    for _ in range(1, k):
-        total = d2.sum()
-        seeds.append(_choice(d2 / total, rng) if total > 0 else rng.integers(n))
-        np.minimum(d2, distances_to(seeds[-1]), out=d2)
-    return seeds
-
-
-def _lloyd(points, norms, gram, hamming, k, max_iters, rng):
-    """One seeded Lloyd run on ``_inputs``'s arrays; returns (labels, WCSS).
+def _lloyd(points, norms, gram, hamming, seeds, max_iters):
+    """One Lloyd run on ``_inputs``'s arrays from the seed rows ``seeds``; returns (labels, WCSS).
 
     A cluster is its count row ``C_k`` and its size ``n_k``, known only
     through ``cross = x . C_k`` and ``q = |C_k|^2``.  The seeds start as
     clusters of one row each, ``C_k = x_seed``, so the first assignment's
     distances are the seeds' columns of ``hamming`` (or, without it, the
     same integers from the rows).  Each step that changes the labels takes
-    ``cross`` and ``q`` from the one-hot labels (``_cluster_products``) for
-    the next assignment.  The WCSS is
-    ``sum_k (n_k sum_{i in k} |x_i|^2 - q_k) / n_k``, its cluster terms
+    ``cross`` and ``q`` for the next assignment: from the one-hot labels
+    (``_cluster_products``) at the first step and wherever the rows are
+    kept, and otherwise from the Gram rows of the rows that moved
+    (``_moved_products``), since few move after the first step.  The WCSS
+    is ``sum_k (n_k sum_{i in k} |x_i|^2 - q_k) / n_k``, its cluster terms
     summed in sorted order so that a relabeled run ties exactly.  Every
     count is an exact integer while N^2 D < 2^53, so the WCSS is within
     K 2^-52 relative of the exact value and the same on either route.
     """
-    n = norms.shape[0]
-    seeds = _plusplus_seeds(points, norms, hamming, k, rng)
+    n, k = norms.shape[0], len(seeds)
     if hamming is not None:
         d2 = hamming[:, seeds]
     else:
         d2 = _squared_distances(norms, points @ points[seeds].T, norms[seeds], 1)
-    labels = np.full(n, -1, dtype=np.int64)
+    labels = None
     for _ in range(max_iters):
         new_labels = d2.argmin(axis=1)
         # Revive empty clusters with the worst-fit point (farthest from its
         # own cluster's mean); repeat until every cluster has a member.
         sizes = np.bincount(new_labels, minlength=k)
-        while (sizes == 0).any():
+        while not sizes.all():
             empty = int(np.flatnonzero(sizes == 0)[0])
             own = d2[np.arange(n), new_labels].copy()
             own[sizes[new_labels] <= 1] = -1.0  # do not drain singletons
@@ -149,9 +194,14 @@ def _lloyd(points, norms, gram, hamming, k, max_iters, rng):
             new_labels[worst] = empty
             sizes[empty] += 1
             d2[worst, :] = 0.0  # it is now its cluster's only member
-        if np.array_equal(new_labels, labels):
-            break  # cross and q are already those of these labels
-        cross, q = _cluster_products(points, gram, np.eye(k)[new_labels])
+        if labels is not None:
+            moved = np.flatnonzero(new_labels != labels)
+            if not moved.size:
+                break  # cross and q are already those of these labels
+        if labels is None or gram is None:
+            cross, q = _cluster_products(points, gram, np.eye(k)[new_labels])
+        else:
+            cross, q = _moved_products(gram, cross, labels, new_labels, moved)
         labels = new_labels
         d2 = _squared_distances(norms, cross, q, sizes)
     wcss = np.sort((sizes * np.bincount(labels, weights=norms, minlength=k) - q) / sizes).sum()
@@ -161,14 +211,15 @@ def _lloyd(points, norms, gram, hamming, k, max_iters, rng):
 def _best_fits(data, ks, rng):
     """Best of ``_N_RESTARTS`` seeded Lloyd runs for each k, as ``(labels, wcss)``.
 
-    ``_inputs``'s arrays are built once for all k.  On a WCSS tie the
-    earlier run is kept.
+    ``_inputs``'s arrays are built once for all k, and every run is seeded
+    in one pass, k by k and run by run.  On a WCSS tie the earlier run is
+    kept.
     """
-    inputs = _inputs(data.values)
-    return [
-        min((_lloyd(*inputs, k, _MAX_ITERS, rng) for _ in range(_N_RESTARTS)), key=lambda fit: fit[1])
-        for k in ks
-    ]
+    n_distinct = len(set(map(bytes, data.values)))
+    inputs = points, norms, _, hamming = _inputs(data.values)
+    seeds = _plusplus_seeds(points, norms, hamming, np.repeat(ks, _N_RESTARTS), n_distinct, rng)
+    fits = (_lloyd(*inputs, run_seeds, _MAX_ITERS) for run_seeds in seeds)
+    return [min(islice(fits, _N_RESTARTS), key=lambda fit: fit[1]) for _ in ks]
 
 
 def kmeans_binary(data, k, rng=None):

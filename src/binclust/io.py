@@ -18,10 +18,10 @@ byte-order mark, as spreadsheet "CSV UTF-8" exports write, is dropped, and
 line endings are read as a text-mode file reads them.  CSV inputs (binary matrices,
 word counts, real-valued tables) share one header rule: the first row is a header iff none of its cells is a number
 and some cell is not a missing token (empty, na, nan, null).  Otherwise it is
-data, and a bad cell in it is reported like any other: a cell that is not a
-number with numpy's message, which counts the row from 0 among the data rows
-and the column from 1; a number out of range (non-binary, negative) by row
-and column, both from 0.
+data, and a bad cell in it is reported like any other, by row and column,
+both from 0, the row among the data rows: a cell that is not a number as
+numpy's ``loadtxt`` words it, and a number out of range (non-binary,
+negative) by its value.
 
 The preprocessing transforms turn raw observation tables into binary
 matrices: a document-frequency filter for word-count data and a per-column
@@ -149,8 +149,9 @@ def _read_table(path, dtype, delimiter=",", converters=None, lines=None):
     ``delimiter=None`` splits on whitespace.  In a CSV the first row is a
     header, and dropped, iff no cell of it is a number and some cell is not a
     missing token; so a bad first data row is reported, not dropped.  Every row must have as many fields as the first;
-    a ragged row is reported ahead of a bad cell.  ``#`` starts no comment: a
-    cell holding it is a bad cell.
+    a ragged row is reported ahead of a bad cell, and the first bad cell in
+    row-major order by row and column, both from 0.  ``#`` starts no comment:
+    a cell holding it is a bad cell.
     """
     if lines is None:
         lines = _lines(path, _read_text(path))
@@ -158,16 +159,34 @@ def _read_table(path, dtype, delimiter=",", converters=None, lines=None):
         del lines[0]
     if not lines:
         raise DataFormatError(f"{path}: no data rows")
+
+    def parse(rows, usecols=None):
+        return np.loadtxt(
+            rows, dtype=dtype, delimiter=delimiter, converters=converters, comments=None, ndmin=2, usecols=usecols
+        )
+
     try:
-        return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, converters=converters, comments=None, ndmin=2)
+        return parse(lines)
     except ValueError as exc:
-        # loadtxt refuses ragged rows too, but counts them from 1.  Splitting
-        # every line only once the parse has failed keeps it off a good file.
+        # loadtxt refuses ragged rows and bad cells too, but counts a ragged
+        # row, and a bad cell's column, from 1.  Splitting every line, and
+        # parsing the first bad row cell by cell, only once the parse has
+        # failed keeps it off a good file.
         width = len(lines[0].split(delimiter))
         for r, line in enumerate(lines):
             n_fields = len(line.split(delimiter))
             if n_fields != width:
                 raise DataFormatError(f"{path}: row {r} has {n_fields} values, expected {width}") from None
+        for r, line in enumerate(lines):
+            try:
+                parse([line])
+            except ValueError:
+                for c, cell in enumerate(line.split(delimiter)):
+                    try:
+                        parse([line], usecols=c)
+                    except ValueError:
+                        message = f"could not convert string {cell!r} to {np.dtype(dtype)} at row {r}, column {c}"
+                        raise DataFormatError(f"{path}: {message}") from None
         raise DataFormatError(f"{path}: {exc}") from None
 
 

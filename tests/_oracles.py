@@ -1,8 +1,9 @@
 """Independent reference computations the production code is tested against.
 
 These deliberately take the slow, direct route: log-gamma Beta functions,
-numerical quadrature, exhaustive enumeration.  None of them share code with
-the closed-form/assignment paths they check.
+numerical quadrature, exhaustive enumeration, one k-means++ draw at a time
+and a full one-hot product at every Lloyd step.  None of them share code
+with the closed-form/assignment paths they check.
 """
 
 import itertools
@@ -156,3 +157,70 @@ CATEGORICAL_EDGES = [
     *[(_TENTHS, u) for u in (0.9999999999999999, 0.9999999999999998)],  # u at the total and just below it
     ([0.5, 0.5 - 2**-53, 0.0], 0.9999999999999999),  # a total under u: the last index, though its p is 0
 ]
+
+
+def choice_by_cdf(p, rng):
+    """The index ``rng.choice(len(p), p=p)`` draws, from one ``rng.random()``: the normalized
+    cumulative sum's ``searchsorted``."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def plusplus_seeds_one_run(points, norms, hamming, k, rng):
+    """k-means++ seed indices of one run, drawn one seed at a time: a seed's squared distances are
+    its row of ``hamming`` or, without it, ``|x_r|^2 + |x_i|^2 - 2 x_r . x_i`` from the rows; each
+    later seed is a weighted draw, or ``rng.integers`` once every distance is 0."""
+    n = norms.shape[0]
+
+    def distances_to(r):
+        return hamming[r] if hamming is not None else norms + norms[r] - 2.0 * (points @ points[r])
+
+    seeds = [rng.integers(n)]
+    d2 = distances_to(seeds[0]).copy()
+    for _ in range(1, k):
+        total = d2.sum()
+        seeds.append(choice_by_cdf(d2 / total, rng) if total > 0 else rng.integers(n))
+        np.minimum(d2, distances_to(seeds[-1]), out=d2)
+    return seeds
+
+
+def dense_cluster_products(points, gram, labels, k):
+    """``(cross, q)`` from the full one-hot product: ``cross = gram @ onehot`` (or the rows' product
+    with the count table), ``q`` its sum over each cluster's members."""
+    onehot = np.eye(k)[labels]
+    cross = gram @ onehot if gram is not None else points @ (onehot.T @ points).T
+    return cross, (onehot * cross).sum(axis=0)
+
+
+def lloyd_by_dense_products(points, norms, gram, hamming, k, max_iters, rng):
+    """One k-means++-seeded Lloyd run, (labels, WCSS), that seeds with ``plusplus_seeds_one_run``
+    and takes every step's cluster products from the full one-hot product."""
+    n = norms.shape[0]
+    seeds = plusplus_seeds_one_run(points, norms, hamming, k, rng)
+
+    def distances(cross, q, sizes):
+        d2 = norms[:, None] - 2.0 * cross / sizes + q / (sizes * sizes)
+        return np.maximum(d2, 0.0)
+
+    d2 = hamming[:, seeds] if hamming is not None else distances(points @ points[seeds].T, norms[seeds], 1)
+    labels = np.full(n, -1, dtype=np.int64)
+    for _ in range(max_iters):
+        new_labels = d2.argmin(axis=1)
+        sizes = np.bincount(new_labels, minlength=k)
+        while (sizes == 0).any():
+            empty = int(np.flatnonzero(sizes == 0)[0])
+            own = d2[np.arange(n), new_labels].copy()
+            own[sizes[new_labels] <= 1] = -1.0
+            worst = int(own.argmax())
+            sizes[new_labels[worst]] -= 1
+            new_labels[worst] = empty
+            sizes[empty] += 1
+            d2[worst, :] = 0.0
+        if np.array_equal(new_labels, labels):
+            break
+        cross, q = dense_cluster_products(points, gram, new_labels, k)
+        labels = new_labels
+        d2 = distances(cross, q, sizes)
+    wcss = np.sort((sizes * np.bincount(labels, weights=norms, minlength=k) - q) / sizes).sum()
+    return labels, float(wcss)

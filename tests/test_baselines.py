@@ -1,8 +1,8 @@
 """K-means on binary rows and the gap statistic."""
 
-import copy
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,18 +11,29 @@ from hypothesis import strategies as st
 
 from binclust import baselines
 from binclust.baselines import (
-    _choice,
+    _N_RESTARTS,
+    _best_fits,
     _cluster_products,
     _inputs,
     _lloyd,
+    _moved_products,
     _plusplus_seeds,
     _squared_distances,
+    _weighted_draws,
     gap_statistic,
     kmeans_binary,
 )
 from binclust.datagen import SyntheticSpec, generate
 from binclust.evaluate import matched_accuracy
 from binclust.model import BinaryMatrix
+
+from _oracles import (
+    CATEGORICAL_EDGES,
+    choice_by_cdf,
+    dense_cluster_products,
+    lloyd_by_dense_products,
+    plusplus_seeds_one_run,
+)
 
 
 def _blocks(sizes, d, patterns):
@@ -43,6 +54,17 @@ def _plusplus_by_direct_distances(points, k, rng):
         seeds.append(rng.choice(points.shape[0], p=d2 / total) if total > 0 else rng.integers(points.shape[0]))
         d2 = np.minimum(d2, ((points - points[seeds[-1]]) ** 2).sum(axis=1))
     return seeds
+
+
+def _n_distinct(values):
+    return len(np.unique(values, axis=0))
+
+
+def _one_run(values, k, max_iters, rng):
+    """One k-means++-seeded Lloyd run on ``values`` through ``_inputs``, ``_plusplus_seeds`` and ``_lloyd``."""
+    inputs = _inputs(values)
+    seeds = _plusplus_seeds(inputs[0], inputs[1], inputs[3], [k], _n_distinct(values), rng)[0]
+    return _lloyd(*inputs, seeds, max_iters)
 
 
 def _direct_hamming(points):
@@ -101,21 +123,20 @@ class TestKmeansBinary:
         truth = np.repeat([0, 1], 7)
         assert matched_accuracy(labels, truth) == 100.0
 
-    def test_objective_non_increasing(self):
-        # A run capped at m iterations draws the same seeds as an uncapped one
-        # and returns the WCSS after iteration m (or after convergence, if
-        # sooner), so the caps 1..50 trace the objective iteration by iteration.
+    @pytest.mark.parametrize("shape", [(40, 8), (12, 30)], ids=["points-route", "gram-route"])
+    def test_objective_non_increasing(self, shape):
+        # A run capped at m iterations from the same seeds returns the WCSS
+        # after iteration m (or after convergence, if sooner), so the caps
+        # 1..50 trace the objective iteration by iteration.
         rng = np.random.default_rng(7)
         for _ in range(30):
-            n = int(rng.integers(6, 40))
-            d = int(rng.integers(2, 12))
-            inputs = _inputs(rng.integers(0, 2, size=(n, d)))
+            n = int(rng.integers(6, shape[0]))
+            d = int(rng.integers(2, shape[1]))
+            values = rng.integers(0, 2, size=(n, d))
+            inputs = _inputs(values)
             k = int(rng.integers(2, min(6, n)))
-            trace = []
-            for max_iters in range(1, 51):
-                run_rng = copy.deepcopy(rng)
-                trace.append(_lloyd(*inputs, k, max_iters=max_iters, rng=run_rng)[1])
-            rng = run_rng
+            seeds = _plusplus_seeds(inputs[0], inputs[1], inputs[3], [k], _n_distinct(values), rng)[0]
+            trace = [_lloyd(*inputs, seeds, max_iters)[1] for max_iters in range(1, 51)]
             assert (np.diff(trace) <= 1e-9).all()
 
     def test_seeding_distances_equal_the_direct_formula(self):
@@ -127,7 +148,7 @@ class TestKmeansBinary:
             assert np.array_equal(_squared_distances(norms, (points @ c)[:, None], np.array([c @ c]), 1)[:, 0], direct)
         for seed in range(10):
             k = 1 + seed % 6
-            seeds = _plusplus_seeds(points, norms, None, k, np.random.default_rng(seed))
+            seeds = _plusplus_seeds(points, norms, None, [k], _n_distinct(points), np.random.default_rng(seed))[0]
             assert np.array_equal(seeds, _plusplus_by_direct_distances(points, k, np.random.default_rng(seed)))
 
     @pytest.mark.parametrize(
@@ -153,13 +174,119 @@ class TestKmeansBinary:
         else:
             assert built_points.tobytes() == points.tobytes() and built_hamming is None
         for seed in range(20):
-            k = 1 + seed % n
+            ks = [1 + (seed + r) % n for r in range(1 + seed % 4)]
             direct = np.random.default_rng(seed)
-            want = _plusplus_by_direct_distances(points, k, direct)
+            want = [_plusplus_by_direct_distances(points, k, direct) for k in ks]
             for route in (hamming, None):
                 ours = np.random.default_rng(seed)
-                assert np.array_equal(_plusplus_seeds(points, norms, route, k, ours), want)
+                got = _plusplus_seeds(points, norms, route, ks, distinct, ours)
+                assert [s.tolist() for s in got] == [list(map(int, s)) for s in want]
                 assert ours.bit_generator.state == direct.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "shape, distinct",
+        [((9, 40), 9), ((12, 30), 3), ((12, 4), 3), ((30, 6), 30), ((7, 7), 1)],
+        ids=["gram-route", "gram-route-duplicates", "points-route-duplicates", "points-route", "one-distinct-row"],
+    )
+    def test_seeding_all_runs_at_once_equals_seeding_each_run_alone(self, shape, distinct):
+        # Rows drawn from ``distinct`` random rows, which may repeat; runs of
+        # k = 1 .. N, above and below the number of distinct rows, in rising
+        # and in mixed order; the generator ends where the runs seeded
+        # one after another leave it.
+        n, d = shape
+        rng = np.random.default_rng(17)
+        points = rng.integers(0, 2, size=(distinct, d)).astype(np.float64)[np.arange(n) % distinct]
+        distinct = _n_distinct(points)  # the drawn rows may repeat
+        norms = (points * points).sum(axis=1)
+        hamming = _direct_hamming(points)
+        orders = [list(range(1, n + 1)), np.repeat([1, n], 3).tolist(), rng.integers(1, n + 1, size=12).tolist()]
+        for seed, ks in enumerate(orders):
+            for route in (hamming, None):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = _plusplus_seeds(points, norms, route, ks, distinct, ours)
+                want = [plusplus_seeds_one_run(points, norms, route, k, theirs) for k in ks]
+                assert [s.tolist() for s in got] == [list(map(int, s)) for s in want]
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "shape, distinct, ks",
+        [
+            ((20, 50), 20, range(1, 21)),
+            ((40, 9), 40, range(1, 8)),
+            ((16, 40), 4, range(1, 9)),
+            ((24, 5), 3, [1, 2, 3, 4, 24]),
+            ((10, 10), 10, [1, 10]),
+        ],
+        ids=["gram-route-k-1-to-n", "points-route", "gram-route-duplicates", "points-route-duplicates", "n-equals-d"],
+    )
+    def test_best_fits_equal_runs_seeded_alone_with_dense_products(self, shape, distinct, ks):
+        # Each k's best of five runs, each seeded alone from the same generator
+        # and stepped with the full one-hot product, gives the same labels,
+        # the same WCSS bits and the same generator state afterwards.
+        n, d = shape
+        rng = np.random.default_rng(23)
+        values = rng.integers(0, 2, size=(distinct, d)).astype(np.uint8)[rng.permutation(np.arange(n) % distinct)]
+        inputs = _inputs(values)
+        for seed in range(3):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _best_fits(BinaryMatrix(values), ks, ours)
+            for k, (labels, wcss) in zip(ks, got):
+                runs = [lloyd_by_dense_products(*inputs, k, 100, theirs) for _ in range(_N_RESTARTS)]
+                want_labels, want_wcss = min(runs, key=lambda fit: fit[1])
+                assert np.array_equal(labels, want_labels)
+                assert np.float64(wcss).tobytes() == np.float64(want_wcss).tobytes()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_every_lloyd_step_updates_cross_and_q_to_the_dense_products(self, data):
+        # Every call _lloyd makes to _moved_products is checked against the
+        # full one-hot product of its new labels, bit for bit; the run itself
+        # ends with the labels and WCSS of the all-dense oracle.  Columns of
+        # uneven density and a few clusters make about two runs in five take
+        # a step after the first (uniform random rows with N <= D seldom do).
+        n = data.draw(st.integers(2, 60), label="n")
+        d = data.draw(st.integers(n, n + 10), label="d")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = (rng.random((n, d)) < rng.random(d) ** 2).astype(np.uint8)
+        k = data.draw(st.one_of(st.integers(1, min(n, 4)), st.just(n)), label="k")
+        inputs = _inputs(values)
+        gram = inputs[2]
+
+        def checked(gram, cross, labels, new_labels, moved):
+            assert np.array_equal(moved, np.flatnonzero(new_labels != labels)) and moved.size
+            cross, q = _moved_products(gram, cross, labels, new_labels, moved)
+            want_cross, want_q = dense_cluster_products(None, gram, new_labels, k)
+            assert cross.tobytes() == want_cross.tobytes() and q.tobytes() == want_q.tobytes()
+            return cross, q
+
+        seed = int(rng.integers(2**32))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(baselines, "_moved_products", checked)
+            labels, wcss = _one_run(values, k, 100, np.random.default_rng(seed))
+        want_labels, want_wcss = lloyd_by_dense_products(*inputs, k, 100, np.random.default_rng(seed))
+        assert np.array_equal(labels, want_labels)
+        assert np.float64(wcss).tobytes() == np.float64(want_wcss).tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_moved_products_follow_any_relabeling(self, data):
+        # A walk of relabelings, each moving any subset of rows (none, some,
+        # all), some leaving clusters empty: after every one the updated cross
+        # and q are the full one-hot product's, bit for bit.
+        n = data.draw(st.integers(1, 25), label="n")
+        k = data.draw(st.integers(1, 8), label="k")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        points = rng.integers(0, 2, size=(n, data.draw(st.integers(n, n + 30), label="d"))).astype(np.float64)
+        gram = points @ points.T
+        labels = rng.integers(0, k, size=n)
+        cross, _ = dense_cluster_products(None, gram, labels, k)
+        for _ in range(data.draw(st.integers(1, 6), label="steps")):
+            new_labels = np.where(rng.random(n) < rng.random(), rng.integers(0, k, size=n), labels)
+            cross, q = _moved_products(gram, cross, labels, new_labels, np.flatnonzero(new_labels != labels))
+            want_cross, want_q = dense_cluster_products(None, gram, new_labels, k)
+            assert cross.tobytes() == want_cross.tobytes() and q.tobytes() == want_q.tobytes()
+            labels = new_labels
 
     @pytest.mark.parametrize(
         "case",
@@ -181,8 +308,20 @@ class TestKmeansBinary:
         p = weights / weights.sum()
         for seed in range(25):
             ours, numpy_choice = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert _choice(p, ours) == numpy_choice.choice(p.size, p=p)
+            u = np.random.default_rng(seed).random(1)
+            assert _weighted_draws(weights[None], u)[0] == choice_by_cdf(p, ours) == numpy_choice.choice(p.size, p=p)
             assert ours.random() == numpy_choice.random()
+
+    @pytest.mark.parametrize("weights, u", [(w, u) for w, u in CATEGORICAL_EDGES if sum(w) > 0])
+    def test_the_seed_draw_at_a_running_sum_takes_the_next_index(self, weights, u):
+        # A uniform equal to a running sum, at the total or just below it:
+        # the draw is searchsorted(side="right") on the normalized running
+        # sums, as in Generator.choice, one row alone or beside other rows.
+        weights = np.array(weights)
+        want = choice_by_cdf(weights / weights.sum(), SimpleNamespace(random=lambda: u))
+        rows = np.vstack([weights, np.ones_like(weights), weights[::-1]])
+        assert _weighted_draws(weights[None], np.array([u]))[0] == want
+        assert _weighted_draws(rows, np.full(3, u))[0] == want
 
     def test_labels_are_exactly_0_to_k_minus_1(self):
         rng = np.random.default_rng(3)
@@ -201,7 +340,7 @@ class TestKmeansBinary:
         def no_fit(*args):
             raise AssertionError("fitted before the arguments were checked")
 
-        monkeypatch.setattr(baselines, "_lloyd", no_fit)
+        monkeypatch.setattr(baselines, "_plusplus_seeds", no_fit)
         data = BinaryMatrix(np.eye(4, 3, dtype=np.uint8))
         with pytest.raises(ValueError, match="k must be an integer"):
             kmeans_binary(data, k, rng=np.random.default_rng(0))
@@ -226,7 +365,7 @@ class TestKmeansBinary:
         duplicates = np.repeat(rng.integers(0, 2, size=(4, 9)), [5, 1, 3, 6], axis=0)
         cases += [(duplicates, k) for k in (1, 3, 4, 6, 15)]
         for values, k in cases:
-            labels, wcss = _lloyd(*_inputs(values), k, 100, rng)
+            labels, wcss = _one_run(values, k, 100, rng)
             exact = _exact_wcss(values, labels)
             assert abs(Fraction(wcss) - exact) <= Fraction(k, 2**52) * exact
             assert np.array_equal(np.unique(labels), np.arange(k))
@@ -263,8 +402,11 @@ class TestKmeansBinary:
 
         seed = int(rng.integers(2**32))
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        labels, wcss = _lloyd(None, norms, gram, hamming, k, 100, ours)
-        want_labels, want_wcss = _lloyd(points, norms, None, None, k, 100, theirs)
+        distinct = _n_distinct(values)
+        seeds = _plusplus_seeds(None, norms, hamming, [k], distinct, ours)[0]
+        labels, wcss = _lloyd(None, norms, gram, hamming, seeds, 100)
+        seeds = _plusplus_seeds(points, norms, None, [k], distinct, theirs)[0]
+        want_labels, want_wcss = _lloyd(points, norms, None, None, seeds, 100)
         assert np.array_equal(labels, want_labels)
         assert np.float64(wcss).tobytes() == np.float64(want_wcss).tobytes()
         assert ours.bit_generator.state == theirs.bit_generator.state
@@ -355,7 +497,7 @@ class TestGapStatistic:
         def no_fit(*args):
             raise AssertionError("fitted before the arguments were checked")
 
-        monkeypatch.setattr(baselines, "_lloyd", no_fit)
+        monkeypatch.setattr(baselines, "_plusplus_seeds", no_fit)
         data = BinaryMatrix([[0, 1], [1, 0]])
         with pytest.raises(ValueError):
             gap_statistic(data, k_max=0)
@@ -379,7 +521,7 @@ class TestGapStatistic:
         def no_fit(*args):
             raise AssertionError("fitted before the arguments were checked")
 
-        monkeypatch.setattr(baselines, "_lloyd", no_fit)
+        monkeypatch.setattr(baselines, "_plusplus_seeds", no_fit)
         data = BinaryMatrix([[0, 1], [1, 0], [1, 1]])
         with pytest.raises(ValueError, match=message):
             gap_statistic(data, **kwargs)

@@ -656,7 +656,7 @@ class TestBaselineCommand:
         def no_fit(*args):
             raise AssertionError("fitted before k_max was checked")
 
-        monkeypatch.setattr(baselines, "_lloyd", no_fit)
+        monkeypatch.setattr(baselines, "_plusplus_seeds", no_fit)
         report_path = tmp_path / "gap.json"
         code, _, err = _run(capsys, "baseline", "--in", str(data_path), "--k-max", "13", "--report", str(report_path))
         assert code == 2

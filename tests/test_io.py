@@ -56,7 +56,7 @@ class TestDenseFormat:
     def test_bad_first_row_is_reported_not_dropped(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,1,x\n1,0,1\n")
-        with pytest.raises(DataFormatError, match="'x'.*row 0, column 3"):
+        with pytest.raises(DataFormatError, match="'x'.*row 0, column 2$"):
             load_dense(path)
 
     def test_ragged_rows_rejected(self, tmp_path):
@@ -240,7 +240,7 @@ class TestSavedLayoutFastPath:
     MUTATIONS = {
         "2-first-cell": (lambda b: b"2" + b[1:], "non-binary value 2 at row 0, column 0"),
         "2-last-cell": (lambda b: b[:-2] + b"2\n", "non-binary value 2 at row 3, column 2"),
-        "slash-below-0": (lambda b: b"/" + b[1:], "could not convert string '/' to uint8 at row 0, column 1."),
+        "slash-below-0": (lambda b: b"/" + b[1:], "could not convert string '/' to uint8 at row 0, column 0"),
         "space-first": (lambda b: b" " + b, None),
         "space-after-comma": (lambda b: b[:2] + b" " + b[2:], None),
         "space-before-newline": (lambda b: b[:5] + b" " + b[5:], None),
@@ -422,7 +422,7 @@ class TestNumericCsv:
     def test_count_csv_bad_first_row_is_reported_not_dropped(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("0,\n1,2\n3,4\n")
-        with pytest.raises(DataFormatError, match="''.*row 0, column 2"):
+        with pytest.raises(DataFormatError, match="''.*row 0, column 1$"):
             load_count_csv(path)
 
     def test_real_csv_header_with_blank_corner(self, tmp_path):
