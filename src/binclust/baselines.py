@@ -56,32 +56,15 @@ def _inputs(values):
 
 
 def _cluster_products(points, gram, onehot):
-    """``(cross, q)`` of the clusters of the one-hot labels: ``cross[i, k] = x_i . C_k``, ``q[k] = |C_k|^2``.
+    """``cross[i, k] = x_i . C_k`` for the clusters of the one-hot labels.
 
     ``C = onehot.T @ points`` is the K x D feature-count table.  With the
     Gram matrix ``cross`` is ``gram @ onehot``, without it ``points @ C.T``:
-    one product in two association orders.  ``q`` sums ``cross`` over each
-    cluster's members.  On {0,1} rows every partial sum is an integer of at
-    most N^2 D, so both orders give the same bits while N^2 D < 2^53.
-    """
-    cross = gram @ onehot if gram is not None else points @ (onehot.T @ points).T
-    return cross, (onehot * cross).sum(axis=0)
-
-
-def _moved_products(gram, cross, labels, new_labels, moved):
-    """``_cluster_products``'s ``(cross, q)`` for ``new_labels``, from ``cross`` of ``labels`` and the rows that moved.
-
-    ``moved`` holds the rows whose label differs.  A row i moving from
-    cluster a to b adds row i of the symmetric Gram matrix to ``cross[:, b]``
-    and takes it from ``cross[:, a]``; ``q`` then sums ``cross`` over each
-    cluster's members.  ``cross`` is updated in place.  Every entry stays an
-    integer of at most N^2 D, so the bits are the full product's while
+    one product in two association orders.  On {0,1} rows every partial sum
+    is an integer of at most N^2 D, so both orders give the same bits while
     N^2 D < 2^53.
     """
-    eye = np.eye(cross.shape[1])
-    cross += gram[moved].T @ (eye[new_labels[moved]] - eye[labels[moved]])
-    rows = np.arange(len(new_labels))
-    return cross, np.bincount(new_labels, weights=cross[rows, new_labels], minlength=cross.shape[1])
+    return gram @ onehot if gram is not None else points @ (onehot.T @ points).T
 
 
 def _squared_distances(norms, cross, q, sizes):
@@ -163,22 +146,21 @@ def _lloyd(points, norms, gram, hamming, seeds, max_iters):
     A cluster is its count row ``C_k`` and its size ``n_k``, known only
     through ``cross = x . C_k`` and ``q = |C_k|^2``.  The seeds start as
     clusters of one row each, ``C_k = x_seed``, so the first assignment's
-    distances are the seeds' columns of ``hamming`` (or, without it, the
-    same integers from the rows).  Each step that changes the labels takes
-    ``cross`` and ``q`` for the next assignment: from the one-hot labels
-    (``_cluster_products``) at the first step and wherever the rows are
-    kept, and otherwise from the Gram rows of the rows that moved
-    (``_moved_products``), since few move after the first step.  The WCSS
-    is ``sum_k (n_k sum_{i in k} |x_i|^2 - q_k) / n_k``, its cluster terms
+    distances are the seeds' rows of ``_distances_to``.  Each step that
+    changes the labels takes ``cross`` for the next assignment from the
+    one-hot labels (``_cluster_products``) at the first step and wherever
+    the rows are kept.  Otherwise a row i moving from cluster a to b adds
+    row i of the symmetric Gram matrix to ``cross[:, b]`` and takes it from
+    ``cross[:, a]``, since few rows move after the first step.  ``q`` then
+    sums ``cross`` over each cluster's members.  The WCSS is
+    ``sum_k (n_k sum_{i in k} |x_i|^2 - q_k) / n_k``, its cluster terms
     summed in sorted order so that a relabeled run ties exactly.  Every
     count is an exact integer while N^2 D < 2^53, so the WCSS is within
     K 2^-52 relative of the exact value and the same on either route.
     """
     n, k = norms.shape[0], len(seeds)
-    if hamming is not None:
-        d2 = hamming[:, seeds]
-    else:
-        d2 = _squared_distances(norms, points @ points[seeds].T, norms[seeds], 1)
+    eye, rows = np.eye(k), np.arange(n)
+    d2 = _distances_to(points, norms, hamming, seeds).T
     labels = None
     for _ in range(max_iters):
         new_labels = d2.argmin(axis=1)
@@ -187,7 +169,7 @@ def _lloyd(points, norms, gram, hamming, seeds, max_iters):
         sizes = np.bincount(new_labels, minlength=k)
         while not sizes.all():
             empty = int(np.flatnonzero(sizes == 0)[0])
-            own = d2[np.arange(n), new_labels].copy()
+            own = d2[rows, new_labels]
             own[sizes[new_labels] <= 1] = -1.0  # do not drain singletons
             worst = int(own.argmax())
             sizes[new_labels[worst]] -= 1
@@ -199,9 +181,10 @@ def _lloyd(points, norms, gram, hamming, seeds, max_iters):
             if not moved.size:
                 break  # cross and q are already those of these labels
         if labels is None or gram is None:
-            cross, q = _cluster_products(points, gram, np.eye(k)[new_labels])
+            cross = _cluster_products(points, gram, eye[new_labels])
         else:
-            cross, q = _moved_products(gram, cross, labels, new_labels, moved)
+            cross += gram[moved].T @ (eye[new_labels[moved]] - eye[labels[moved]])
+        q = np.bincount(new_labels, weights=cross[rows, new_labels], minlength=k)
         labels = new_labels
         d2 = _squared_distances(norms, cross, q, sizes)
     wcss = np.sort((sizes * np.bincount(labels, weights=norms, minlength=k) - q) / sizes).sum()

@@ -18,6 +18,7 @@ import numpy as np
 
 from .model import (
     NEW_CLUSTER,
+    BinaryMatrix,
     ClusterState,
     _check_width,
     _is_integer,
@@ -140,6 +141,10 @@ def gibbs_sweep(state, data, hyper, temperature, rng):
     if labels.min() < 0 or labels.max() >= k:  # UNASSIGNED included: a detached object is refused
         i = int(np.flatnonzero((labels < 0) | (labels >= k))[0])
         raise ValueError(f"object {i} carries label {labels[i]}, outside 0..{k - 1}")
+    if data.values is not state._values:
+        # Equal, as checked above: visit with the state's own array, which
+        # every visit step accepts without comparing it cell by cell.
+        data = BinaryMatrix(state._values)
     for i, u in enumerate(rng.random(data.n_objects).tolist()):
         remove_object(state, i, data)
         probs = assignment_distribution(i, state, data, hyper, temperature)

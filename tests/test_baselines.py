@@ -16,7 +16,6 @@ from binclust.baselines import (
     _cluster_products,
     _inputs,
     _lloyd,
-    _moved_products,
     _plusplus_seeds,
     _squared_distances,
     _weighted_draws,
@@ -65,6 +64,23 @@ def _one_run(values, k, max_iters, rng):
     inputs = _inputs(values)
     seeds = _plusplus_seeds(inputs[0], inputs[1], inputs[3], [k], _n_distinct(values), rng)[0]
     return _lloyd(*inputs, seeds, max_iters)
+
+
+def _recorded_lloyd(inputs, seeds, max_iters, steer=None):
+    """``_lloyd``'s run as ``(steps, labels, wcss)``, ``steps`` the ``(cross, q)`` it hands to ``_squared_distances``
+    at every step.  ``steer(m)``, if given, takes the place of the distances after step m < ``max_iters``."""
+    steps = []
+
+    def recorded(norms, cross, q, sizes):
+        steps.append((cross.copy(), q.copy()))
+        if steer is None or len(steps) == max_iters:
+            return _squared_distances(norms, cross, q, sizes)
+        return steer(len(steps))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(baselines, "_squared_distances", recorded)
+        labels, wcss = _lloyd(*inputs, seeds, max_iters)
+    return steps, labels, wcss
 
 
 def _direct_hamming(points):
@@ -240,53 +256,61 @@ class TestKmeansBinary:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.data())
     def test_every_lloyd_step_updates_cross_and_q_to_the_dense_products(self, data):
-        # Every call _lloyd makes to _moved_products is checked against the
-        # full one-hot product of its new labels, bit for bit; the run itself
-        # ends with the labels and WCSS of the all-dense oracle.  Columns of
-        # uneven density and a few clusters make about two runs in five take
-        # a step after the first (uniform random rows with N <= D seldom do).
+        # The cross and q that every step of _lloyd hands to
+        # _squared_distances are the full one-hot product of that step's
+        # labels, bit for bit: the run capped at m steps returns step m's
+        # labels.  The run itself ends with the labels and WCSS of the
+        # all-dense oracle.  Columns of uneven density and a few clusters
+        # make about two runs in five take a step after the first (uniform
+        # random rows with N <= D seldom do).
         n = data.draw(st.integers(2, 60), label="n")
         d = data.draw(st.integers(n, n + 10), label="d")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         values = (rng.random((n, d)) < rng.random(d) ** 2).astype(np.uint8)
         k = data.draw(st.one_of(st.integers(1, min(n, 4)), st.just(n)), label="k")
         inputs = _inputs(values)
-        gram = inputs[2]
-
-        def checked(gram, cross, labels, new_labels, moved):
-            assert np.array_equal(moved, np.flatnonzero(new_labels != labels)) and moved.size
-            cross, q = _moved_products(gram, cross, labels, new_labels, moved)
-            want_cross, want_q = dense_cluster_products(None, gram, new_labels, k)
-            assert cross.tobytes() == want_cross.tobytes() and q.tobytes() == want_q.tobytes()
-            return cross, q
-
         seed = int(rng.integers(2**32))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(baselines, "_moved_products", checked)
-            labels, wcss = _one_run(values, k, 100, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        seeds = _plusplus_seeds(inputs[0], inputs[1], inputs[3], [k], _n_distinct(values), rng)[0]
+        steps, labels, wcss = _recorded_lloyd(inputs, seeds, 100)
+        for m, (cross, q) in enumerate(steps, 1):
+            want_cross, want_q = dense_cluster_products(None, inputs[2], _lloyd(*inputs, seeds, m)[0], k)
+            assert cross.tobytes() == want_cross.tobytes() and q.tobytes() == want_q.tobytes()
         want_labels, want_wcss = lloyd_by_dense_products(*inputs, k, 100, np.random.default_rng(seed))
         assert np.array_equal(labels, want_labels)
         assert np.float64(wcss).tobytes() == np.float64(want_wcss).tobytes()
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.data())
-    def test_moved_products_follow_any_relabeling(self, data):
-        # A walk of relabelings, each moving any subset of rows (none, some,
-        # all), some leaving clusters empty: after every one the updated cross
-        # and q are the full one-hot product's, bit for bit.
+    def test_lloyd_steps_follow_any_relabeling(self, data):
+        # After its first step, _lloyd is steered through a walk of
+        # relabelings, each moving any subset of rows (none, some, all): the
+        # patched distances put every row nearest its drawn cluster, and each
+        # draw gives every cluster a member, so no revival intervenes.  After
+        # every relabeling, on either route, cross and q are the full one-hot
+        # product's, bit for bit, and the first relabeling that moves no row
+        # ends the run.
         n = data.draw(st.integers(1, 25), label="n")
-        k = data.draw(st.integers(1, 8), label="k")
+        k = data.draw(st.integers(1, min(n, 8)), label="k")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        points = rng.integers(0, 2, size=(n, data.draw(st.integers(n, n + 30), label="d"))).astype(np.float64)
-        gram = points @ points.T
-        labels = rng.integers(0, k, size=n)
-        cross, _ = dense_cluster_products(None, gram, labels, k)
+        values = rng.integers(0, 2, size=(n, data.draw(st.integers(max(1, n - 5), n + 30), label="d")))
+        inputs = _inputs(values)
+        points = values.astype(np.float64)
+        seeds = rng.choice(n, size=k, replace=False)
+        walk = [_lloyd(*inputs, seeds, 1)[0]]
         for _ in range(data.draw(st.integers(1, 6), label="steps")):
-            new_labels = np.where(rng.random(n) < rng.random(), rng.integers(0, k, size=n), labels)
-            cross, q = _moved_products(gram, cross, labels, new_labels, np.flatnonzero(new_labels != labels))
-            want_cross, want_q = dense_cluster_products(None, gram, new_labels, k)
+            relabeled = np.where(rng.random(n) < rng.random(), rng.integers(0, k, size=n), walk[-1])
+            if np.unique(relabeled).size < k:
+                relabeled[rng.choice(n, size=k, replace=False)] = rng.permutation(k)
+            walk.append(relabeled)
+        eye = np.eye(k)
+        steps, labels, _ = _recorded_lloyd(inputs, seeds, len(walk), lambda m: 1.0 - eye[walk[m]])
+        moved_none = [m for m in range(1, len(walk)) if np.array_equal(walk[m], walk[m - 1])]
+        assert len(steps) == (moved_none + [len(walk)])[0]
+        for want_labels, (cross, q) in zip(walk, steps):
+            want_cross, want_q = dense_cluster_products(None, points @ points.T, want_labels, k)
             assert cross.tobytes() == want_cross.tobytes() and q.tobytes() == want_q.tobytes()
-            labels = new_labels
+        assert np.array_equal(labels, walk[len(steps) - 1])
 
     @pytest.mark.parametrize(
         "case",
@@ -353,13 +377,16 @@ class TestKmeansBinary:
 
     def test_lloyd_returns_nonempty_clusters_and_the_exact_wcss_of_its_labels(self):
         # Random instances, then K = 1 and K = N, then duplicate rows.  The
+        # random ones have columns of uneven density, and every other one at
+        # most 4 clusters, so that many runs take a step after the first.  The
         # WCSS sums K correctly rounded cluster terms, so it is within
         # K 2^-52 relative of the exact value.
         rng = np.random.default_rng(8)
         cases = []
-        for _ in range(40):
-            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 30))
-            cases.append((rng.integers(0, 2, size=(n, d)), int(rng.integers(1, min(n, 6) + 1))))
+        for i in range(120):
+            n, d = int(rng.integers(1, 50)), int(rng.integers(1, 80))
+            values = (rng.random((n, d)) < rng.random(d) ** 2).astype(np.int64)
+            cases.append((values, int(rng.integers(1, min(n, 4 if i % 2 else 6) + 1))))
         values = rng.integers(0, 2, size=(25, 12))
         cases += [(values, 1), (values, 25)]
         duplicates = np.repeat(rng.integers(0, 2, size=(4, 9)), [5, 1, 3, 6], axis=0)
@@ -373,27 +400,30 @@ class TestKmeansBinary:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.data())
     def test_the_gram_and_points_routes_give_the_same_bits(self, data):
-        # N < D, N = D and N > D; a few distinct rows, each repeated; some
-        # columns held at 0 or 1.  Both routes are forced, whatever the N <= D
-        # rule would pick, and their products are checked against the count
-        # table.  The Gram route reads no rows, so it runs without them.
-        n = data.draw(st.integers(1, 14), label="n")
+        # N < D, N = D and N > D; one to N distinct rows of columns of uneven
+        # density, each repeated about equally often; some columns held at 0
+        # or 1; often at most 4 clusters, so that many runs take a step after
+        # the first.  Both
+        # routes are forced, whatever the N <= D rule would pick, and give
+        # the same cross and q at every step; their products, and the last
+        # step's q, are checked against the count table.  The Gram route
+        # reads no rows, so it runs without them.
+        n = data.draw(st.integers(1, 40), label="n")
         d = data.draw(st.sampled_from([max(1, n - 5), n, n + 7]), label="d")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        distinct = rng.integers(0, 2, size=(data.draw(st.integers(1, n), label="distinct"), d))
-        values = distinct[rng.integers(0, len(distinct), size=n)]
+        m = data.draw(st.one_of(st.integers(1, n), st.just(n)), label="distinct")
+        values = (rng.random((m, d)) < rng.random(d) ** 2)[rng.permutation(n) % m].astype(np.int64)
         constant = rng.random(d) < 0.3
         values[:, constant] = rng.integers(0, 2, size=constant.sum())
         points = values.astype(np.float64)
         norms = (points * points).sum(axis=1)
         gram = points @ points.T
-        k = data.draw(st.integers(1, n), label="k")
+        k = data.draw(st.one_of(st.integers(1, min(n, 4)), st.integers(1, n)), label="k")
 
         onehot = np.eye(k)[rng.integers(0, k, size=n)]
         table = onehot.T @ points
-        for cross, q in (_cluster_products(points, gram, onehot), _cluster_products(points, None, onehot)):
+        for cross in (_cluster_products(points, gram, onehot), _cluster_products(points, None, onehot)):
             assert np.array_equal(cross, points @ table.T)
-            assert np.array_equal(q, (table * table).sum(axis=1))
         hamming = _direct_hamming(points)
         if n <= d:
             built = _inputs(values)
@@ -404,12 +434,15 @@ class TestKmeansBinary:
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         distinct = _n_distinct(values)
         seeds = _plusplus_seeds(None, norms, hamming, [k], distinct, ours)[0]
-        labels, wcss = _lloyd(None, norms, gram, hamming, seeds, 100)
+        steps, labels, wcss = _recorded_lloyd((None, norms, gram, hamming), seeds, 100)
         seeds = _plusplus_seeds(points, norms, None, [k], distinct, theirs)[0]
-        want_labels, want_wcss = _lloyd(points, norms, None, None, seeds, 100)
+        want_steps, want_labels, want_wcss = _recorded_lloyd((points, norms, None, None), seeds, 100)
+        assert [a.tobytes() for step in steps for a in step] == [a.tobytes() for step in want_steps for a in step]
         assert np.array_equal(labels, want_labels)
         assert np.float64(wcss).tobytes() == np.float64(want_wcss).tobytes()
         assert ours.bit_generator.state == theirs.bit_generator.state
+        table = np.eye(k)[labels].T @ points
+        assert np.array_equal(steps[-1][1], (table * table).sum(axis=1))
 
     def test_a_fit_with_more_rows_than_columns_builds_no_n_by_n_array(self):
         # numpy reports its array allocations to tracemalloc: the peak holds

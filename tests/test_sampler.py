@@ -429,6 +429,37 @@ class TestGibbsSweep:
 
         assert matched_accuracy(state.assignments, truth) == 100.0
 
+    @pytest.mark.parametrize("path", PATHS)
+    def test_a_sweep_given_an_equal_copy_compares_it_with_the_states_matrix_once(self, path, monkeypatch):
+        # The sweep checks the copy once, then visits with the state's own
+        # array: the cell-by-cell comparisons do not grow with N, and the
+        # labels and generator state are those of the sweep given the
+        # state's own matrix.
+        compared = []
+        check = ClusterState._check_values
+
+        def counted(state, values):
+            if values is not state._values:
+                compared.append(values.shape)
+            return check(state, values)
+
+        monkeypatch.setattr(ClusterState, "_check_values", counted)
+        for n in (7, 60):
+            data, _ = generate(SyntheticSpec(n, 12, 25, 5, k_true=3, seed=n))
+            twin = BinaryMatrix(data.values.copy())
+            hyper = default_hyperparams(data)
+            with visit_path(path):
+                state, other = ClusterState(data, np.arange(n) % 4), ClusterState(data, np.arange(n) % 4)
+                rng, other_rng = np.random.default_rng(n), np.random.default_rng(n)
+                for sweep in range(1, 4):
+                    gibbs_sweep(state, data, hyper, 1.0, rng)
+                    gibbs_sweep(other, twin, hyper, 1.0, other_rng)
+                    assert np.array_equal(other.assignments, state.assignments)
+                    assert len(compared) == sweep
+            assert rng.random() == other_rng.random()
+            other.check_consistency(twin)
+            compared.clear()
+
     def test_single_object_lands_in_own_cluster(self):
         data = BinaryMatrix([[1, 0, 1]])
         state = ClusterState(data, [0])
