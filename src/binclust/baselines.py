@@ -11,7 +11,7 @@ from itertools import islice
 
 import numpy as np
 
-from .model import BinaryMatrix, _is_integer
+from .model import BinaryMatrix, _check_int
 
 # Seeded Lloyd runs per k-means fit, and the iteration cap of each run.
 _N_RESTARTS = 5
@@ -210,11 +210,7 @@ def kmeans_binary(data, k, rng=None):
 
     Returns the labels, 0..k-1, each cluster with at least one member.
     """
-    if not _is_integer(k):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if not 1 <= k <= data.n_objects:
-        raise ValueError(f"k must lie in [1, {data.n_objects}], got {k}")
-    labels, _ = _best_fits(data, [k], np.random.default_rng(rng))[0]
+    labels, _ = _best_fits(data, [_check_int(k, "k", 1, data.n_objects)], np.random.default_rng(rng))[0]
     return labels
 
 
@@ -230,12 +226,8 @@ def gap_statistic(data, k_max=15, n_refs=10, rng=None):
     such k is a perfect separation and is returned directly (k = 1 when
     all rows are identical).
     """
-    if not _is_integer(k_max):
-        raise ValueError(f"k_max must be an integer, got {k_max!r}")
-    if not 1 <= k_max <= data.n_objects:
-        raise ValueError(f"k_max must lie in [1, {data.n_objects}], got {k_max}")
-    if not (_is_integer(n_refs) and n_refs >= 1):
-        raise ValueError(f"n_refs must be a positive integer, got {n_refs!r}")
+    k_max = _check_int(k_max, "k_max", 1, data.n_objects)
+    n_refs = _check_int(n_refs, "n_refs", 1)
     rng = np.random.default_rng(rng)
     k_values = range(1, k_max + 1)
 

@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from . import baselines, datagen, evaluate, io, sampler
-from .model import BinaryMatrix, default_hyperparams
+from .model import BinaryMatrix, _check_int, default_hyperparams
 
 
 class _UsageError(Exception):
@@ -129,10 +129,9 @@ def _cmd_evaluate(args):
 
 
 def _cmd_baseline(args):
-    if args.seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
+    seed = _check_int(args.seed, "seed", 0)
     data = io.load_matrix(args.in_path)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     result = baselines.gap_statistic(data, k_max=args.k_max, n_refs=args.n_refs, rng=rng)
     labels = baselines.kmeans_binary(data, result.chosen_k, rng=rng)
     # A curve entry that is not finite (the log of a zero WCSS, or a gap or
@@ -142,7 +141,7 @@ def _cmd_baseline(args):
         for name, curve in vars(result).items() if name.endswith("_curve")
     }
     report.update(
-        chosen_k=result.chosen_k, labels=labels.tolist(), seed=args.seed, k_max=args.k_max, n_refs=args.n_refs
+        chosen_k=result.chosen_k, labels=labels.tolist(), seed=seed, k_max=args.k_max, n_refs=args.n_refs
     )
     io.save_report_dict(args.report, report)
     return 0
@@ -282,7 +281,7 @@ def cli_main(argv):
             os.replace(temp, target)
         staged.clear()
         return code
-    except (io.DataFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"binclust {args.command}: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # numpy's says what it could not allocate

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BinaryMatrix, _is_integer
+from .model import BinaryMatrix, _check_int
 
 # Label draws before generate seats one row per cluster instead: 100 take
 # about 0.1 s at N = 100000, and a labeling with a fair chance of covering
@@ -36,20 +36,14 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_objects", "n_features", "k_true"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_objects < 1 or self.n_features < 1:
-            raise ValueError("n_objects and n_features must be positive")
+        for name in ("n_objects", "n_features"):
+            _check_int(getattr(self, name), name, 1)
         if not 0 <= self.info_pct <= 100:
             raise ValueError("info_pct must lie in [0, 100]")
         if not 0 <= self.noise_pct <= 100:
             raise ValueError("noise_pct must lie in [0, 100]")
-        if not 1 <= self.k_true <= self.n_objects:
-            raise ValueError("k_true must lie in [1, n_objects]")
-        if not (_is_integer(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_int(self.k_true, "k_true", 1, self.n_objects)
+        _check_int(self.seed, "seed", 0)
 
 
 def generate(spec):

@@ -80,7 +80,7 @@ class Hyperparams:
             raise ValueError("a and b must be 1-d vectors of equal length")
         if not ((a > 0).all() and (b > 0).all()):
             raise ValueError("Beta shape parameters must be strictly positive")
-        alpha = _check_alpha(self.alpha)
+        alpha = _check_positive(self.alpha, "alpha")
         with np.errstate(over="ignore"):  # an infinite shape, or a sum past the float range
             finite_sums = np.isfinite(a + b)
         if not finite_sums.all():
@@ -97,12 +97,31 @@ class Hyperparams:
         return self.a.shape[0]
 
 
-def _check_alpha(alpha):
-    """``alpha`` as a float, refused unless it is finite and strictly positive."""
-    alpha = float(alpha)
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and strictly positive, got {alpha}")
-    return alpha
+_INT_MAX = 2**63 - 1
+
+
+def _check_int(value, name, low, high=None):
+    """``value`` as an int, refused unless it is a Python or numpy integer (a bool
+    is not one) in ``[low, high]``.  Without ``high``, ``low`` is 0 or 1 and the
+    bound is the int64 maximum: no count, seed or index has a use past it."""
+    top = _INT_MAX if high is None else high
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and low <= value <= top:
+        return int(value)
+    rule = f"an integer in [{low}, {high}]" if high is not None else "a positive integer" if low else "a non-negative integer"
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def _check_positive(value, name, below=math.inf):
+    """``value`` as a float, refused unless it is a real number in (0, ``below``),
+    by default finite and strictly positive.  A bool or a string is refused, not
+    converted: ``float`` would take ``True`` as 1 and ``"2"`` as 2."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not 0 < value < below:
+        rule = "be finite and strictly positive" if below == math.inf else f"lie strictly between 0 and {below:g}"
+        raise ValueError(f"{name} must {rule}, got {value}")
+    return value
 
 
 # Where _log_rising turns from two log-gammas to their Stirling difference.
@@ -184,11 +203,7 @@ class ClusterState:
         labels = np.asarray(assignments)
         if labels.shape != (data.n_objects,):
             raise ValueError(f"expected {data.n_objects} labels, got shape {labels.shape}")
-        # Not a cast: it would truncate floats and take bools and digit strings.
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-        if (labels < 0).any():
-            raise ValueError("all objects must be assigned (labels >= 0)")
+        _check_counts(labels, "labels")
         if data.values.dtype != np.uint8 or not data.values.flags.c_contiguous:  # what the kernel reads
             raise ValueError(f"expected a C-contiguous uint8 matrix, got {data.values.dtype}")
         self._values = data.values
@@ -304,24 +319,12 @@ def _log_predictives(x, sizes, counts, hyper):
     return np.log(numer).sum(axis=1) - np.log(hyper.a + hyper.b + sizes[:, None]).sum(axis=1)
 
 
-def _is_integer(value):
-    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_index(value, n, name):
-    """``value`` as an int, refused unless it is an integer in [0, n)."""
-    if not (_is_integer(value) and 0 <= value < n):
-        raise ValueError(f"{name} must be an integer in [0, {n}), got {value!r}")
-    return int(value)
-
-
 def _check_option(option, n_clusters):
     """The row a cluster option seats an object in: ``n_clusters`` for ``NEW_CLUSTER``,
-    else the option itself, refused unless it is an integer in [0, n_clusters)."""
+    else the option itself, refused unless it is an integer in [0, n_clusters - 1]."""
     if isinstance(option, str) and option == NEW_CLUSTER:
         return n_clusters
-    return _check_index(option, n_clusters, f"a cluster option other than {NEW_CLUSTER!r}")
+    return _check_int(option, f"a cluster option other than {NEW_CLUSTER!r}", 0, n_clusters - 1)
 
 
 def _check_counts(values, name):
@@ -391,7 +394,7 @@ def crp_log_prior(option, leave_one_out_sizes, n_total, alpha):
     strictly positive, as in :class:`Hyperparams`.
     """
     sizes = _check_counts(leave_one_out_sizes, "leave-one-out sizes")
-    alpha = _check_alpha(alpha)
+    alpha = _check_positive(alpha, "alpha")
     if sizes.sum() != n_total - 1:
         raise ValueError("leave-one-out sizes must sum to n_total - 1")
     k = _check_option(option, sizes.shape[0])
@@ -429,7 +432,7 @@ def assignment_distribution(i, state, data, hyper, temperature):
             return visit.probs[:top].copy()
     if not temperature > 0:
         raise ValueError("temperature must be strictly positive")
-    i = _check_index(i, state.assignments.shape[0], "object index")
+    i = _check_int(i, "object index", 0, state.assignments.shape[0] - 1)
     if state.assignments[i] != UNASSIGNED:
         raise ValueError(f"object {i} must be detached from the state first")
     state._check_values(data.values)
@@ -470,7 +473,7 @@ def remove_object(state, i, data):
     # row k died, else 2k; it refuses with -1, changing nothing, for the checks below.
     done = visit.detach(i, state._k) if visit and type(i) is int and data.values is state._values else -1
     if done < 0:
-        i = _check_index(i, state.assignments.shape[0], "object index")
+        i = _check_int(i, "object index", 0, state.assignments.shape[0] - 1)
         k = int(state.assignments[i])
         if k == UNASSIGNED:
             raise ValueError(f"object {i} is already detached")
@@ -510,7 +513,7 @@ def insert_object(state, i, option, data):
     # The kernel checks the object and the row itself, and refuses a birth into
     # the last row; it refuses with False, changing nothing, for the code below.
     if not (visit and type(i) is type(k) is int and data.values is state._values and visit.attach(i, k, state._k)):
-        i = _check_index(i, state.assignments.shape[0], "object index")
+        i = _check_int(i, "object index", 0, state.assignments.shape[0] - 1)
         if state.assignments[i] != UNASSIGNED:
             raise ValueError(f"object {i} is already assigned")
         k = _check_option(option, state._k)

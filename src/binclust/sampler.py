@@ -20,8 +20,9 @@ from .model import (
     NEW_CLUSTER,
     BinaryMatrix,
     ClusterState,
+    _check_int,
+    _check_positive,
     _check_width,
-    _is_integer,
     assignment_distribution,
     default_hyperparams,
     insert_object,
@@ -45,18 +46,9 @@ class AnnealingSchedule:
 
     def __post_init__(self):
         for name in ("block", "n_sweeps"):
-            value = getattr(self, name)
-            if not (_is_integer(value) and value >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        object.__setattr__(self, "t_init", float(self.t_init))
-        object.__setattr__(self, "lam", float(self.lam))
-        if not self.t_init > 0:
-            raise ValueError("t_init must be strictly positive")
-        if not np.isfinite(self.t_init):
-            raise ValueError("t_init must be finite")
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError("lam must lie strictly between 0 and 1")
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, 1))
+        object.__setattr__(self, "t_init", _check_positive(self.t_init, "t_init"))
+        object.__setattr__(self, "lam", _check_positive(self.lam, "lam", below=1.0))
         # The temperatures never rise, so the first 0 settles it.
         if not all(t > 0 for t in self._temperatures()):
             raise ValueError("the schedule cools to a temperature of 0: raise t_init or lam, or lower n_sweeps/block")
@@ -96,9 +88,7 @@ def init_state(data, k_init, rng):
     hold fewer than ``k_init`` clusters.  A ``k_init`` above the number of
     objects is valid; its state always holds fewer.
     """
-    if not (_is_integer(k_init) and k_init >= 1):
-        raise ValueError(f"k_init must be a positive integer, got {k_init!r}")
-    labels = rng.integers(0, k_init, size=data.n_objects)
+    labels = rng.integers(0, _check_int(k_init, "k_init", 1), size=data.n_objects)
     return ClusterState(data, labels)
 
 
@@ -167,8 +157,7 @@ def run(data, hyper=None, schedule=None, k_init=10, seed=0):
     instead of recomputing it: the same labels give the same statistics, so
     :func:`~binclust.model.joint_log_score` would return the same bits.
     """
-    if not (_is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = _check_int(seed, "seed", 0)
     reference = default_hyperparams(data)
     hyper = reference if hyper is None else hyper
     if schedule is None:
@@ -211,7 +200,7 @@ def run(data, hyper=None, schedule=None, k_init=10, seed=0):
         score_trace=score_trace,
         k_trace=k_trace,
         temp_trace=temp_trace,
-        seed=int(seed),
+        seed=seed,
         config_echo=config_echo,
     )
 

@@ -660,7 +660,7 @@ class TestBaselineCommand:
         report_path = tmp_path / "gap.json"
         code, _, err = _run(capsys, "baseline", "--in", str(data_path), "--k-max", "13", "--report", str(report_path))
         assert code == 2
-        assert "k_max must lie in [1, 12], got 13" in err
+        assert "k_max must be an integer in [1, 12], got 13" in err
         assert not report_path.exists()
 
     def test_same_seed_byte_identical_reports(self, tmp_path, capsys):

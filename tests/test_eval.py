@@ -110,7 +110,7 @@ class TestClusterFeatureFrequencies:
     @pytest.mark.parametrize("labels", [[0.9, 0.2, 1.7], [1.0, 0.0, 1.0], [True, False, True], ["0", "1", "1"]])
     def test_refuses_labels_that_are_not_integers(self, labels):
         data = BinaryMatrix([[1, 0, 1], [1, 0, 1], [0, 1, 0]])
-        with pytest.raises(ValueError, match="labels must be integers"):
+        with pytest.raises(ValueError, match="labels must be of an integer type and at least 0"):
             cluster_feature_frequencies(labels, data)
 
     def test_all_ones_data(self):

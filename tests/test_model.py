@@ -308,7 +308,7 @@ class TestCrpLogPrior:
 
     @pytest.mark.parametrize("option", ["brand-new", True, 0.7, np.float64(0.0), 1, -1, None])
     def test_rejects_unknown_option(self, option):
-        with pytest.raises(ValueError, match=r"cluster option other than 'new' must be an integer in \[0, 1\)"):
+        with pytest.raises(ValueError, match=r"cluster option other than 'new' must be an integer in \[0, 0\]"):
             crp_log_prior(option, [2], 3, 1.0)
 
     # Each sums to n_total - 1: [2.5, 3.5] would pass as [2, 3] under a cast.
@@ -483,7 +483,7 @@ class TestAssignmentDistribution:
         for path in PATHS:
             with visit_path(path):
                 state = _detached_state(data, [0, 1, 0], 2)
-                with pytest.raises(ValueError, match=r"object index must be an integer in \[0, 3\)"):
+                with pytest.raises(ValueError, match=r"object index must be an integer in \[0, 2\]"):
                     assignment_distribution(i, state, data, _uniform_hyper(2), temperature=1.0)
                 assert assignment_distribution(np.int64(2), state, data, _uniform_hyper(2), 1.0).shape == (3,)
 
@@ -668,7 +668,7 @@ class TestClusterState:
     )
     def test_constructor_refuses_labels_that_are_not_integers(self, labels):
         data = BinaryMatrix([[1, 0], [0, 1], [1, 1]])
-        with pytest.raises(ValueError, match="labels must be integers, got dtype"):
+        with pytest.raises(ValueError, match="labels must be of an integer type and at least 0, got"):
             ClusterState(data, labels)
 
     @pytest.mark.parametrize(
@@ -676,7 +676,7 @@ class TestClusterState:
         [
             ([0, 1], r"expected 3 labels, got shape \(2,\)"),
             ([[0, 1, 0]], r"expected 3 labels, got shape \(1, 3\)"),
-            ([0, -1, 0], r"all objects must be assigned \(labels >= 0\)"),
+            ([0, -1, 0], r"labels must be of an integer type and at least 0, got \[ 0 -1  0\]"),
         ],
         ids=["too-few", "2-d", "negative"],
     )

@@ -232,7 +232,7 @@ class TestRemoveInsert:
             with visit_path(path):
                 state = _scored_on(path, data, [0, 0])
                 remove_object(state, 0, data)
-                option = r"cluster option other than 'new' must be an integer in \[0, 1\)"
+                option = r"cluster option other than 'new' must be an integer in \[0, 0\]"
                 _refuses(state, lambda: remove_object(state, 0, data), "object 0 is already detached")
                 _refuses(state, lambda: insert_object(state, 1, 0, data), "object 1 is already assigned")
                 _refuses(state, lambda: insert_object(state, 0, 5, data), option)
@@ -246,7 +246,7 @@ class TestRemoveInsert:
         for path in PATHS:
             with visit_path(path):
                 state = _scored_on(path, data, [0, 1, 0])
-                message = r"object index must be an integer in \[0, 3\)"
+                message = r"object index must be an integer in \[0, 2\]"
                 _refuses(state, lambda: remove_object(state, i, data), message)
                 assert np.array_equal(state.assignments, [0, 1, 0])
                 state.check_consistency(data)
@@ -265,7 +265,7 @@ class TestRemoveInsert:
             with visit_path(path):
                 state = _scored_on(path, data, [0, 1, 0])
                 remove_object(state, 2, data)
-                message = r"cluster option other than 'new' must be an integer in \[0, 2\)"
+                message = r"cluster option other than 'new' must be an integer in \[0, 1\]"
                 _refuses(state, lambda: insert_object(state, 2, option, data), message)
                 assert np.array_equal(state.assignments, [0, 1, UNASSIGNED])
                 assert np.array_equal(state._sizes, [1, 1, 0, 0])
